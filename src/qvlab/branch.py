@@ -9,7 +9,6 @@ feeds a box-counting dimension estimate and a coarse measure at scale.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -154,12 +153,7 @@ def box_counts(scan_result: BranchScan, scales) -> np.ndarray:
 
 def box_dimension(scan_result: BranchScan, scales) -> float:
     """Least-squares slope of log N(eps) against log(1/eps)."""
-    scales = np.asarray(list(scales), dtype=float)
-    if scales.size < 2:
-        raise ValueError("need at least two scales for a dimension fit")
-    counts = box_counts(scan_result, scales)
-    slope = np.polyfit(np.log(1.0 / scales), np.log(counts), 1)[0]
-    return float(slope)
+    return dimension_report(scan_result, scales).slope
 
 
 @dataclass(frozen=True)
@@ -177,14 +171,12 @@ class DimensionReport:
             "r_squared": self.r_squared,
         }
 
-    def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
 
 def dimension_report(scan_result: BranchScan, scales) -> DimensionReport:
+    """Box counts at each scale, the fitted slope and its r^2."""
     scales = np.asarray(list(scales), dtype=float)
+    if scales.size < 2:
+        raise ValueError("need at least two scales for a dimension fit")
     counts = box_counts(scan_result, scales)
     logx = np.log(1.0 / scales)
     logy = np.log(counts)

@@ -12,13 +12,12 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import acceptance, branch, constructions as cons, disk2d, func1d
+from .jsonio import write_json
 
 __all__ = ["main", "console_main"]
 
@@ -69,48 +68,10 @@ def build_named_function(name: str, level: int | None = None, samples: int | Non
     raise AssertionError(name)
 
 
-def _json_default(value):
-    if isinstance(value, float) and np.isinf(value):
-        return "inf" if value > 0 else "-inf"
-    raise TypeError(f"not JSON serializable: {value!r}")
-
-
-def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=_json_default)
-        fh.write("\n")
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("QVLAB_THREADS", "1")
-    try:
-        count = int(raw)
-    except ValueError as exc:
-        raise UsageError(f"QVLAB_THREADS must be an integer, got {raw!r}") from exc
-    return max(1, count)
-
-
-def _audit_chunks(fn, pieces):
-    """Evaluate per-chunk reports, possibly on worker threads.
-
-    Chunk order is fixed up front and results are merged in that order, so
-    the assembled report does not depend on scheduling.
-    """
-    workers = _thread_count()
-    if workers == 1 or len(pieces) == 1:
-        return [fn(p) for p in pieces]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, pieces))
-
-
-def _merge_reports(mode: str, reports: list[func1d.MinimalityReport], alpha=None) -> func1d.MinimalityReport:
-    reports = [r for r in reports if r.figure.size]
-    if not reports:
-        return func1d.MinimalityReport(mode, *(np.empty(0) for _ in range(5)), 0.0, None, alpha)
+def _merge_reports(reports: list[func1d.MinimalityReport]) -> func1d.MinimalityReport:
+    """One omega report from the per-radius reports, in radius order."""
     cat = lambda attr: np.concatenate([getattr(r, attr) for r in reports])
-    centers, radii, dir_u, dir_min, figure = (cat(a) for a in ("centers", "radii", "dir_u", "dir_min", "figure"))
-    merged = func1d._build_report(mode, centers, radii, dir_u, dir_min, figure, alpha=alpha)
-    return merged
+    return func1d._build_report("omega", *(cat(a) for a in ("centers", "radii", "dir_u", "dir_min", "figure")))
 
 
 def _cmd_example(args) -> int:
@@ -126,7 +87,7 @@ def _cmd_example(args) -> int:
             for j, x in enumerate(xs):
                 writer.writerow([repr(float(x))] + [repr(float(v)) for v in values[:, j]])
     else:
-        _write_json(
+        write_json(
             args.out,
             {
                 "name": args.name,
@@ -152,21 +113,15 @@ def _cmd_audit(args) -> int:
                 raise UsageError(f"radius {r} does not fit inside the domain")
             centers = np.linspace(lo + r, hi - r, args.centers)
             reports.append(func1d.omega_report(u, [r], centers))
-        report = _merge_reports("omega", reports)
+        report = _merge_reports(reports)
     else:
         intervals = func1d.audit_intervals(u, depth=args.depth)
-        chunks = np.array_split(intervals, max(1, min(_thread_count() * 4, len(intervals))))
         if args.mode == "quasi":
-            reports = _audit_chunks(lambda part: func1d.quasi_k_ratio(u, part), chunks)
-            report = _merge_reports("quasi_k", reports)
+            report = func1d.quasi_k_ratio(u, intervals)
         else:
-            alpha = args.alpha
-            reports = _audit_chunks(
-                lambda part: func1d.almost_deficiency(u, alpha, np.column_stack(
-                    (0.5 * (part[:, 0] + part[:, 1]), 0.5 * (part[:, 1] - part[:, 0])))),
-                chunks,
-            )
-            report = _merge_reports("almost", reports, alpha=alpha)
+            a, b = intervals[:, 0], intervals[:, 1]
+            balls = np.column_stack((0.5 * (a + b), 0.5 * (b - a)))
+            report = func1d.almost_deficiency(u, args.alpha, balls)
     if args.format == "csv":
         report.to_csv(args.out)
     else:
@@ -184,7 +139,7 @@ def _cmd_branch(args) -> int:
     if args.format == "csv":
         sc.to_csv(args.out)
     else:
-        _write_json(
+        write_json(
             args.out,
             {
                 "scan": {
@@ -215,7 +170,7 @@ def _cmd_decay(args) -> int:
             for s, e in energies:
                 writer.writerow([repr(s), repr(s * args.r0), repr(e)])
     else:
-        _write_json(
+        write_json(
             args.out,
             {
                 "name": args.name,

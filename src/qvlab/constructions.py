@@ -193,10 +193,6 @@ class CantorConstruction:
     def removed_intervals(self) -> list[RemovedInterval]:
         return _SCHEDULES[self.schedule](self.level)
 
-    def removal_ratio(self, step: int) -> float:
-        """Fraction of each remaining interval removed at `step`."""
-        return 1.0 / 3.0 if self.schedule == "ternary" else 4.0 ** (-step)
-
     def gap_profile(self) -> list[float]:
         """Maximal branch separation above each removed interval.
 
@@ -219,15 +215,7 @@ class CantorConstruction:
             x = max(x, iv.b)
         if x < 1.0:
             kept.append((x, 1.0))
-        # Removed intervals are pairwise disjoint and sorted, so the sweep
-        # already yields the kept intervals; merge defensively anyway.
-        merged = [kept[0]]
-        for a, b in kept[1:]:
-            if a <= merged[-1][1]:
-                merged[-1] = (merged[-1][0], max(b, merged[-1][1]))
-            else:
-                merged.append((a, b))
-        return merged
+        return kept
 
 
 def _diamond_level(spec: CantorConstruction) -> PiecewiseAffineQ:

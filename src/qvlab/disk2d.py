@@ -10,10 +10,11 @@ the two-dimensional comparison Dir <= Q r dir a per-mode inequality
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
+
+from .jsonio import write_json
 
 __all__ = [
     "CircleTraceQ",
@@ -37,8 +38,8 @@ class CircleTraceQ:
     Branch values are sorted at every sampled angle; `cos_coeffs[i, k]` and
     `sin_coeffs[i, k]` hold the mode-k Fourier coefficients of branch i
     (sin_coeffs[:, 0] is zero).  Sorting a smooth trace can create corners,
-    so `truncation_residual` records the worst reconstruction error of the
-    band-limited representation against the samples.
+    so `truncation_residual` records the worst error of the band-limited
+    representation against the samples.
     """
 
     radius: float
@@ -55,14 +56,6 @@ class CircleTraceQ:
     @property
     def mode_cap(self) -> int:
         return self.cos_coeffs.shape[1] - 1
-
-    def reconstruct(self, theta: np.ndarray) -> np.ndarray:
-        """Band-limited branch values at the given angles, shape (Q, len)."""
-        theta = np.asarray(theta, dtype=float)
-        k = np.arange(self.mode_cap + 1)
-        cos_kt = np.cos(np.outer(k, theta))
-        sin_kt = np.sin(np.outer(k, theta))
-        return self.cos_coeffs @ cos_kt + self.sin_coeffs @ sin_kt
 
 
 def _fourier_rows(samples: np.ndarray, mode_cap: int) -> tuple[np.ndarray, np.ndarray]:
@@ -86,8 +79,8 @@ def sorted_trace(values, sample_count: int, mode_cap: int, radius: float = 1.0) 
     """
     if sample_count < 2 * mode_cap + 1:
         raise AliasingError(f"need at least {2 * mode_cap + 1} samples for {mode_cap} modes")
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    if not (np.isfinite(radius) and radius > 0):
+        raise ValueError("radius must be positive and finite")
     angles = 2.0 * np.pi * np.arange(sample_count) / sample_count
     if callable(values):
         raw = np.array([np.atleast_1d(values(t)) for t in angles], dtype=float).T
@@ -153,9 +146,7 @@ class DiskMinimizer:
         }
 
     def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.to_json_dict())
 
 
 def minimize_disk(trace: CircleTraceQ) -> DiskMinimizer:

@@ -13,12 +13,12 @@ additive power-law allowance) and an empirical energy-decay exponent.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
+from .jsonio import json_float, write_json
 from .qspace import QPoint
 
 __all__ = [
@@ -283,37 +283,23 @@ class MinimalityReport:
         return {
             "mode": self.mode,
             "alpha": self.alpha,
-            "supremum": _json_float(self.supremum),
-            "witness": None if self.witness is None else {
-                "center": self.witness.center,
-                "radius": self.witness.radius,
-                "dir_u": self.witness.dir_u,
-                "dir_min": self.witness.dir_min,
-                "figure_of_merit": _json_float(self.witness.figure_of_merit),
-            },
-            "records": [
-                {
-                    "center": rec.center,
-                    "radius": rec.radius,
-                    "dir_u": rec.dir_u,
-                    "dir_min": rec.dir_min,
-                    "figure_of_merit": _json_float(rec.figure_of_merit),
-                }
-                for rec in self.rows()
-            ],
+            "supremum": json_float(self.supremum),
+            "witness": None if self.witness is None else _record_dict(self.witness),
+            "records": [_record_dict(rec) for rec in self.rows()],
         }
 
     def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.to_json_dict())
 
 
-def _json_float(x: float):
-    # Strict JSON has no Infinity literal; keep the schema parseable.
-    if np.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return float(x)
+def _record_dict(rec: AuditRecord) -> dict:
+    return {
+        "center": rec.center,
+        "radius": rec.radius,
+        "dir_u": rec.dir_u,
+        "dir_min": rec.dir_min,
+        "figure_of_merit": json_float(rec.figure_of_merit),
+    }
 
 
 def _witness_index(centers, radii, figure, supremum) -> int:

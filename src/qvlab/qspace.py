@@ -10,8 +10,6 @@ multiplicities around well-separated centers.
 
 from __future__ import annotations
 
-import functools
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,11 +28,6 @@ __all__ = [
     "select_clusters",
     "semi_retraction",
 ]
-
-# Exhaustive matching is exact and fast enough up to Q = 8 (8! = 40320);
-# beyond that the O(Q^3) assignment solver takes over.
-BRUTE_FORCE_MAX_Q = 8
-
 
 class DimensionMismatchError(ValueError):
     """Two configurations do not share the same Q or ambient dimension."""
@@ -100,11 +93,6 @@ def _check_compatible(a: QPoint, b: QPoint) -> None:
         )
 
 
-@functools.lru_cache(maxsize=None)
-def _permutation_indices(q: int) -> np.ndarray:
-    return np.array(list(itertools.permutations(range(q))), dtype=np.intp)
-
-
 def _pairwise_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     diff = a[:, None, :] - b[None, :, :]
     return np.einsum("ijk,ijk->ij", diff, diff)
@@ -115,22 +103,66 @@ def metric_g(a: QPoint, b: QPoint) -> float:
 
     Returns min over pairings sigma of (sum_i |a_i - b_sigma(i)|^2)^(1/2).
     For n = 1 the sorted pairing is optimal (squared distance is a convex
-    cost), for small Q the minimum is taken over all permutations, and for
-    larger Q an exact assignment solver is used.
+    cost); otherwise an exact assignment solver finds the optimal pairing.
     """
     _check_compatible(a, b)
-    q = a.q_count
     if a.ambient_dim == 1:
         da = np.sort(a.points[:, 0])
         db = np.sort(b.points[:, 0])
         return float(np.sqrt(np.sum((da - db) ** 2)))
     cost = _pairwise_sq(a.points, b.points)
-    if q <= BRUTE_FORCE_MAX_Q:
-        perms = _permutation_indices(q)
-        totals = cost[np.arange(q)[None, :], perms].sum(axis=1)
-        return float(np.sqrt(totals.min()))
     rows, cols = linear_sum_assignment(cost)
     return float(np.sqrt(cost[rows, cols].sum()))
+
+
+def _spanning_tree(pts: np.ndarray) -> list[tuple[int, int, float]]:
+    """Prim's minimum spanning tree of the points as (i, j, length) edges.
+
+    Edges are listed in the order Prim adds them: i is already in the tree
+    when j joins it, and the first edge starts at point 0.  Ties go to the
+    smallest index.
+    """
+    dist = np.sqrt(_pairwise_sq(pts, pts)).tolist()
+    best = list(dist[0])
+    via = [0] * len(dist)
+    outside = list(range(1, len(dist)))
+    edges = []
+    while outside:
+        j = min(outside, key=best.__getitem__)
+        outside.remove(j)
+        edges.append((via[j], j, best[j]))
+        row = dist[j]
+        for k in outside:
+            if row[k] < best[k]:
+                best[k] = row[k]
+                via[k] = j
+    return edges
+
+
+def _single_linkage(
+    pts: np.ndarray, tree: list[tuple[int, int, float]], threshold: float
+) -> list[tuple[int, int]]:
+    """Single-linkage clusters at `threshold` as (leader, size) pairs.
+
+    The clusters are the components of the tree edges no longer than
+    `threshold`, which is the transitive closure of dist <= threshold.  Each
+    cluster is led by its lexicographically smallest member, and clusters
+    are listed in lexicographic order of their leaders.
+    """
+    keys = [tuple(row) for row in pts.tolist()]
+    label = [0] * len(keys)
+    leaders, sizes = [0], [1]
+    for i, j, length in tree:
+        if length <= threshold:
+            c = label[j] = label[i]
+            sizes[c] += 1
+            if keys[j] < keys[leaders[c]]:
+                leaders[c] = j
+        else:
+            label[j] = len(leaders)
+            leaders.append(j)
+            sizes.append(1)
+    return sorted(zip(leaders, sizes), key=lambda item: keys[item[0]])
 
 
 def support_with_multiplicity(a: QPoint, tol: float = 0.0) -> list[tuple[np.ndarray, int]]:
@@ -145,31 +177,7 @@ def support_with_multiplicity(a: QPoint, tol: float = 0.0) -> list[tuple[np.ndar
     if tol < 0:
         raise ValueError("tol must be nonnegative")
     pts = a.points
-    q = a.q_count
-    parent = list(range(q))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    dist = np.sqrt(_pairwise_sq(pts, pts))
-    for i in range(q):
-        for j in range(i + 1, q):
-            if dist[i, j] <= tol:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-    groups: dict[int, list[int]] = {}
-    for i in range(q):
-        groups.setdefault(find(i), []).append(i)
-    clusters = []
-    for members in groups.values():
-        rep = min(members, key=lambda i: tuple(pts[i]))
-        clusters.append((pts[rep].copy(), len(members)))
-    clusters.sort(key=lambda item: tuple(item[0]))
-    return clusters
+    return [(pts[leader].copy(), size) for leader, size in _single_linkage(pts, _spanning_tree(pts), tol)]
 
 
 def sigma(a: QPoint, tol: float = 0.0) -> int:
@@ -257,49 +265,6 @@ class ClusterSelection:
         return float(d[iu].min())
 
 
-def _merge_distances(pts: np.ndarray) -> np.ndarray:
-    """Single-linkage merge scales: the minimum-spanning-tree edge lengths."""
-    q = pts.shape[0]
-    if q == 1:
-        return np.empty(0)
-    dist = np.sqrt(_pairwise_sq(pts, pts))
-    in_tree = np.zeros(q, dtype=bool)
-    best = np.full(q, np.inf)
-    in_tree[0] = True
-    best = dist[0].copy()
-    best[0] = np.inf
-    edges = []
-    for _ in range(q - 1):
-        nxt = int(np.argmin(np.where(in_tree, np.inf, best)))
-        edges.append(best[nxt])
-        in_tree[nxt] = True
-        best = np.minimum(best, dist[nxt])
-    return np.array(edges)
-
-
-def _clusters_at_threshold(pts: np.ndarray, threshold: float) -> list[list[int]]:
-    q = pts.shape[0]
-    dist = np.sqrt(_pairwise_sq(pts, pts))
-    parent = list(range(q))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(q):
-        for j in range(i + 1, q):
-            if dist[i, j] <= threshold:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-    groups: dict[int, list[int]] = {}
-    for i in range(q):
-        groups.setdefault(find(i), []).append(i)
-    return sorted(groups.values(), key=lambda g: tuple(pts[min(g, key=lambda i: tuple(pts[i]))]))
-
-
 def select_clusters(a: QPoint, s0: float, separation_k: float) -> ClusterSelection:
     """Group a configuration at a radius where clusters separate cleanly.
 
@@ -320,7 +285,8 @@ def select_clusters(a: QPoint, s0: float, separation_k: float) -> ClusterSelecti
         raise ValueError("separation_k must exceed 1")
     pts = a.points
     q = a.q_count
-    merges = _merge_distances(pts)
+    tree = _spanning_tree(pts)
+    merges = np.array([length for _, _, length in tree])
     mu = 2.0 * separation_k * (q - 1) ** 1.5
 
     radius = s0
@@ -328,13 +294,11 @@ def select_clusters(a: QPoint, s0: float, separation_k: float) -> ClusterSelecti
     for _ in range(q):
         ceiling = 2.0 * separation_k * radius
         if not np.any((merges > threshold) & (merges <= ceiling)):
-            groups = _clusters_at_threshold(pts, threshold)
-            multiplicities = tuple(len(g) for g in groups)
-            centers = np.array([pts[min(g, key=lambda i: tuple(pts[i]))] for g in groups])
+            groups = _single_linkage(pts, tree, threshold)
             return ClusterSelection(
                 cluster_count=len(groups),
-                multiplicities=multiplicities,
-                centers=centers,
+                multiplicities=tuple(size for _, size in groups),
+                centers=np.array([pts[leader] for leader, _ in groups]),
                 radius=radius,
                 s0=s0,
                 separation_k=separation_k,

@@ -132,6 +132,12 @@ class TestBoxDimension:
         with pytest.raises(UndefinedDimensionError):
             box_counts(sc, [0.1])
 
+    def test_single_scale_rejected(self):
+        approx, _ = cantor_limit("diamond", 4)
+        sc = scan(approx, 3**4 + 1)
+        with pytest.raises(ValueError):
+            dimension_report(sc, [0.1])
+
     def test_report_fields(self):
         approx, _ = cantor_limit("diamond", 5)
         sc = scan(approx, 3**5 + 1)

@@ -80,15 +80,13 @@ class TestAudit:
         assert payload["mode"] == "omega"
         assert float(payload["supremum"]) < 0.05
 
-    def test_threads_env_gives_identical_output(self, tmp_path, monkeypatch):
+    def test_repeat_audit_gives_identical_output(self, tmp_path):
         args = ["audit", "cantor-diamond", "--level", "3", "--mode", "quasi", "--depth", "7", "--format", "json"]
-        seq = tmp_path / "seq.json"
-        par = tmp_path / "par.json"
-        monkeypatch.setenv("QVLAB_THREADS", "1")
-        assert cli.main(args + ["--out", str(seq)]) == 0
-        monkeypatch.setenv("QVLAB_THREADS", "4")
-        assert cli.main(args + ["--out", str(par)]) == 0
-        assert seq.read_bytes() == par.read_bytes()
+        first = tmp_path / "first.json"
+        second = tmp_path / "second.json"
+        assert cli.main(args + ["--out", str(first)]) == 0
+        assert cli.main(args + ["--out", str(second)]) == 0
+        assert first.read_bytes() == second.read_bytes()
 
 
 class TestBranchAndDecay:
@@ -101,6 +99,14 @@ class TestBranchAndDecay:
         payload = json.loads(out.read_text())
         assert set(payload) == {"scan", "dimension"}
         assert len(payload["scan"]["x"]) == 244
+
+    def test_branch_single_scale_is_usage_error(self, tmp_path):
+        out = tmp_path / "branch.json"
+        code = cli.main(
+            ["branch", "cantor-diamond", "--level", "4", "--grid", "244", "--scales", "0.1",
+             "--out", str(out), "--format", "json"]
+        )
+        assert code == 2
 
     def test_branch_csv(self, tmp_path):
         out = tmp_path / "branch.csv"
@@ -129,6 +135,12 @@ class TestDisk:
         payload = json.loads(out.read_text())
         assert payload["dir_interior"] == pytest.approx(np.pi)
         assert payload["squeeze_margin"] == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("radius", ["inf", "nan"])
+    def test_nonfinite_radius_is_usage_error(self, tmp_path, radius):
+        out = tmp_path / "disk.json"
+        code = cli.main(["disk", "--trace", "single-cos", "--radius", radius, "--out", str(out), "--format", "json"])
+        assert code == 2
 
     def test_csv_output(self, tmp_path):
         out = tmp_path / "disk.csv"

@@ -87,6 +87,11 @@ class TestSortedTrace:
         with pytest.raises(AliasingError):
             sorted_trace(lambda t: [np.cos(t)], 16, 8)
 
+    @pytest.mark.parametrize("radius", [0.0, np.inf, np.nan])
+    def test_radius_must_be_positive_and_finite(self, radius):
+        with pytest.raises(ValueError):
+            sorted_trace(lambda t: [np.cos(t)], 64, 8, radius=radius)
+
 
 class TestDiskMinimizer:
     def test_constant_trace_zero_energy(self):

@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from qvlab.qspace import (
     ClusterSelection,
@@ -24,10 +26,8 @@ from qvlab.qspace import (
 def brute_force_distance(pa, pb):
     """Independent oracle: exhaustive minimum over all pairings."""
     q = pa.shape[0]
-    best = min(
-        sum(float(((pa[i] - pb[p[i]]) ** 2).sum()) for i in range(q))
-        for p in itertools.permutations(range(q))
-    )
+    cost = [[float(((pa[i] - pb[j]) ** 2).sum()) for j in range(q)] for i in range(q)]
+    best = min(sum(cost[i][p[i]] for i in range(q)) for p in itertools.permutations(range(q)))
     return best**0.5
 
 
@@ -52,6 +52,12 @@ class TestMetric:
             got = metric_g(QPoint(pa), QPoint(pb))
             ref = brute_force_distance(pa, pb)
             assert got == pytest.approx(ref, rel=1e-12, abs=1e-15)
+        # Q = 7 and 8 in two and three dimensions: few draws, the oracle walks 8! pairings
+        for q, n in itertools.product((7, 8), (2, 3)):
+            pa = rng.normal(0, 3, (q, n))
+            pb = rng.normal(0, 3, (q, n))
+            got = metric_g(QPoint(pa), QPoint(pb))
+            assert got == pytest.approx(brute_force_distance(pa, pb), rel=1e-12, abs=1e-15)
 
     def test_large_q_uses_assignment_solver(self):
         rng = np.random.default_rng(1)
@@ -121,6 +127,62 @@ class TestSupport:
     def test_negative_tol_rejected(self):
         with pytest.raises(ValueError):
             support_with_multiplicity(QPoint.of(0.0), -1.0)
+
+
+def closure_clusters(pts, threshold):
+    """Independent oracle: classes of the transitive closure of dist <= threshold.
+
+    Returns (leader, size) pairs, each class led by its lexicographically
+    smallest member and the classes sorted by leader.
+    """
+    q = pts.shape[0]
+    dist = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1))
+    reach = dist <= threshold
+    np.fill_diagonal(reach, True)
+    for k in range(q):  # Warshall
+        reach |= reach[:, k : k + 1] & reach[k : k + 1, :]
+    classes = {tuple(np.flatnonzero(row)) for row in reach}
+    out = [(min(tuple(pts[i]) for i in members), len(members)) for members in classes]
+    return sorted(out)
+
+
+def configurations(elements):
+    """(Q, n) point arrays with Q <= 8 and n <= 3."""
+    shapes = st.tuples(st.integers(1, 8), st.integers(1, 3))
+    return shapes.flatmap(lambda shape: arrays(float, shape, elements=elements))
+
+
+# Integer grids make equal distances, and distances equal to the threshold, common.
+points = st.one_of(
+    configurations(st.sampled_from([-2.0, -1.0, 0.0, 1.0, 2.0])),
+    configurations(st.floats(-10.0, 10.0)),
+)
+
+
+class TestSingleLinkageProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(pts=points, tol=st.sampled_from([0.0, 1.0, 2.0**0.5, 2.0]) | st.floats(0.0, 5.0))
+    def test_support_is_transitive_closure(self, pts, tol):
+        got = [(tuple(p), m) for p, m in support_with_multiplicity(QPoint(pts), tol)]
+        assert got == closure_clusters(pts, tol)
+
+    @settings(max_examples=150, deadline=None)
+    @given(pts=points, s0=st.sampled_from([0.25, 0.5, 1.0]) | st.floats(0.01, 2.0),
+           k=st.sampled_from([1.5, 2.0]) | st.floats(1.1, 3.0))
+    def test_selection_groups_are_transitive_closure(self, pts, s0, k):
+        sel = select_clusters(QPoint(pts), s0, k)
+        # Walk the same ladder to find the threshold below the selected rung.
+        q = pts.shape[0]
+        mu = 2.0 * k * (q - 1) ** 1.5
+        radius, threshold = s0, 0.0
+        while radius < sel.radius:
+            threshold = 2.0 * k * radius
+            radius = s0 + mu * radius
+        assert radius == sel.radius
+        want = closure_clusters(pts, threshold)
+        assert [(tuple(c), m) for c, m in zip(sel.centers, sel.multiplicities)] == want
+        # no merge scale in the band (threshold, 2 K radius]
+        assert closure_clusters(pts, 2.0 * k * radius) == want
 
 
 class TestSeparationConstants:
