@@ -37,15 +37,6 @@ class CheckResult:
         return f"[{status}] {self.number:2d} {self.name}: {self.detail}"
 
 
-def _family(u: func1d.PiecewiseAffineQ, depth: int = 12) -> np.ndarray:
-    return func1d.audit_intervals(u, depth=depth)
-
-
-def _balls_from_intervals(intervals: np.ndarray) -> np.ndarray:
-    a, b = intervals[:, 0], intervals[:, 1]
-    return np.column_stack((0.5 * (a + b), 0.5 * (b - a)))
-
-
 def check_metric_oracle() -> CheckResult:
     """metric_g equals the exhaustive-permutation minimum (Q <= 6, n <= 3)."""
     rng = np.random.default_rng(12001)
@@ -113,7 +104,7 @@ def check_pluri_diamond_bound() -> CheckResult:
     worst_sup = 0.0
     for level in range(1, 9):
         u = cons.cantor_level(cons.CantorConstruction(level, "diamond"))
-        report = func1d.quasi_k_ratio(u, _family(u))
+        report = func1d.quasi_k_ratio(u, func1d.audit_intervals(u))
         worst_sup = max(worst_sup, report.supremum)
         if level == 1:
             level1_sup = report.supremum
@@ -137,7 +128,7 @@ def check_endpoint_gap() -> CheckResult:
     worst = np.inf
     for level in range(1, 9):
         u = cons.cantor_level(cons.CantorConstruction(level, "diamond"))
-        fam = _family(u)
+        fam = func1d.audit_intervals(u)
         w = fam[:, 1] - fam[:, 0]
         gsq = func1d.matching_distance_sq(u, fam[:, 0], fam[:, 1])
         worst = min(worst, float(np.min(gsq / (0.5 * w * w))))
@@ -194,7 +185,7 @@ def check_losange_almost() -> CheckResult:
     worst = 0.0
     for level in range(1, 9):
         u = cons.cantor_level(cons.CantorConstruction(level, "losange"))
-        report = func1d.almost_deficiency(u, 0.5, _balls_from_intervals(_family(u)))
+        report = func1d.almost_deficiency(u, 0.5, func1d.balls_from_intervals(func1d.audit_intervals(u)))
         worst = max(worst, report.supremum)
     single = cons.make_losange(0.0, 1.0)
     full_ball = func1d.almost_deficiency(single, 0.5, [(0.5, 0.5)]).supremum

@@ -8,12 +8,12 @@ feeds a box-counting dimension estimate and a coarse measure at scale.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .func1d import PiecewiseAffineQ, branch_values
+from .writers import write_csv
 
 __all__ = [
     "BranchScan",
@@ -58,11 +58,7 @@ class BranchScan:
         return self.sigma == 1
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["x", "sigma", "flagged"])
-            for x, s, f in zip(self.grid, self.sigma, self.flags):
-                writer.writerow([repr(float(x)), int(s), int(bool(f))])
+        write_csv(path, ["x", "sigma", "flagged"], [self.grid, self.sigma, self.flags.astype(int)])
 
 
 def _sigma_of_columns(values: np.ndarray, tol: float) -> np.ndarray:
@@ -115,8 +111,8 @@ def scan(u: PiecewiseAffineQ, grid_size: int, tol: float | None = None) -> Branc
     if tol is None:
         spread = float(u.branches.max() - u.branches.min())
         tol = DEFAULT_TOL_FACTOR * (spread if spread > 0 else 1.0)
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
+    if not tol >= 0:
+        raise ValueError(f"tol must be nonnegative, got {tol!r}")
     grid = np.linspace(lo, hi, grid_size)
     values = branch_values(u, grid)
     sig = _sigma_of_columns(values, tol)
@@ -145,8 +141,8 @@ def box_counts(scan_result: BranchScan, scales) -> np.ndarray:
     lo = float(scan_result.grid[0])
     counts = []
     for eps in scales:
-        if eps <= 0:
-            raise ValueError("box sizes must be positive")
+        if not eps > 0:
+            raise ValueError(f"box sizes must be positive, got {eps!r}")
         counts.append(np.unique(np.floor((xs - lo) / eps).astype(np.int64)).size)
     return np.array(counts)
 

@@ -10,14 +10,13 @@ and infinities as the strings "inf"/"-inf".
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 
 import numpy as np
 
 from . import acceptance, branch, constructions as cons, disk2d, func1d
-from .jsonio import write_json
+from .writers import write_csv, write_json
 
 __all__ = ["main", "console_main"]
 
@@ -81,11 +80,7 @@ def _cmd_example(args) -> int:
     xs = np.linspace(lo, hi, n)
     values = func1d.branch_values(u, xs)
     if args.format == "csv":
-        with open(args.out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["x"] + [f"branch_{i + 1}" for i in range(u.q_count)])
-            for j, x in enumerate(xs):
-                writer.writerow([repr(float(x))] + [repr(float(v)) for v in values[:, j]])
+        write_csv(args.out, ["x"] + [f"branch_{i + 1}" for i in range(u.q_count)], [xs, *values])
     else:
         write_json(
             args.out,
@@ -119,9 +114,7 @@ def _cmd_audit(args) -> int:
         if args.mode == "quasi":
             report = func1d.quasi_k_ratio(u, intervals)
         else:
-            a, b = intervals[:, 0], intervals[:, 1]
-            balls = np.column_stack((0.5 * (a + b), 0.5 * (b - a)))
-            report = func1d.almost_deficiency(u, args.alpha, balls)
+            report = func1d.almost_deficiency(u, args.alpha, func1d.balls_from_intervals(intervals))
     if args.format == "csv":
         report.to_csv(args.out)
     else:
@@ -164,11 +157,8 @@ def _cmd_decay(args) -> int:
     ]
     slope = func1d.energy_decay_exponent(u, args.center, args.r0, scales)
     if args.format == "csv":
-        with open(args.out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["scale", "radius", "energy"])
-            for s, e in energies:
-                writer.writerow([repr(s), repr(s * args.r0), repr(e)])
+        s, e = np.array(energies).T
+        write_csv(args.out, ["scale", "radius", "energy"], [s, s * args.r0, e])
     else:
         write_json(
             args.out,
@@ -205,11 +195,8 @@ def _cmd_disk(args) -> int:
     minimizer = disk2d.minimize_disk(trace)
     holds, margin = disk2d.check_squeeze_2d(minimizer)
     if args.format == "csv":
-        with open(args.out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["angle"] + [f"branch_{i + 1}" for i in range(trace.q_count)])
-            for j, t in enumerate(trace.angles):
-                writer.writerow([repr(float(t))] + [repr(float(v)) for v in trace.samples[:, j]])
+        header = ["angle"] + [f"branch_{i + 1}" for i in range(trace.q_count)]
+        write_csv(args.out, header, [trace.angles, *trace.samples])
     else:
         minimizer.to_json(args.out)
     print(

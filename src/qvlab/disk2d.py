@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jsonio import write_json
+from .writers import write_json
 
 __all__ = [
     "CircleTraceQ",

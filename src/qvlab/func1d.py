@@ -6,20 +6,21 @@ energies are closed-form sums, segment by segment, and the interval
 minimizer for given boundary tuples is the sorted linear interpolation whose
 energy equals the squared matching distance of the boundary tuples divided
 by the interval length.  On top of the exact energies this module provides
-the three minimality audits (multiplicative factor, radius-dependent excess,
-additive power-law allowance) and an empirical energy-decay exponent.
+an empirical energy-decay exponent and the three minimality audits, which
+are one comparison with three figures of merit: each reads its family once,
+takes Dir(u) and G^2(u(a), u(b)) from `_energies` (the one boundary check),
+and applies its own figure and skip rule.  `writers` writes the reports.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
-from .jsonio import json_float, write_json
 from .qspace import QPoint
+from .writers import column_rows, json_float, write_csv, write_json
 
 __all__ = [
     "PiecewiseAffineQ",
@@ -42,6 +43,7 @@ __all__ = [
     "almost_deficiency",
     "energy_decay_exponent",
     "audit_intervals",
+    "balls_from_intervals",
     "rescale_domain",
 ]
 
@@ -166,10 +168,9 @@ def evaluate(u: PiecewiseAffineQ, x: float) -> QPoint:
     return QPoint(vals.reshape(u.q_count, 1))
 
 
-def energy_between(u: PiecewiseAffineQ, a, b, prefix: Optional[np.ndarray] = None) -> np.ndarray:
+def energy_between(u: PiecewiseAffineQ, a, b) -> np.ndarray:
     """Vectorized Dirichlet energy over intervals (a_i, b_i)."""
-    if prefix is None:
-        prefix = u.energy_prefix()
+    prefix = u.energy_prefix()
     pa = np.interp(a, u.breakpoints, prefix)
     pb = np.interp(b, u.breakpoints, prefix)
     return pb - pa
@@ -268,16 +269,14 @@ class MinimalityReport:
     witness: Optional[AuditRecord]
     alpha: Optional[float] = None
 
+    def _columns(self) -> tuple[np.ndarray, ...]:
+        return (self.centers, self.radii, self.dir_u, self.dir_min, self.figure)
+
     def rows(self) -> Iterator[AuditRecord]:
-        for c, r, du, dm, f in zip(self.centers, self.radii, self.dir_u, self.dir_min, self.figure):
-            yield AuditRecord(float(c), float(r), float(du), float(dm), float(f))
+        return map(AuditRecord._make, column_rows(self._columns()))
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["center", "radius", "dir_u", "dir_min", "figure_of_merit"])
-            for rec in self.rows():
-                writer.writerow([repr(v) for v in rec])
+        write_csv(path, AuditRecord._fields, self._columns())
 
     def to_json_dict(self) -> dict:
         return {
@@ -321,14 +320,31 @@ def _build_report(mode, centers, radii, dir_u, dir_min, figure, alpha=None) -> M
     return MinimalityReport(mode, centers, radii, dir_u, dir_min, figure, supremum, witness, alpha)
 
 
-def _interval_arrays(intervals) -> tuple[np.ndarray, np.ndarray]:
-    arr = np.asarray(list(intervals), dtype=float) if not isinstance(intervals, np.ndarray) else intervals
-    arr = np.asarray(arr, dtype=float)
+def _listed(values) -> np.ndarray:
+    """A float array: an ndarray is used as it is, any other iterable is listed once."""
+    return np.asarray(values if isinstance(values, np.ndarray) else list(values), dtype=float)
+
+
+def _pairs(family) -> tuple[np.ndarray, np.ndarray]:
+    """The two columns of a family of pairs; an empty family gives empty columns."""
+    arr = _listed(family)
+    if arr.size == 0:
+        arr = arr.reshape(0, 2)
     if arr.ndim != 2 or arr.shape[1] != 2:
-        raise ValueError("intervals must be an iterable of (a, b) pairs")
-    if np.any(arr[:, 0] >= arr[:, 1]):
-        raise EmptyIntervalError("intervals must satisfy a < b")
+        raise ValueError("an audit family must be an iterable of pairs")
     return arr[:, 0], arr[:, 1]
+
+
+def _energies(u: PiecewiseAffineQ, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dir(u) and G^2(u(a), u(b)) per interval (a_i, b_i), after the audits'
+    one boundary check: finite ends, a < b, inside the domain."""
+    ends = np.concatenate((a, b))
+    if not np.all(np.isfinite(ends)):
+        raise DomainError("interval ends must be finite")
+    if np.any(a >= b):
+        raise EmptyIntervalError("intervals must satisfy a < b")
+    _check_in_domain(u, ends)
+    return energy_between(u, a, b), matching_distance_sq(u, a, b)
 
 
 def quasi_k_ratio(u: PiecewiseAffineQ, intervals: Iterable[tuple[float, float]]) -> MinimalityReport:
@@ -341,11 +357,8 @@ def quasi_k_ratio(u: PiecewiseAffineQ, intervals: Iterable[tuple[float, float]])
     minimizer); zero energy over such an interval carries no information and
     the interval is skipped.
     """
-    a, b = _interval_arrays(intervals)
-    _check_in_domain(u, np.concatenate((a, b)))
-    prefix = u.energy_prefix()
-    dir_u = energy_between(u, a, b, prefix)
-    gsq = matching_distance_sq(u, a, b)
+    a, b = _pairs(intervals)
+    dir_u, gsq = _energies(u, a, b)
     keep = ~((gsq == 0.0) & (dir_u == 0.0))
     a, b, dir_u, gsq = a[keep], b[keep], dir_u[keep], gsq[keep]
     with np.errstate(divide="ignore"):
@@ -355,16 +368,11 @@ def quasi_k_ratio(u: PiecewiseAffineQ, intervals: Iterable[tuple[float, float]])
 
 
 def omega_report(u: PiecewiseAffineQ, radii, centers) -> MinimalityReport:
-    """Excess-over-minimizer audit: figure = Dir(u)/Dir_min - 1 per ball."""
-    rs = np.asarray(list(radii), dtype=float)
-    xs = np.asarray(list(centers), dtype=float)
-    pairs = np.array([(x, r) for r in rs for x in xs])
-    x, r = pairs[:, 0], pairs[:, 1]
-    a, b = x - r, x + r
-    _check_in_domain(u, np.concatenate((a, b)))
-    prefix = u.energy_prefix()
-    dir_u = energy_between(u, a, b, prefix)
-    gsq = matching_distance_sq(u, a, b)
+    """Excess-over-minimizer audit: figure = Dir(u)/Dir_min - 1 per ball,
+    taking every center at every radius in radius-major order."""
+    rs, xs = _listed(radii), _listed(centers)
+    x, r = np.tile(xs, rs.size), np.repeat(rs, xs.size)
+    dir_u, gsq = _energies(u, x - r, x + r)
     dir_min = gsq / (2.0 * r)
     keep = ~((dir_min == 0.0) & (dir_u == 0.0))
     x, r, dir_u, dir_min = x[keep], r[keep], dir_u[keep], dir_min[keep]
@@ -393,13 +401,9 @@ def almost_deficiency(u: PiecewiseAffineQ, alpha: float, balls) -> MinimalityRep
     """
     if not 0 < alpha < 1:
         raise ValueError("alpha must lie in (0, 1)")
-    arr = np.asarray(list(balls), dtype=float)
-    x, r = arr[:, 0], arr[:, 1]
-    a, b = x - r, x + r
-    _check_in_domain(u, np.concatenate((a, b)))
-    prefix = u.energy_prefix()
-    dir_u = energy_between(u, a, b, prefix)
-    dir_min = matching_distance_sq(u, a, b) / (2.0 * r)
+    x, r = _pairs(balls)
+    dir_u, gsq = _energies(u, x - r, x + r)
+    dir_min = gsq / (2.0 * r)
     deficiency = np.maximum(0.0, dir_u - dir_min) * r ** (1.0 - alpha)
     return _build_report("almost", x, r, dir_u, dir_min, deficiency, alpha=alpha)
 
@@ -410,15 +414,13 @@ def energy_decay_exponent(u: PiecewiseAffineQ, z: float, r0: float, scales) -> f
     For a function minimizing up to factor K the slope cannot drop below
     1 / (K Q) over shrinking balls.
     """
-    scales = np.asarray(list(scales), dtype=float)
+    scales = _listed(scales)
     if np.any(scales <= 0) or np.any(scales > 1):
         raise ValueError("scales must lie in (0, 1]")
-    _check_in_domain(u, [z - r0, z + r0])
     base = dirichlet_energy(u, z - r0, z + r0)
     if base <= 0.0:
         raise UndefinedExponentError("zero energy at the base radius")
-    prefix = u.energy_prefix()
-    energies = energy_between(u, z - scales * r0, z + scales * r0, prefix)
+    energies = energy_between(u, z - scales * r0, z + scales * r0)
     keep = energies > 0.0
     if np.count_nonzero(keep) < 2:
         raise UndefinedExponentError("not enough scales with positive energy for a fit")
@@ -426,13 +428,7 @@ def energy_decay_exponent(u: PiecewiseAffineQ, z: float, r0: float, scales) -> f
     return float(slope)
 
 
-def audit_intervals(
-    u: PiecewiseAffineQ,
-    depth: int = 12,
-    include_breakpoint_pairs: bool = True,
-    dyadic: bool = True,
-    triadic: bool = True,
-) -> np.ndarray:
+def audit_intervals(u: PiecewiseAffineQ, depth: int = 12) -> np.ndarray:
     """Standard interval family for the audits, as an (m, 2) array.
 
     All breakpoint pairs, plus the cells of dyadic and triadic refinements
@@ -441,18 +437,20 @@ def audit_intervals(
     triadic cells align with the ternary refinements.
     """
     lo, hi = u.domain
-    blocks = []
-    if include_breakpoint_pairs:
-        bps = u.breakpoints
-        i, j = np.triu_indices(bps.size, k=1)
-        blocks.append(np.column_stack((bps[i], bps[j])))
-    for base, enabled in ((2, dyadic), (3, triadic)):
-        if not enabled:
-            continue
+    bps = u.breakpoints
+    i, j = np.triu_indices(bps.size, k=1)
+    blocks = [np.column_stack((bps[i], bps[j]))]
+    for base in (2, 3):
         for d in range(depth + 1):
             edges = lo + (hi - lo) * np.arange(base**d + 1) / base**d
             blocks.append(np.column_stack((edges[:-1], edges[1:])))
     return np.concatenate(blocks, axis=0)
+
+
+def balls_from_intervals(intervals) -> np.ndarray:
+    """The (center, radius) rows of a family of (a, b) intervals."""
+    a, b = _pairs(intervals)
+    return np.column_stack((0.5 * (a + b), 0.5 * (b - a)))
 
 
 def rescale_domain(u: PiecewiseAffineQ, scale: float) -> PiecewiseAffineQ:

@@ -94,6 +94,10 @@ class TestScan:
         with pytest.raises(ValueError):
             scan(make_double_line(0.0, 1.0), 2)
 
+    def test_nan_tol_rejected(self):
+        with pytest.raises(ValueError, match="tol"):
+            scan(sin_sampled(257), 101, tol=float("nan"))
+
     def test_csv_export(self, tmp_path):
         sc = scan(sin_sampled(257), 101)
         path = tmp_path / "scan.csv"
@@ -131,6 +135,12 @@ class TestBoxDimension:
         sc = scan(make_double_line(0.0, 1.0), 101)
         with pytest.raises(UndefinedDimensionError):
             box_counts(sc, [0.1])
+
+    def test_nan_box_size_rejected(self):
+        approx, _ = cantor_limit("diamond", 4)
+        sc = scan(approx, 3**4 + 1)
+        with pytest.raises(ValueError, match="box size"):
+            box_counts(sc, [0.1, float("nan")])
 
     def test_single_scale_rejected(self):
         approx, _ = cantor_limit("diamond", 4)

@@ -1,5 +1,6 @@
 """Tests for the command-line driver: formats, exit codes, determinism."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -108,6 +109,20 @@ class TestBranchAndDecay:
         )
         assert code == 2
 
+    def test_branch_nan_scale_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "branch.json"
+        code = cli.main(
+            ["branch", "cantor-diamond", "--level", "3", "--grid", "82", "--scales", "0.1,nan",
+             "--out", str(out), "--format", "json"]
+        )
+        assert code == 2
+        assert "box size" in capsys.readouterr().err
+
+    def test_branch_nan_tol_is_usage_error(self, tmp_path, capsys):
+        code = cli.main(["branch", "sin", "--grid", "101", "--tol", "nan", "--out", str(tmp_path / "b.csv")])
+        assert code == 2
+        assert "tol must be nonnegative" in capsys.readouterr().err
+
     def test_branch_csv(self, tmp_path):
         out = tmp_path / "branch.csv"
         code = cli.main(["branch", "sin", "--grid", "101", "--out", str(out)])
@@ -191,6 +206,58 @@ class TestDeterminism:
             assert cli.main(args + ["--out", str(a), "--format", fmt]) == 0
             assert cli.main(args + ["--out", str(b), "--format", fmt]) == 0
             assert a.read_bytes() == b.read_bytes()
+
+
+class TestGoldenBytes:
+    """sha256 of small outputs, recorded before CSV writing moved to `writers.write_csv`.
+
+    The inputs are chosen so that every written number comes from arithmetic
+    and interpolation only (no sin/cos or FFT), so the digests do not depend
+    on the platform's libm or SIMD paths.
+    """
+
+    CASES = {
+        "audit-quasi.csv": (
+            ["audit", "cantor-diamond", "--level", "3", "--mode", "quasi", "--depth", "7"],
+            "4013abc96c24c22df0d808bc54f17652c8dbb606d24dffe4618a239e9c573c15",
+        ),
+        "audit-quasi.json": (
+            ["audit", "cantor-diamond", "--level", "3", "--mode", "quasi", "--depth", "7", "--format", "json"],
+            "708cc058e39a0f4da34ae1500fa0d0c7829a940ce0c4e6045da6247f21b89ad0",
+        ),
+        "audit-almost.json": (
+            ["audit", "cantor-losange", "--level", "3", "--mode", "almost", "--depth", "7", "--format", "json"],
+            "a32405f80769d583575a493780f21b47b7f57552024dc6d84da3381d7373d0a4",
+        ),
+        "audit-omega.csv": (
+            ["audit", "cantor-diamond", "--level", "3", "--mode", "omega", "--radii", "0.05,0.1", "--centers", "21"],
+            "8bdf23c529d66618d33c1adf276589b81cb15fb7030224981d09cd0bb99faedd",
+        ),
+        "branch.csv": (
+            ["branch", "cantor-diamond", "--level", "5", "--grid", "244"],
+            "a1b029c5cadd525455e0c5c35492972b2308dfb097b6bbf3c686c0dc56d456f2",
+        ),
+        "example.csv": (
+            ["example", "diamond"],
+            "fe8109321672becdd1e7efbb61c9c658d5fc3c4b580633e89b4d8c6318a278f1",
+        ),
+        "decay.csv": (
+            ["decay", "cantor-diamond", "--level", "4", "--center", "0.4", "--r0", "0.05",
+             "--scales", "1,0.5,0.25,0.125"],
+            "7b28050f27cac08d320461d31cc720baee1c7931fb190d71bdb56922965e4166",
+        ),
+        "disk.csv": (
+            ["disk", "--trace", "constant", "--samples", "64", "--modes", "8"],
+            "034e3f7267e64da6bfafbd2bd5d0210980ed3f831a51a88e81b7b57c3fb470b8",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_output_sha256(self, tmp_path, name):
+        argv, digest = self.CASES[name]
+        out = tmp_path / name
+        assert cli.main(argv + ["--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 class TestVerifyAll:

@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qvlab.constructions import cantor_level, CantorConstruction, make_diamond, make_double_line, make_losange, make_pluri_losange
 from qvlab.func1d import (
@@ -15,6 +16,7 @@ from qvlab.func1d import (
     UnsupportedCodimensionError,
     almost_deficiency,
     audit_intervals,
+    balls_from_intervals,
     branch_values,
     dirichlet_energy,
     energy_decay_exponent,
@@ -240,6 +242,88 @@ class TestAlmostDeficiency:
     def test_alpha_range(self):
         with pytest.raises(ValueError):
             almost_deficiency(double_line(), 1.5, [(0.5, 0.1)])
+
+
+class TestAuditBoundary:
+    """The audits share one family reader and one boundary check."""
+
+    @pytest.mark.parametrize("ball", [(0.5, 0.0), (0.5, -0.1), (0.5, np.nan)])
+    def test_almost_rejects_bad_radius(self, ball):
+        with pytest.raises(ValueError):
+            almost_deficiency(make_losange(0.0, 1.0), 0.5, [ball])
+
+    def test_almost_nonpositive_radius_is_empty_interval(self):
+        with pytest.raises(EmptyIntervalError):
+            almost_deficiency(make_losange(0.0, 1.0), 0.5, np.array([[0.5, 0.0]]))
+
+    def test_quasi_rejects_nan_end(self):
+        with pytest.raises(ValueError):
+            quasi_k_ratio(double_line(), [(np.nan, 0.5), (0.1, 0.9)])
+
+    @pytest.mark.parametrize("radius", [0.0, -0.1])
+    def test_omega_rejects_nonpositive_radius(self, radius):
+        with pytest.raises(EmptyIntervalError):
+            omega_report(double_line(), [radius], [0.5])
+
+    def test_reversed_interval_rejected(self):
+        with pytest.raises(EmptyIntervalError):
+            quasi_k_ratio(double_line(), [(0.6, 0.2)])
+
+    def test_non_pair_family_rejected(self):
+        with pytest.raises(ValueError):
+            quasi_k_ratio(double_line(), [(0.1, 0.2, 0.3)])
+
+    @pytest.mark.parametrize(
+        "audit",
+        [
+            lambda u: quasi_k_ratio(u, []),
+            lambda u: quasi_k_ratio(u, np.empty((0, 2))),
+            lambda u: almost_deficiency(u, 0.5, []),
+            lambda u: almost_deficiency(u, 0.5, iter(())),
+            lambda u: omega_report(u, [], [0.5]),
+        ],
+    )
+    def test_empty_family_gives_empty_report(self, audit):
+        report = audit(double_line())
+        assert report.supremum == 0.0
+        assert report.witness is None
+        assert report.figure.size == 0
+
+    def test_generator_family_read_once(self):
+        pairs = [(0.1, 0.6), (0.0, 1.0)]
+        want = quasi_k_ratio(double_line(), pairs)
+        got = quasi_k_ratio(double_line(), (p for p in pairs))
+        assert np.array_equal(got.figure, want.figure)
+
+    def test_balls_from_intervals(self):
+        balls = balls_from_intervals([(0.0, 1.0), (0.25, 0.5)])
+        assert balls.tolist() == [[0.5, 0.5], [0.375, 0.125]]
+        assert balls_from_intervals([]).shape == (0, 2)
+
+    def test_omega_balls_are_radius_major(self):
+        u = cantor_level(CantorConstruction(2, "diamond"))
+        report = omega_report(u, [0.1, 0.2], [0.3, 0.5, 0.7])
+        assert report.radii.tolist() == [0.1] * 3 + [0.2] * 3
+        assert report.centers.tolist() == [0.3, 0.5, 0.7] * 2
+
+
+class TestAuditScaling:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        level=st.integers(1, 4),
+        schedule=st.sampled_from(["ternary", "fat"]),
+        scale=st.sampled_from([0.5, 3.0]) | st.floats(1e-3, 1e3),
+    )
+    def test_quasi_figures_invariant_under_rescaling(self, level, schedule, scale):
+        # Dir(u) scales like 1/s and b - a like s, while G^2 is unchanged.
+        u = cantor_level(CantorConstruction(level, "diamond", schedule))
+        family = audit_intervals(u, depth=4)
+        plain = quasi_k_ratio(u, family)
+        scaled = quasi_k_ratio(rescale_domain(u, scale), family * scale)
+        assert np.all(np.isfinite(plain.figure))
+        np.testing.assert_allclose(scaled.figure, plain.figure, rtol=1e-9, atol=0.0)
+        np.testing.assert_allclose(scaled.dir_u * scale, plain.dir_u, rtol=1e-9, atol=0.0)
+        assert scaled.supremum == pytest.approx(plain.supremum, rel=1e-9)
 
 
 class TestDecayExponent:

@@ -1,0 +1,76 @@
+"""Tests for the one CSV writer against the per-row loop it replaced."""
+
+import csv
+import tempfile
+from pathlib import Path
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from qvlab import writers
+from qvlab.writers import column_rows, write_csv
+
+
+def per_row_csv(path, header, float_columns, int_columns):
+    """The writer loop the CLI and the reports used before `write_csv`."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for j in range(len(float_columns[0])):
+            writer.writerow([repr(float(c[j])) for c in float_columns] + [int(c[j]) for c in int_columns])
+
+
+edge_floats = st.sampled_from([np.inf, -np.inf, -0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308])
+floats = edge_floats | st.floats(allow_nan=False)
+ints = st.integers(-(2**63), 2**63 - 1)
+
+
+@st.composite
+def tables(draw):
+    length = draw(st.integers(0, 12))
+    n_float = draw(st.integers(1, 3))
+    n_int = draw(st.integers(0, 2))
+    float_columns = [np.array(draw(st.lists(floats, min_size=length, max_size=length)), dtype=float)
+                     for _ in range(n_float)]
+    int_columns = [np.array(draw(st.lists(ints, min_size=length, max_size=length)), dtype=np.int64)
+                   for _ in range(n_int)]
+    return float_columns, int_columns
+
+
+def both_bytes(float_columns, int_columns):
+    header = [f"c{i}" for i in range(len(float_columns) + len(int_columns))]
+    with tempfile.TemporaryDirectory() as tmp:
+        new, old = Path(tmp, "new.csv"), Path(tmp, "old.csv")
+        write_csv(new, header, float_columns + int_columns)
+        per_row_csv(old, header, float_columns, int_columns)
+        return new.read_bytes(), old.read_bytes()
+
+
+class TestWriteCsv:
+    @settings(max_examples=200, deadline=None)
+    @given(table=tables(), chunk=st.integers(1, 5))
+    def test_matches_per_row_loop(self, table, chunk):
+        # A small chunk puts most drawn tables above one chunk.
+        with mock.patch.object(writers, "CHUNK_ROWS", chunk):
+            new, old = both_bytes(*table)
+        assert new == old
+
+    @pytest.mark.parametrize("length", [0, 1, writers.CHUNK_ROWS + 1])
+    def test_matches_per_row_loop_at_chunk_size(self, length):
+        rng = np.random.default_rng(length)
+        floats_col = rng.standard_normal(length) * 10.0 ** rng.integers(-320, 300, length)
+        floats_col[::7] = np.inf
+        ints_col = rng.integers(-5, 5, length)
+        new, old = both_bytes([floats_col, np.arange(length) / 3.0], [ints_col])
+        assert new == old
+
+    def test_unequal_columns_rejected(self, tmp_path):
+        with pytest.raises(ValueError):
+            write_csv(tmp_path / "x.csv", ["a", "b"], [np.zeros(3), np.zeros(2)])
+
+    def test_rows_are_python_scalars(self):
+        rows = list(column_rows([np.array([1.5, -np.inf]), np.array([2, 3])]))
+        assert rows == [(1.5, 2), (-np.inf, 3)]
+        assert type(rows[0][0]) is float and type(rows[0][1]) is int
