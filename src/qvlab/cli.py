@@ -104,6 +104,8 @@ def _cmd_audit(args) -> int:
             radii = [(hi - lo) * f for f in (0.02, 0.05, 0.1, 0.2)]
         reports = []
         for r in radii:
+            if not r > 0:
+                raise UsageError(f"radius {r} must be positive")
             if 2 * r >= hi - lo:
                 raise UsageError(f"radius {r} does not fit inside the domain")
             centers = np.linspace(lo + r, hi - r, args.centers)
@@ -151,11 +153,11 @@ def _cmd_branch(args) -> int:
 def _cmd_decay(args) -> int:
     u = build_named_function(args.name, args.level, args.samples)
     scales = args.scales if args.scales else list(np.logspace(0, -2, 12))
+    slope = func1d.energy_decay_exponent(u, args.center, args.r0, scales)
     energies = [
         (float(s), func1d.dirichlet_energy(u, args.center - s * args.r0, args.center + s * args.r0))
         for s in scales
     ]
-    slope = func1d.energy_decay_exponent(u, args.center, args.r0, scales)
     if args.format == "csv":
         s, e = np.array(energies).T
         write_csv(args.out, ["scale", "radius", "energy"], [s, s * args.r0, e])
@@ -340,3 +342,7 @@ def main(argv=None) -> int:
 
 def console_main() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    console_main()

@@ -90,6 +90,8 @@ def sorted_trace(values, sample_count: int, mode_cap: int, radius: float = 1.0) 
             raw = raw.reshape(1, -1)
     if raw.shape[1] != sample_count:
         raise ValueError("sampled values must have one column per angle")
+    if not np.all(np.isfinite(raw)):
+        raise ValueError("trace samples must be finite")
     samples = np.sort(raw, axis=0)
     a, b = _fourier_rows(samples, mode_cap)
     k = np.arange(mode_cap + 1)

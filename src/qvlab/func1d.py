@@ -20,7 +20,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional
 import numpy as np
 
 from .qspace import QPoint
-from .writers import column_rows, json_float, write_csv, write_json
+from .writers import column_rows, json_float, write_csv, write_report_json
 
 __all__ = [
     "PiecewiseAffineQ",
@@ -278,27 +278,15 @@ class MinimalityReport:
     def to_csv(self, path) -> None:
         write_csv(path, AuditRecord._fields, self._columns())
 
-    def to_json_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "alpha": self.alpha,
-            "supremum": json_float(self.supremum),
-            "witness": None if self.witness is None else _record_dict(self.witness),
-            "records": [_record_dict(rec) for rec in self.rows()],
-        }
-
     def to_json(self, path) -> None:
-        write_json(path, self.to_json_dict())
-
-
-def _record_dict(rec: AuditRecord) -> dict:
-    return {
-        "center": rec.center,
-        "radius": rec.radius,
-        "dir_u": rec.dir_u,
-        "dir_min": rec.dir_min,
-        "figure_of_merit": json_float(rec.figure_of_merit),
-    }
+        write_report_json(
+            path,
+            {"mode": self.mode, "alpha": self.alpha, "supremum": json_float(self.supremum)},
+            AuditRecord._fields,
+            self._columns(),
+            self.witness,
+            inf_fields=("figure_of_merit",),
+        )
 
 
 def _witness_index(centers, radii, figure, supremum) -> int:
@@ -415,7 +403,7 @@ def energy_decay_exponent(u: PiecewiseAffineQ, z: float, r0: float, scales) -> f
     1 / (K Q) over shrinking balls.
     """
     scales = _listed(scales)
-    if np.any(scales <= 0) or np.any(scales > 1):
+    if not np.all((scales > 0) & (scales <= 1)):
         raise ValueError("scales must lie in (0, 1]")
     base = dirichlet_energy(u, z - r0, z + r0)
     if base <= 0.0:

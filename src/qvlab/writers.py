@@ -6,6 +6,9 @@ flat; `csv` writes a float as its shortest repr and infinities as "inf"/"-inf".
 JSON files have sorted keys, an indent of 2 and a trailing newline.  Strict
 JSON has no Infinity literal, so fields that can be infinite go through
 `json_float`, which writes the strings "inf" and "-inf" instead.
+`write_report_json` writes an audit report's records from float columns,
+`CHUNK_ROWS` records at a time, with the bytes `write_json` would write for
+the same records built as dicts.
 """
 
 from __future__ import annotations
@@ -13,11 +16,11 @@ from __future__ import annotations
 import csv
 import json
 import math
-from typing import Iterator, Sequence
+from typing import Collection, Iterator, Sequence
 
 import numpy as np
 
-__all__ = ["CHUNK_ROWS", "column_rows", "json_float", "write_csv", "write_json"]
+__all__ = ["CHUNK_ROWS", "column_rows", "json_float", "write_csv", "write_json", "write_report_json"]
 
 CHUNK_ROWS = 4096  # rows converted to Python scalars at a time
 
@@ -52,3 +55,67 @@ def write_json(path, payload: dict) -> None:
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _float_texts(chunk: np.ndarray, inf_as_string: bool) -> list[str]:
+    """The JSON text of each float of `chunk`: its repr when finite, else
+    json's own text, after `json_float` when `inf_as_string`."""
+    values = chunk.tolist()
+    texts = list(map(float.__repr__, values))
+    for j in np.flatnonzero(~np.isfinite(chunk)).tolist():
+        texts[j] = json.dumps(json_float(values[j]) if inf_as_string else values[j])
+    return texts
+
+
+def _record_texts(fields: Sequence[str], columns: Sequence, inf_fields: Collection[str], indent: int) -> Iterator[str]:
+    """JSON objects with keys `fields`, one per row of the equal-length float
+    `columns`, as they sit at `indent` spaces in an indent-2 file; yields the
+    objects of `CHUNK_ROWS` rows at a time, joined by the list separator.
+    The columns are checked before the first chunk is asked for."""
+    order = sorted(range(len(fields)), key=fields.__getitem__)
+    pad = " " * indent
+    keys = [json.dumps(fields[i]).replace("%", "%%") for i in order]
+    template = "{\n" + ",\n".join(f"{pad}  {key}: %s" for key in keys) + f"\n{pad}}}"
+    columns = [np.asarray(columns[i], dtype=float) for i in order]
+    length = columns[0].size if columns else 0
+    if any(c.shape != (length,) for c in columns):
+        raise ValueError("columns must be 1-D and of equal length")
+    strict = [fields[i] in inf_fields for i in order]
+
+    def chunk_text(start: int) -> str:
+        texts = [_float_texts(c[start : start + CHUNK_ROWS], s) for c, s in zip(columns, strict)]
+        return f",\n{pad}".join(template % row for row in zip(*texts))
+
+    return map(chunk_text, range(0, length, CHUNK_ROWS))
+
+
+def _list_texts(chunks: Iterator[str]) -> Iterator[str]:
+    """The record chunks as the JSON list under a top-level key."""
+    first = next(chunks, None)
+    if first is None:
+        yield "[]"
+        return
+    yield "[\n    " + first
+    for text in chunks:
+        yield ",\n    " + text
+    yield "\n  ]"
+
+
+def write_report_json(path, payload: dict, fields: Sequence[str], columns: Sequence, witness: Sequence | None,
+                      inf_fields: Collection[str]) -> None:
+    """Write `payload` plus "records", one object per row of the float
+    `columns`, and "witness", one such row or None.
+
+    The bytes equal `write_json` of the same dict with each record built as
+    `dict(zip(fields, row))` of Python floats and `json_float` applied to
+    the fields in `inf_fields`.
+    """
+    # A payload value sits one level deep, so its inner lines gain one indent.
+    values = {key: [json.dumps(v, indent=2, sort_keys=True).replace("\n", "\n  ")] for key, v in payload.items()}
+    values["records"] = _list_texts(_record_texts(fields, columns, inf_fields, 4))
+    values["witness"] = ["null"] if witness is None else _record_texts(fields, [[v] for v in witness], inf_fields, 2)
+    with open(path, "w") as fh:
+        for n, key in enumerate(sorted(values)):
+            fh.write((",\n  " if n else "{\n  ") + json.dumps(key) + ": ")
+            fh.writelines(values[key])
+        fh.write("\n}\n")

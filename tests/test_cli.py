@@ -2,6 +2,10 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -89,6 +93,14 @@ class TestAudit:
         assert cli.main(args + ["--out", str(second)]) == 0
         assert first.read_bytes() == second.read_bytes()
 
+    @pytest.mark.parametrize("radius", ["0", "-0.1", "nan"])
+    def test_nonpositive_omega_radius_is_usage_error(self, tmp_path, capsys, radius):
+        out = tmp_path / "omega.csv"
+        code = cli.main(["audit", "sin", "--mode", "omega", "--radii", radius, "--out", str(out)])
+        assert code == 2
+        assert f"radius {float(radius)} must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestBranchAndDecay:
     def test_branch_json(self, tmp_path):
@@ -137,6 +149,15 @@ class TestBranchAndDecay:
         assert code == 0
         assert "slope=" in capsys.readouterr().out
         assert out.read_text().splitlines()[0] == "scale,radius,energy"
+
+    def test_decay_nan_scale_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "decay.csv"
+        code = cli.main(
+            ["decay", "double-line", "--center", "0.5", "--r0", "0.25", "--scales", "1,nan,0.5", "--out", str(out)]
+        )
+        assert code == 2
+        assert "scales must lie in (0, 1]" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestDisk:
@@ -250,6 +271,15 @@ class TestGoldenBytes:
             ["disk", "--trace", "constant", "--samples", "64", "--modes", "8"],
             "034e3f7267e64da6bfafbd2bd5d0210980ed3f831a51a88e81b7b57c3fb470b8",
         ),
+        "audit-quasi-inf.json": (
+            ["audit", "losange", "--mode", "quasi", "--depth", "4", "--format", "json"],
+            "160079e521ee4332ab5f4c0741f1255af6cec7ef6c04d516c31b04904bf29545",
+        ),
+        "audit-omega.json": (
+            ["audit", "cantor-diamond", "--level", "3", "--mode", "omega", "--radii", "0.05,0.1", "--centers", "21",
+             "--format", "json"],
+            "9762ddc1e1e4160b4f763c682bb2f263a176e0b6f666abacb7548394938673d2",
+        ),
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))
@@ -276,3 +306,12 @@ class TestVerifyAll:
 
     def test_no_command_is_usage_error(self):
         assert cli.main([]) == 2
+
+    def test_module_runs_as_script(self):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "qvlab.cli", "--help"], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("usage: qvlab")

@@ -92,6 +92,15 @@ class TestSortedTrace:
         with pytest.raises(ValueError):
             sorted_trace(lambda t: [np.cos(t)], 64, 8, radius=radius)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_samples_rejected(self, bad):
+        v = np.cos(2.0 * np.pi * np.arange(17) / 17)
+        v[3] = bad
+        with pytest.raises(ValueError, match="trace samples must be finite"):
+            sorted_trace(v, 17, 8)
+        with pytest.raises(ValueError, match="trace samples must be finite"):
+            sorted_trace(lambda t: [np.cos(t), bad], 17, 8)
+
 
 class TestDiskMinimizer:
     def test_constant_trace_zero_energy(self):

@@ -344,6 +344,11 @@ class TestDecayExponent:
         with pytest.raises(UndefinedExponentError):
             energy_decay_exponent(u, 0.2, 0.1, [1.0, 0.5])
 
+    @pytest.mark.parametrize("scales", [[1.0, np.nan, 0.5], [1.0, 0.0], [1.5, 0.5]])
+    def test_scales_outside_unit_interval_rejected(self, scales):
+        with pytest.raises(ValueError, match=r"scales must lie in \(0, 1\]"):
+            energy_decay_exponent(double_line(), 0.5, 0.25, scales)
+
 
 class TestReports:
     def test_csv_round_trip(self, tmp_path):

@@ -1,6 +1,7 @@
-"""Tests for the one CSV writer against the per-row loop it replaced."""
+"""Tests for the CSV and report JSON writers against the per-row code they replaced."""
 
 import csv
+import json
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -10,7 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qvlab import writers
-from qvlab.writers import column_rows, write_csv
+from qvlab.func1d import AuditRecord, MinimalityReport
+from qvlab.writers import column_rows, json_float, write_csv
 
 
 def per_row_csv(path, header, float_columns, int_columns):
@@ -74,3 +76,83 @@ class TestWriteCsv:
         rows = list(column_rows([np.array([1.5, -np.inf]), np.array([2, 3])]))
         assert rows == [(1.5, 2), (-np.inf, 3)]
         assert type(rows[0][0]) is float and type(rows[0][1]) is int
+
+
+def dict_path_json(path, report):
+    """The report JSON path `MinimalityReport.to_json` used before
+    `write_report_json`: one dict per record, then `json.dump`."""
+
+    def record_dict(rec):
+        return {
+            "center": rec.center,
+            "radius": rec.radius,
+            "dir_u": rec.dir_u,
+            "dir_min": rec.dir_min,
+            "figure_of_merit": json_float(rec.figure_of_merit),
+        }
+
+    payload = {
+        "mode": report.mode,
+        "alpha": report.alpha,
+        "supremum": json_float(report.supremum),
+        "witness": None if report.witness is None else record_dict(report.witness),
+        "records": [record_dict(rec) for rec in report.rows()],
+    }
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+any_floats = edge_floats | st.just(np.nan) | st.floats()
+
+
+@st.composite
+def reports(draw, lengths):
+    length = draw(lengths)
+    columns = [np.array(draw(st.lists(any_floats, min_size=length, max_size=length)), dtype=float)
+               for _ in AuditRecord._fields]
+    witness = draw(st.none() | st.tuples(*[any_floats] * len(AuditRecord._fields)).map(AuditRecord._make))
+    return MinimalityReport(
+        draw(st.sampled_from(["quasi_k", "omega", "almost"])),
+        *columns,
+        supremum=draw(any_floats),
+        witness=witness,
+        alpha=draw(st.none() | any_floats),
+    )
+
+
+def both_json_bytes(report):
+    with tempfile.TemporaryDirectory() as tmp:
+        new, old = Path(tmp, "new.json"), Path(tmp, "old.json")
+        report.to_json(new)
+        dict_path_json(old, report)
+        return new.read_bytes(), old.read_bytes()
+
+
+class TestWriteReportJson:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), chunk=st.integers(1, 5))
+    def test_matches_dict_path(self, data, chunk):
+        # Lengths 0, 1 and chunk + 1 plus a spread up to a few chunks.
+        lengths = st.sampled_from([0, 1, chunk + 1]) | st.integers(0, 12)
+        report = data.draw(reports(lengths))
+        with mock.patch.object(writers, "CHUNK_ROWS", chunk):
+            new, old = both_json_bytes(report)
+        assert new == old
+
+    @pytest.mark.parametrize("length", [0, 1, writers.CHUNK_ROWS + 1])
+    def test_matches_dict_path_at_chunk_size(self, length):
+        rng = np.random.default_rng(length)
+        columns = [rng.standard_normal(length) * 10.0 ** rng.integers(-320, 300, length) for _ in range(5)]
+        for k, c in enumerate(columns):
+            c[k::7] = [np.inf, -np.inf, np.nan, -0.0, 5e-324][k]
+        witness = None if length == 0 else AuditRecord(*(float(c[-1]) for c in columns))
+        report = MinimalityReport("almost", *columns, supremum=np.inf, witness=witness, alpha=0.5)
+        new, old = both_json_bytes(report)
+        assert new == old
+
+    def test_unequal_columns_rejected_before_writing(self, tmp_path):
+        path = tmp_path / "x.json"
+        with pytest.raises(ValueError):
+            writers.write_report_json(path, {}, ["a", "b"], [np.zeros(3), np.zeros(2)], None, ())
+        assert not path.exists()
