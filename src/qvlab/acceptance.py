@@ -37,6 +37,14 @@ class CheckResult:
         return f"[{status}] {self.number:2d} {self.name}: {self.detail}"
 
 
+def _exhaustive_distance(pa: np.ndarray, pb: np.ndarray) -> float:
+    """The oracle for `metric_g`: the least sum of pair costs over all permutations, in row order."""
+    q = pa.shape[0]
+    cost = [[float(((pa[i] - pb[j]) ** 2).sum()) for j in range(q)] for i in range(q)]
+    best = min(sum(cost[i][p[i]] for i in range(q)) for p in itertools.permutations(range(q)))
+    return math.sqrt(best)
+
+
 def check_metric_oracle() -> CheckResult:
     """metric_g equals the exhaustive-permutation minimum (Q <= 6, n <= 3)."""
     rng = np.random.default_rng(12001)
@@ -47,11 +55,7 @@ def check_metric_oracle() -> CheckResult:
         pa = rng.normal(0.0, 5.0, (q, n))
         pb = rng.normal(0.0, 5.0, (q, n))
         got = qspace.metric_g(qspace.QPoint(pa), qspace.QPoint(pb))
-        best = min(
-            sum(float(((pa[i] - pb[p[i]]) ** 2).sum()) for i in range(q))
-            for p in itertools.permutations(range(q))
-        )
-        ref = math.sqrt(best)
+        ref = _exhaustive_distance(pa, pb)
         if ref > 0:
             worst = max(worst, abs(got - ref) / ref)
         else:

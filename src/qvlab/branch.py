@@ -67,15 +67,11 @@ def _sigma_of_columns(values: np.ndarray, tol: float) -> np.ndarray:
     Single linkage on collinear sorted values reduces to splitting at the
     consecutive gaps larger than tol.
     """
-    if values.shape[0] == 1:
-        return np.ones(values.shape[1], dtype=int)
     return 1 + (np.diff(values, axis=0) > tol).sum(axis=0)
 
 
 def _min_gap_at_knots(u: PiecewiseAffineQ) -> np.ndarray:
-    """Minimum consecutive branch gap at every breakpoint."""
-    if u.q_count == 1:
-        return np.full(u.breakpoints.size, np.inf)
+    """Minimum consecutive branch gap at every breakpoint (Q >= 2)."""
     return np.diff(u.branches, axis=0).min(axis=0)
 
 
@@ -122,14 +118,13 @@ def scan(u: PiecewiseAffineQ, grid_size: int, tol: float | None = None) -> Branc
     neighbour_diff[1:] |= sig[1:] != sig[:-1]
 
     flags = neighbour_diff.copy()
-    if u.q_count > 1:
+    candidates = np.flatnonzero(sig < u.q_count)  # empty for Q = 1, where sigma is 1 everywhere
+    if candidates.size:
         step = (hi - lo) / (grid_size - 1)
-        candidates = np.flatnonzero(sig < u.q_count)
-        if candidates.size:
-            w_lo = np.maximum(grid[candidates] - step, lo)
-            w_hi = np.minimum(grid[candidates] + step, hi)
-            gap_max = _window_max(u.breakpoints, _min_gap_at_knots(u), w_lo, w_hi)
-            flags[candidates] |= gap_max > tol
+        w_lo = np.maximum(grid[candidates] - step, lo)
+        w_hi = np.minimum(grid[candidates] + step, hi)
+        gap_max = _window_max(u.breakpoints, _min_gap_at_knots(u), w_lo, w_hi)
+        flags[candidates] |= gap_max > tol
     return BranchScan(grid=grid, sigma=sig, flags=flags, tol=float(tol), q_count=u.q_count)
 
 
@@ -161,8 +156,8 @@ class DimensionReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "scales": [float(s) for s in self.scales],
-            "counts": [int(c) for c in self.counts],
+            "scales": self.scales.tolist(),
+            "counts": self.counts.tolist(),
             "slope": self.slope,
             "r_squared": self.r_squared,
         }

@@ -67,12 +67,6 @@ def build_named_function(name: str, level: int | None = None, samples: int | Non
     raise AssertionError(name)
 
 
-def _merge_reports(reports: list[func1d.MinimalityReport]) -> func1d.MinimalityReport:
-    """One omega report from the per-radius reports, in radius order."""
-    cat = lambda attr: np.concatenate([getattr(r, attr) for r in reports])
-    return func1d._build_report("omega", *(cat(a) for a in ("centers", "radii", "dir_u", "dir_min", "figure")))
-
-
 def _cmd_example(args) -> int:
     u = build_named_function(args.name, args.level, args.samples)
     n = args.samples if args.samples else 1025
@@ -87,8 +81,8 @@ def _cmd_example(args) -> int:
             {
                 "name": args.name,
                 "level": args.level,
-                "x": [float(x) for x in xs],
-                "branches": [[float(v) for v in row] for row in values],
+                "x": xs.tolist(),
+                "branches": values.tolist(),
             },
         )
     return 0
@@ -102,15 +96,15 @@ def _cmd_audit(args) -> int:
             radii = args.radii
         else:
             radii = [(hi - lo) * f for f in (0.02, 0.05, 0.1, 0.2)]
-        reports = []
+        balls = []
         for r in radii:
             if not r > 0:
                 raise UsageError(f"radius {r} must be positive")
             if 2 * r >= hi - lo:
                 raise UsageError(f"radius {r} does not fit inside the domain")
             centers = np.linspace(lo + r, hi - r, args.centers)
-            reports.append(func1d.omega_report(u, [r], centers))
-        report = _merge_reports(reports)
+            balls.append(np.column_stack((centers, np.full(centers.size, r))))
+        report = func1d.omega_report(u, np.concatenate(balls))
     else:
         intervals = func1d.audit_intervals(u, depth=args.depth)
         if args.mode == "quasi":
@@ -138,9 +132,9 @@ def _cmd_branch(args) -> int:
             args.out,
             {
                 "scan": {
-                    "x": [float(x) for x in sc.grid],
-                    "sigma": [int(s) for s in sc.sigma],
-                    "flagged": [bool(f) for f in sc.flags],
+                    "x": sc.grid.tolist(),
+                    "sigma": sc.sigma.tolist(),
+                    "flagged": sc.flags.tolist(),
                     "tol": sc.tol,
                 },
                 "dimension": report.to_json_dict(),

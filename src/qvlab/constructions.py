@@ -280,18 +280,14 @@ def cantor_limit(flavor: str, level_cap: int, schedule: str = "ternary") -> Cant
     """
     spec = CantorConstruction(level=level_cap, flavor=flavor, schedule=schedule)
     approximant = cantor_level(spec)
-    if schedule == "ternary":
-        if flavor == "losange":
-            bound = math.sqrt(2.0) * 3.0 ** (-level_cap) / 4.0
-        else:
-            bound = math.sqrt(2.0) * (2.0 / 3.0) ** level_cap / 2.0
+    if flavor == "diamond":
+        bound = math.sqrt(2.0) * (2.0 / 3.0) ** level_cap / 2.0
+    elif schedule == "ternary":
+        bound = math.sqrt(2.0) * 3.0 ** (-level_cap) / 4.0
     else:
         # Fat schedule: removed lengths shrink by more than 4^-step, so the
         # ternary-rate bounds dominate as well.
-        if flavor == "losange":
-            bound = math.sqrt(2.0) * 4.0 ** (-level_cap)
-        else:
-            bound = math.sqrt(2.0) * (2.0 / 3.0) ** level_cap / 2.0
+        bound = math.sqrt(2.0) * 4.0 ** (-level_cap)
     return CantorLimit(approximant, bound)
 
 

@@ -77,6 +77,8 @@ def sorted_trace(values, sample_count: int, mode_cap: int, radius: float = 1.0) 
     Needs sample_count >= 2 * mode_cap + 1 so the retained modes are not
     aliased.
     """
+    if mode_cap < 0:
+        raise ValueError(f"mode_cap must be nonnegative, got {mode_cap!r}")
     if sample_count < 2 * mode_cap + 1:
         raise AliasingError(f"need at least {2 * mode_cap + 1} samples for {mode_cap} modes")
     if not (np.isfinite(radius) and radius > 0):
@@ -137,10 +139,10 @@ class DiskMinimizer:
         return {
             "radius": self.trace.radius,
             "q_count": self.q_count,
-            "angles": [float(t) for t in self.trace.angles],
-            "samples": [[float(v) for v in row] for row in self.trace.samples],
-            "cos_coeffs": [[float(v) for v in row] for row in self.trace.cos_coeffs],
-            "sin_coeffs": [[float(v) for v in row] for row in self.trace.sin_coeffs],
+            "angles": self.trace.angles.tolist(),
+            "samples": self.trace.samples.tolist(),
+            "cos_coeffs": self.trace.cos_coeffs.tolist(),
+            "sin_coeffs": self.trace.sin_coeffs.tolist(),
             "truncation_residual": self.trace.truncation_residual,
             "dir_interior": self.dir_interior,
             "dir_boundary": self.dir_boundary,

@@ -355,11 +355,10 @@ def quasi_k_ratio(u: PiecewiseAffineQ, intervals: Iterable[tuple[float, float]])
     return _build_report("quasi_k", 0.5 * (a + b), 0.5 * (b - a), dir_u, dir_min, ratio)
 
 
-def omega_report(u: PiecewiseAffineQ, radii, centers) -> MinimalityReport:
-    """Excess-over-minimizer audit: figure = Dir(u)/Dir_min - 1 per ball,
-    taking every center at every radius in radius-major order."""
-    rs, xs = _listed(radii), _listed(centers)
-    x, r = np.tile(xs, rs.size), np.repeat(rs, xs.size)
+def omega_report(u: PiecewiseAffineQ, balls) -> MinimalityReport:
+    """Excess-over-minimizer audit: figure = Dir(u)/Dir_min - 1 per ball
+    of a family of (center, radius) pairs."""
+    x, r = _pairs(balls)
     dir_u, gsq = _energies(u, x - r, x + r)
     dir_min = gsq / (2.0 * r)
     keep = ~((dir_min == 0.0) & (dir_u == 0.0))
@@ -371,12 +370,12 @@ def omega_report(u: PiecewiseAffineQ, radii, centers) -> MinimalityReport:
 
 def omega_profile(u: PiecewiseAffineQ, radii, centers) -> dict[float, float]:
     """Empirical excess profile: r -> sup over centers of Dir/Dir_min - 1."""
+    xs = _listed(centers)
     out: dict[float, float] = {}
     for r in radii:
-        report = omega_report(u, [r], centers)
-        if report.figure.size == 0:
-            continue
-        out[float(r)] = report.supremum
+        report = omega_report(u, np.column_stack((xs, np.full(xs.size, r))))
+        if report.figure.size:
+            out[float(r)] = report.supremum
     return out
 
 
@@ -405,6 +404,9 @@ def energy_decay_exponent(u: PiecewiseAffineQ, z: float, r0: float, scales) -> f
     scales = _listed(scales)
     if not np.all((scales > 0) & (scales <= 1)):
         raise ValueError("scales must lie in (0, 1]")
+    for name, value in (("center", z), ("r0", r0)):
+        if not np.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value!r}")
     base = dirichlet_energy(u, z - r0, z + r0)
     if base <= 0.0:
         raise UndefinedExponentError("zero energy at the base radius")

@@ -101,6 +101,18 @@ class TestAudit:
         assert f"radius {float(radius)} must be positive" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_omega_balls_are_radius_major(self, tmp_path):
+        # the double line has positive energy on every ball, so no ball is skipped
+        out = tmp_path / "omega.csv"
+        code = cli.main(
+            ["audit", "double-line", "--mode", "omega", "--radii", "0.2,0.1", "--centers", "3", "--out", str(out)]
+        )
+        assert code == 0
+        rows = [line.split(",")[:2] for line in out.read_text().splitlines()[1:]]
+        assert rows == [
+            ["0.2", "0.2"], ["0.5", "0.2"], ["0.8", "0.2"], ["0.1", "0.1"], ["0.5", "0.1"], ["0.9", "0.1"]
+        ]
+
 
 class TestBranchAndDecay:
     def test_branch_json(self, tmp_path):
@@ -159,6 +171,16 @@ class TestBranchAndDecay:
         assert "scales must lie in (0, 1]" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("center, r0, name", [("nan", "0.25", "center"), ("0.5", "nan", "r0")])
+    def test_decay_nan_center_or_r0_is_usage_error(self, tmp_path, capsys, center, r0, name):
+        out = tmp_path / "decay.csv"
+        code = cli.main(
+            ["decay", "double-line", "--center", center, "--r0", r0, "--scales", "1,0.5", "--out", str(out)]
+        )
+        assert code == 2
+        assert f"{name} must be finite, got nan" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestDisk:
     def test_json_output(self, tmp_path):
@@ -177,6 +199,13 @@ class TestDisk:
         out = tmp_path / "disk.json"
         code = cli.main(["disk", "--trace", "single-cos", "--radius", radius, "--out", str(out), "--format", "json"])
         assert code == 2
+
+    def test_negative_modes_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "disk.csv"
+        code = cli.main(["disk", "--trace", "constant", "--samples", "64", "--modes", "-1", "--out", str(out)])
+        assert code == 2
+        assert "mode_cap must be nonnegative, got -1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_csv_output(self, tmp_path):
         out = tmp_path / "disk.csv"
@@ -230,11 +259,13 @@ class TestDeterminism:
 
 
 class TestGoldenBytes:
-    """sha256 of small outputs, recorded before CSV writing moved to `writers.write_csv`.
+    """sha256 of small outputs, each recorded before the code that writes it changed.
 
     The inputs are chosen so that every written number comes from arithmetic
     and interpolation only (no sin/cos or FFT), so the digests do not depend
-    on the platform's libm or SIMD paths.
+    on the platform's libm or SIMD paths.  Three JSON cases go further: the
+    branch and decay files carry a least-squares slope, and the disk file the
+    Fourier coefficients of a constant trace, which come out exact.
     """
 
     CASES = {
@@ -279,6 +310,23 @@ class TestGoldenBytes:
             ["audit", "cantor-diamond", "--level", "3", "--mode", "omega", "--radii", "0.05,0.1", "--centers", "21",
              "--format", "json"],
             "9762ddc1e1e4160b4f763c682bb2f263a176e0b6f666abacb7548394938673d2",
+        ),
+        "example.json": (
+            ["example", "diamond", "--format", "json"],
+            "80d5f41be493b28652b4cd777368f1801d53f6414331cf3ebee823c88c9031e4",
+        ),
+        "branch.json": (
+            ["branch", "cantor-diamond", "--level", "5", "--grid", "244", "--format", "json"],
+            "8e6d408f168e03c46ed031f57060583dff3da1c01f179f1cbdf4ac5c579f8b2f",
+        ),
+        "decay.json": (
+            ["decay", "cantor-diamond", "--level", "4", "--center", "0.4", "--r0", "0.05",
+             "--scales", "1,0.5,0.25,0.125", "--format", "json"],
+            "50530c05bb63ed78583dedda0d475edebcdd75b59e7cac559fadea6d47feb40a",
+        ),
+        "disk.json": (
+            ["disk", "--trace", "constant", "--samples", "64", "--modes", "8", "--format", "json"],
+            "78bbeb638c861c43e53916482e267873e9670552953f9dbedc8156379a578a4c",
         ),
     }
 

@@ -87,6 +87,10 @@ class TestSortedTrace:
         with pytest.raises(AliasingError):
             sorted_trace(lambda t: [np.cos(t)], 16, 8)
 
+    def test_negative_mode_cap_rejected(self):
+        with pytest.raises(ValueError, match="mode_cap must be nonnegative, got -1"):
+            sorted_trace(lambda t: [1.0], 64, -1)
+
     @pytest.mark.parametrize("radius", [0.0, np.inf, np.nan])
     def test_radius_must_be_positive_and_finite(self, radius):
         with pytest.raises(ValueError):

@@ -215,7 +215,7 @@ class TestOmega:
 
     def test_losange_region_is_infinite(self):
         u = make_pluri_losange([(0.2, 0.8)])
-        report = omega_report(u, [0.3], [0.5])
+        report = omega_report(u, [(0.5, 0.3)])
         assert np.isinf(report.supremum)
 
     def test_domain_guard(self):
@@ -263,7 +263,7 @@ class TestAuditBoundary:
     @pytest.mark.parametrize("radius", [0.0, -0.1])
     def test_omega_rejects_nonpositive_radius(self, radius):
         with pytest.raises(EmptyIntervalError):
-            omega_report(double_line(), [radius], [0.5])
+            omega_report(double_line(), [(0.5, radius)])
 
     def test_reversed_interval_rejected(self):
         with pytest.raises(EmptyIntervalError):
@@ -280,7 +280,7 @@ class TestAuditBoundary:
             lambda u: quasi_k_ratio(u, np.empty((0, 2))),
             lambda u: almost_deficiency(u, 0.5, []),
             lambda u: almost_deficiency(u, 0.5, iter(())),
-            lambda u: omega_report(u, [], [0.5]),
+            lambda u: omega_report(u, []),
         ],
     )
     def test_empty_family_gives_empty_report(self, audit):
@@ -299,12 +299,6 @@ class TestAuditBoundary:
         balls = balls_from_intervals([(0.0, 1.0), (0.25, 0.5)])
         assert balls.tolist() == [[0.5, 0.5], [0.375, 0.125]]
         assert balls_from_intervals([]).shape == (0, 2)
-
-    def test_omega_balls_are_radius_major(self):
-        u = cantor_level(CantorConstruction(2, "diamond"))
-        report = omega_report(u, [0.1, 0.2], [0.3, 0.5, 0.7])
-        assert report.radii.tolist() == [0.1] * 3 + [0.2] * 3
-        assert report.centers.tolist() == [0.3, 0.5, 0.7] * 2
 
 
 class TestAuditScaling:
@@ -348,6 +342,13 @@ class TestDecayExponent:
     def test_scales_outside_unit_interval_rejected(self, scales):
         with pytest.raises(ValueError, match=r"scales must lie in \(0, 1\]"):
             energy_decay_exponent(double_line(), 0.5, 0.25, scales)
+
+    @pytest.mark.parametrize(
+        "center, r0, name", [(np.nan, 0.25, "center"), (0.5, np.nan, "r0"), (0.5, np.inf, "r0")]
+    )
+    def test_nonfinite_center_or_r0_rejected(self, center, r0, name):
+        with pytest.raises(DomainError, match=f"{name} must be finite"):
+            energy_decay_exponent(double_line(), center, r0, [1.0, 0.5])
 
 
 class TestReports:

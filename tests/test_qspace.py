@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from qvlab.acceptance import _exhaustive_distance
 from qvlab.qspace import (
     ClusterSelection,
     DimensionMismatchError,
@@ -21,14 +22,6 @@ from qvlab.qspace import (
     sigma,
     support_with_multiplicity,
 )
-
-
-def brute_force_distance(pa, pb):
-    """Independent oracle: exhaustive minimum over all pairings."""
-    q = pa.shape[0]
-    cost = [[float(((pa[i] - pb[j]) ** 2).sum()) for j in range(q)] for i in range(q)]
-    best = min(sum(cost[i][p[i]] for i in range(q)) for p in itertools.permutations(range(q)))
-    return best**0.5
 
 
 class TestMetric:
@@ -50,14 +43,14 @@ class TestMetric:
             pa = rng.normal(0, 3, (q, n))
             pb = rng.normal(0, 3, (q, n))
             got = metric_g(QPoint(pa), QPoint(pb))
-            ref = brute_force_distance(pa, pb)
+            ref = _exhaustive_distance(pa, pb)
             assert got == pytest.approx(ref, rel=1e-12, abs=1e-15)
         # Q = 7 and 8 in two and three dimensions: few draws, the oracle walks 8! pairings
         for q, n in itertools.product((7, 8), (2, 3)):
             pa = rng.normal(0, 3, (q, n))
             pb = rng.normal(0, 3, (q, n))
             got = metric_g(QPoint(pa), QPoint(pb))
-            assert got == pytest.approx(brute_force_distance(pa, pb), rel=1e-12, abs=1e-15)
+            assert got == pytest.approx(_exhaustive_distance(pa, pb), rel=1e-12, abs=1e-15)
 
     def test_large_q_uses_assignment_solver(self):
         rng = np.random.default_rng(1)
