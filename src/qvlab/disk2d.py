@@ -164,7 +164,10 @@ def minimize_disk(trace: CircleTraceQ) -> DiskMinimizer:
     k = np.arange(a.shape[1])
     power = a**2 + b**2
     interior = float(np.pi * np.sum(k * power))
-    boundary = float(np.pi / trace.radius * np.sum(k**2 * power))
+    with np.errstate(invalid="ignore"):  # inf * 0 when pi / r overflows, rejected below
+        boundary = float(np.pi / trace.radius * np.sum(k**2 * power))
+    if not np.isfinite(boundary):
+        raise ValueError(f"radius {trace.radius!r} gives a non-finite boundary energy")
     return DiskMinimizer(trace=trace, dir_interior=interior, dir_boundary=boundary)
 
 

@@ -15,12 +15,12 @@ and applies its own figure and skip rule.  `writers` writes the reports.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
 from .qspace import QPoint
-from .writers import column_rows, json_float, write_csv, write_report_json
+from .writers import json_float, write_csv, write_report_json
 
 __all__ = [
     "PiecewiseAffineQ",
@@ -272,9 +272,6 @@ class MinimalityReport:
     def _columns(self) -> tuple[np.ndarray, ...]:
         return (self.centers, self.radii, self.dir_u, self.dir_min, self.figure)
 
-    def rows(self) -> Iterator[AuditRecord]:
-        return map(AuditRecord._make, column_rows(self._columns()))
-
     def to_csv(self, path) -> None:
         write_csv(path, AuditRecord._fields, self._columns())
 
@@ -426,6 +423,8 @@ def audit_intervals(u: PiecewiseAffineQ, depth: int = 12) -> np.ndarray:
     shipped constructions occur at construction-aligned intervals, and the
     triadic cells align with the ternary refinements.
     """
+    if depth < 0:
+        raise ValueError(f"depth must be nonnegative, got {depth!r}")
     lo, hi = u.domain
     bps = u.breakpoints
     i, j = np.triu_indices(bps.size, k=1)

@@ -1,46 +1,51 @@
-"""The package's one CSV writer and one JSON writer.
+"""The package's one CSV writer and one JSON writer, with one text policy.
 
-`write_csv` writes a header and then the rows of equal-length columns, which
-it converts with `.tolist()` `CHUNK_ROWS` rows at a time, so memory stays
-flat; `csv` writes a float as its shortest repr and infinities as "inf"/"-inf".
-JSON files have sorted keys, an indent of 2 and a trailing newline.  Strict
-JSON has no Infinity literal, so fields that can be infinite go through
-`json_float`, which writes the strings "inf" and "-inf" instead.
-`write_report_json` writes an audit report's records from float columns,
-`CHUNK_ROWS` records at a time, with the bytes `write_json` would write for
-the same records built as dicts.
+Both writers take the text of equal-length 1-D columns from `_column_texts`,
+`CHUNK_ROWS` rows at a time, so memory stays flat: a float's shortest repr
+("inf", "-inf" and "nan" when not finite), an int's or a bool's `str`.  CSV
+lines end in "\r\n"; no value the package writes needs quoting.  JSON files
+have sorted keys, an indent of 2 and a trailing newline.  Strict JSON has no
+Infinity literal, so fields that can be infinite go through `json_float`,
+which writes the strings "inf" and "-inf".  `write_report_json` writes an
+audit report's float columns with the bytes `write_json` would write for the
+same records built as dicts.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from typing import Collection, Iterator, Sequence
 
 import numpy as np
 
-__all__ = ["CHUNK_ROWS", "column_rows", "json_float", "write_csv", "write_json", "write_report_json"]
+__all__ = ["CHUNK_ROWS", "json_float", "write_csv", "write_json", "write_report_json"]
 
-CHUNK_ROWS = 4096  # rows converted to Python scalars at a time
+CHUNK_ROWS = 1024  # rows turned into text at a time; few enough that a chunk's texts barely move peak RSS
+_NON_FINITE = {"inf": math.inf, "-inf": -math.inf, "nan": math.nan}  # keyed by their repr
 
 
-def column_rows(columns: Sequence) -> Iterator[tuple]:
-    """The rows of equal-length 1-D columns, as tuples of Python scalars."""
+def _column_texts(columns: Sequence) -> Iterator[list[list[str]]]:
+    """The texts of the equal-length 1-D `columns`, one list per column for
+    each `CHUNK_ROWS` rows.  The columns are checked before the first chunk
+    is asked for."""
     columns = [np.asarray(c) for c in columns]
     length = columns[0].size if columns else 0
     if any(c.shape != (length,) for c in columns):
         raise ValueError("columns must be 1-D and of equal length")
-    for start in range(0, length, CHUNK_ROWS):
-        yield from zip(*(c[start : start + CHUNK_ROWS].tolist() for c in columns))
+    formats = [float.__repr__ if c.dtype.kind == "f" else str for c in columns]
+    step = CHUNK_ROWS
+    return ([list(map(f, c[start : start + step].tolist())) for c, f in zip(columns, formats)]
+            for start in range(0, length, step))
 
 
 def write_csv(path, header: Sequence[str], columns: Sequence) -> None:
     """Write `header`, then one row per index of the equal-length `columns`."""
+    chunks = _column_texts(columns)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(column_rows(columns))
+        fh.write(",".join(header) + "\r\n")
+        for texts in chunks:
+            fh.writelines(",".join(row) + "\r\n" for row in zip(*texts))
 
 
 def json_float(x: float) -> float | str:
@@ -57,16 +62,6 @@ def write_json(path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _float_texts(chunk: np.ndarray, inf_as_string: bool) -> list[str]:
-    """The JSON text of each float of `chunk`: its repr when finite, else
-    json's own text, after `json_float` when `inf_as_string`."""
-    values = chunk.tolist()
-    texts = list(map(float.__repr__, values))
-    for j in np.flatnonzero(~np.isfinite(chunk)).tolist():
-        texts[j] = json.dumps(json_float(values[j]) if inf_as_string else values[j])
-    return texts
-
-
 def _record_texts(fields: Sequence[str], columns: Sequence, inf_fields: Collection[str], indent: int) -> Iterator[str]:
     """JSON objects with keys `fields`, one per row of the equal-length float
     `columns`, as they sit at `indent` spaces in an indent-2 file; yields the
@@ -77,16 +72,16 @@ def _record_texts(fields: Sequence[str], columns: Sequence, inf_fields: Collecti
     keys = [json.dumps(fields[i]).replace("%", "%%") for i in order]
     template = "{\n" + ",\n".join(f"{pad}  {key}: %s" for key in keys) + f"\n{pad}}}"
     columns = [np.asarray(columns[i], dtype=float) for i in order]
-    length = columns[0].size if columns else 0
-    if any(c.shape != (length,) for c in columns):
-        raise ValueError("columns must be 1-D and of equal length")
-    strict = [fields[i] in inf_fields for i in order]
+    chunks = _column_texts(columns)
+    # json's text for each non-finite repr, after `json_float` on `inf_fields`, in columns that have one
+    fixes = [{t: json.dumps(json_float(v) if fields[i] in inf_fields else v) for t, v in _NON_FINITE.items()}
+             if not np.isfinite(c).all() else None for i, c in zip(order, columns)]
 
-    def chunk_text(start: int) -> str:
-        texts = [_float_texts(c[start : start + CHUNK_ROWS], s) for c, s in zip(columns, strict)]
+    def chunk_text(texts: list[list[str]]) -> str:
+        texts = [col if fix is None else [fix.get(t, t) for t in col] for col, fix in zip(texts, fixes)]
         return f",\n{pad}".join(template % row for row in zip(*texts))
 
-    return map(chunk_text, range(0, length, CHUNK_ROWS))
+    return map(chunk_text, chunks)
 
 
 def _list_texts(chunks: Iterator[str]) -> Iterator[str]:

@@ -101,6 +101,16 @@ class TestAudit:
         assert f"radius {float(radius)} must be positive" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("mode", ["quasi", "almost"])
+    def test_negative_depth_is_usage_error(self, tmp_path, capsys, mode):
+        out = tmp_path / "audit.csv"
+        code = cli.main(
+            ["audit", "cantor-diamond", "--level", "2", "--mode", mode, "--depth", "-1", "--out", str(out)]
+        )
+        assert code == 2
+        assert "depth must be nonnegative, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_omega_balls_are_radius_major(self, tmp_path):
         # the double line has positive energy on every ball, so no ball is skipped
         out = tmp_path / "omega.csv"
@@ -199,6 +209,17 @@ class TestDisk:
         out = tmp_path / "disk.json"
         code = cli.main(["disk", "--trace", "single-cos", "--radius", radius, "--out", str(out), "--format", "json"])
         assert code == 2
+
+    @pytest.mark.parametrize("trace", ["constant", "single-cos"])
+    def test_subnormal_radius_is_usage_error(self, tmp_path, capsys, trace):
+        out = tmp_path / "disk.json"
+        code = cli.main(
+            ["disk", "--trace", trace, "--samples", "64", "--modes", "8", "--radius", "1e-320",
+             "--out", str(out), "--format", "json"]
+        )
+        assert code == 2
+        assert "radius 1e-320 gives a non-finite boundary energy" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_negative_modes_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "disk.csv"

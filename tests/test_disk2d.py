@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qvlab.disk2d import (
     AliasingError,
@@ -107,6 +108,13 @@ class TestSortedTrace:
 
 
 class TestDiskMinimizer:
+    @pytest.mark.parametrize("values", [lambda t: [1.0], lambda t: [np.cos(t)]], ids=["constant", "single-cos"])
+    def test_subnormal_radius_rejected(self, values):
+        # pi / 1e-320 overflows; times a zero power it was NaN, else inf
+        trace = sorted_trace(values, 64, 8, radius=1e-320)
+        with pytest.raises(ValueError, match="radius 1e-320 gives a non-finite boundary energy"):
+            minimize_disk(trace)
+
     def test_constant_trace_zero_energy(self):
         m = minimize_disk(sorted_trace(lambda t: [1.0, 1.0], 64, 8))
         assert m.dir_interior == 0.0
@@ -173,6 +181,30 @@ class TestSqueeze:
         m = minimize_disk(sorted_trace(lambda t: [np.cos(t / 2.0), -np.cos(t / 2.0)], 1024, 128))
         holds, margin = check_squeeze_2d(m)
         assert holds and margin > 0.1
+
+
+@st.composite
+def sampled_traces(draw):
+    """Sorted traces with Q 1-3, mode_cap 1-16, finite samples and a normal radius."""
+    q = draw(st.integers(1, 3))
+    mode_cap = draw(st.integers(1, 16))
+    count = draw(st.integers(2 * mode_cap + 1, 2 * mode_cap + 8))
+    samples = draw(st.lists(st.floats(-1e6, 1e6), min_size=q * count, max_size=q * count))
+    radius = draw(st.floats(1e-6, 1e6))
+    return sorted_trace(np.reshape(samples, (q, count)), count, mode_cap, radius=radius)
+
+
+class TestSqueezeProperty:
+    @settings(max_examples=200, deadline=None)
+    @given(trace=sampled_traces())
+    def test_margin_nonnegative(self, trace):
+        m = minimize_disk(trace)
+        _, margin = check_squeeze_2d(m)
+        # At equality (one branch on mode one alone) the two sides are the
+        # same sum rounded two ways, r (pi / r S) against pi S, so the margin
+        # may sit a few ulps of the bound below zero.
+        bound = m.q_count * trace.radius * m.dir_boundary
+        assert margin >= -4.0 * np.finfo(float).eps * bound
 
 
 class TestDecayProfile:

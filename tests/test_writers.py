@@ -8,11 +8,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qvlab import writers
 from qvlab.func1d import AuditRecord, MinimalityReport
-from qvlab.writers import column_rows, json_float, write_csv
+from qvlab.writers import json_float, write_csv
 
 
 def per_row_csv(path, header, float_columns, int_columns):
@@ -25,7 +25,9 @@ def per_row_csv(path, header, float_columns, int_columns):
 
 
 edge_floats = st.sampled_from([np.inf, -np.inf, -0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308])
-floats = edge_floats | st.floats(allow_nan=False)
+any_floats = edge_floats | st.just(np.nan) | st.floats()
+# A column drawn from few values repeats them within a chunk and puts -0.0 beside 0.0.
+few_floats = st.sampled_from([-0.0, 0.0, 1.5, np.nan, np.inf])
 ints = st.integers(-(2**63), 2**63 - 1)
 
 
@@ -34,7 +36,8 @@ def tables(draw):
     length = draw(st.integers(0, 12))
     n_float = draw(st.integers(1, 3))
     n_int = draw(st.integers(0, 2))
-    float_columns = [np.array(draw(st.lists(floats, min_size=length, max_size=length)), dtype=float)
+    float_columns = [np.array(draw(st.lists(draw(st.sampled_from([any_floats, few_floats])), min_size=length,
+                                            max_size=length)), dtype=float)
                      for _ in range(n_float)]
     int_columns = [np.array(draw(st.lists(ints, min_size=length, max_size=length)), dtype=np.int64)
                    for _ in range(n_int)]
@@ -53,6 +56,8 @@ def both_bytes(float_columns, int_columns):
 class TestWriteCsv:
     @settings(max_examples=200, deadline=None)
     @given(table=tables(), chunk=st.integers(1, 5))
+    @example(table=([np.array([0.0, -0.0, 0.0, -0.0, 2.5, 2.5]), np.array([np.nan, np.nan, 1.0, -0.0, 1.0, 0.0])],
+                    [np.array([7, 7, -1, 7, 0, 0])]), chunk=5)
     def test_matches_per_row_loop(self, table, chunk):
         # A small chunk puts most drawn tables above one chunk.
         with mock.patch.object(writers, "CHUNK_ROWS", chunk):
@@ -71,11 +76,17 @@ class TestWriteCsv:
     def test_unequal_columns_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             write_csv(tmp_path / "x.csv", ["a", "b"], [np.zeros(3), np.zeros(2)])
+        assert not (tmp_path / "x.csv").exists()
 
-    def test_rows_are_python_scalars(self):
-        rows = list(column_rows([np.array([1.5, -np.inf]), np.array([2, 3])]))
-        assert rows == [(1.5, 2), (-np.inf, 3)]
-        assert type(rows[0][0]) is float and type(rows[0][1]) is int
+    def test_int_and_bool_columns_match_csv_writer(self, tmp_path):
+        columns = [np.array([0.5, -np.inf, np.nan]), np.array([2, -3, 0]), np.array([True, False, True])]
+        old = tmp_path / "old.csv"
+        with open(old, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["a", "b", "c"])
+            writer.writerows(zip(*(c.tolist() for c in columns)))
+        write_csv(tmp_path / "new.csv", ["a", "b", "c"], columns)
+        assert (tmp_path / "new.csv").read_bytes() == old.read_bytes()
 
 
 def dict_path_json(path, report):
@@ -91,19 +102,17 @@ def dict_path_json(path, report):
             "figure_of_merit": json_float(rec.figure_of_merit),
         }
 
+    columns = (report.centers, report.radii, report.dir_u, report.dir_min, report.figure)
     payload = {
         "mode": report.mode,
         "alpha": report.alpha,
         "supremum": json_float(report.supremum),
         "witness": None if report.witness is None else record_dict(report.witness),
-        "records": [record_dict(rec) for rec in report.rows()],
+        "records": [record_dict(AuditRecord._make(row)) for row in zip(*(c.tolist() for c in columns))],
     }
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-any_floats = edge_floats | st.just(np.nan) | st.floats()
 
 
 @st.composite
