@@ -89,6 +89,11 @@ def _cmd_example(args) -> int:
 
 
 def _cmd_audit(args) -> int:
+    if args.mode != "omega" and args.name in _LEVELED and args.level is not None and args.level >= 1:
+        # Every Cantor level L has 3 * 2^L - 1 breakpoints, so an over-large
+        # family is refused before the function is built (level 16 alone
+        # takes seconds); past level 32 the count is capped there anyway.
+        func1d._check_family_size(3 * 2 ** min(args.level, 32) - 1, args.depth)
     u = build_named_function(args.name, args.level, args.samples)
     if args.mode == "omega":
         lo, hi = u.domain

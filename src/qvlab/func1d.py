@@ -7,9 +7,15 @@ minimizer for given boundary tuples is the sorted linear interpolation whose
 energy equals the squared matching distance of the boundary tuples divided
 by the interval length.  On top of the exact energies this module provides
 an empirical energy-decay exponent and the three minimality audits, which
-are one comparison with three figures of merit: each reads its family once,
-takes Dir(u) and G^2(u(a), u(b)) from `_energies` (the one boundary check),
-and applies its own figure and skip rule.  `writers` writes the reports.
+are one comparison with three figures of merit.  Each audit reads its family
+once and checks it whole, then `_evaluate`, the one block evaluator, takes
+it `BLOCK_ROWS` rows at a time: one energy prefix per audit, one boundary
+check per block, and the mode's figure and skip rule.  The standard family
+(`audit_intervals`) is itself built from `BLOCK_ROWS`-row blocks, so the
+acceptance criteria that reduce over it (`_audit_supremum`, a running max)
+never hold the family or a report, and a family of more than
+`MAX_FAMILY_ROWS` rows is refused before any of it exists.  `writers` writes
+the reports.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ __all__ = [
     "MinimalityReport",
     "DomainError",
     "EmptyIntervalError",
+    "FamilySizeError",
     "UnsupportedCodimensionError",
     "UndefinedExponentError",
     "evaluate",
@@ -47,6 +54,16 @@ __all__ = [
     "rescale_domain",
 ]
 
+# Rows per block of an audit family.  Blocks of 1024 rows doubled the time
+# of a level-8 audit over the whole family; from 4096 to 65536 the time is
+# flat while the memory of a block grows with it.
+BLOCK_ROWS = 8192
+
+# The largest standard family an audit builds: level 11 of a Cantor
+# refinement at the default depth (19,670,505 rows) fits, level 12
+# (76,284,393 rows) does not.
+MAX_FAMILY_ROWS = 2**25
+
 
 class DomainError(ValueError):
     """A query point or ball leaves the function's domain."""
@@ -54,6 +71,10 @@ class DomainError(ValueError):
 
 class EmptyIntervalError(ValueError):
     """An energy was requested over an empty or reversed interval."""
+
+
+class FamilySizeError(ValueError):
+    """An audit family would have more than MAX_FAMILY_ROWS rows."""
 
 
 class UnsupportedCodimensionError(ValueError):
@@ -320,16 +341,85 @@ def _pairs(family) -> tuple[np.ndarray, np.ndarray]:
     return arr[:, 0], arr[:, 1]
 
 
-def _energies(u: PiecewiseAffineQ, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Dir(u) and G^2(u(a), u(b)) per interval (a_i, b_i), after the audits'
-    one boundary check: finite ends, a < b, inside the domain."""
+def _checked_ends(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The ends of the intervals (a_i, b_i), once they are finite and a < b.
+    The domain check follows, so the audits' checks keep that order."""
     ends = np.concatenate((a, b))
     if not np.all(np.isfinite(ends)):
         raise DomainError("interval ends must be finite")
     if np.any(a >= b):
         raise EmptyIntervalError("intervals must satisfy a < b")
-    _check_in_domain(u, ends)
-    return energy_between(u, a, b), matching_distance_sq(u, a, b)
+    return ends
+
+
+def _balls(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Centers and radii of the intervals (a_i, b_i)."""
+    return 0.5 * (a + b), 0.5 * (b - a)
+
+
+def _interval_ends(mode: str, first: np.ndarray, second: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (a, b) columns of a family: quasi_k reads intervals, omega and almost read balls."""
+    return (first, second) if mode == "quasi_k" else (first - second, first + second)
+
+
+def _slices(first: np.ndarray, second: np.ndarray):
+    """The columns of a family, BLOCK_ROWS rows at a time; an empty family is one empty block."""
+    for start in range(0, max(first.size, 1), BLOCK_ROWS):
+        yield first[start : start + BLOCK_ROWS], second[start : start + BLOCK_ROWS]
+
+
+def _evaluate(u: PiecewiseAffineQ, mode: str, blocks, alpha: Optional[float] = None):
+    """The one audit evaluator: per block of a family, the kept (centers,
+    radii, dir_u, dir_min, figure) columns.
+
+    Dir(u) is a difference of one energy prefix, built once per call, and
+    G^2(u(a), u(b)) comes from one `branch_values` call per block, which is
+    the domain part of the block's one boundary check.  quasi_k skips the
+    intervals with zero energy between identical boundary tuples and omega
+    the balls with Dir(u) = Dir_min = 0: they carry no information.
+    """
+    bps, prefix = u.breakpoints, u.energy_prefix()
+    for first, second in blocks:
+        a, b = _interval_ends(mode, first, second)
+        values = branch_values(u, _checked_ends(a, b))
+        gsq = ((values[:, a.size :] - values[:, : a.size]) ** 2).sum(axis=0)
+        dir_u = np.interp(b, bps, prefix) - np.interp(a, bps, prefix)
+        if mode == "quasi_k":
+            keep = ~((gsq == 0.0) & (dir_u == 0.0))
+            a, b, dir_u, gsq = a[keep], b[keep], dir_u[keep], gsq[keep]
+            with np.errstate(divide="ignore"):
+                ratio = np.where(gsq > 0.0, (b - a) * dir_u / np.where(gsq > 0.0, gsq, 1.0), np.inf)
+            yield *_balls(a, b), dir_u, np.where(gsq > 0.0, gsq / (b - a), 0.0), ratio
+        elif mode == "omega":
+            dir_min = gsq / (2.0 * second)
+            keep = ~((dir_min == 0.0) & (dir_u == 0.0))
+            dir_u, dir_min = dir_u[keep], dir_min[keep]
+            with np.errstate(divide="ignore"):
+                omega = np.where(dir_min > 0.0, dir_u / np.where(dir_min > 0.0, dir_min, 1.0) - 1.0, np.inf)
+            yield first[keep], second[keep], dir_u, dir_min, omega
+        else:
+            dir_min = gsq / (2.0 * second)
+            yield first, second, dir_u, dir_min, np.maximum(0.0, dir_u - dir_min) * second ** (1.0 - alpha)
+
+
+def _audit(u: PiecewiseAffineQ, mode: str, family, alpha: Optional[float] = None) -> MinimalityReport:
+    """Read a family once and check it whole, so that the same error wins at
+    any block size; then evaluate it a block at a time and report."""
+    first, second = _pairs(family)
+    _check_in_domain(u, _checked_ends(*_interval_ends(mode, first, second)))
+    columns = zip(*_evaluate(u, mode, _slices(first, second), alpha))
+    return _build_report(mode, *(np.concatenate(column) for column in columns), alpha=alpha)
+
+
+def _audit_supremum(u: PiecewiseAffineQ, mode: str, depth: int = 12, alpha: Optional[float] = None) -> float:
+    """The supremum of an audit over the standard family of depth `depth`,
+    reduced block by block: neither the family nor a report is held.  A
+    family with no kept record gives 0.0, as `_build_report` does."""
+    blocks = _family_blocks(u, depth)
+    if mode != "quasi_k":
+        blocks = (_balls(a, b) for a, b in blocks)
+    maxima = [np.max(figure) for *_, figure in _evaluate(u, mode, blocks, alpha) if figure.size]
+    return float(np.max(maxima)) if maxima else 0.0
 
 
 def quasi_k_ratio(u: PiecewiseAffineQ, intervals: Iterable[tuple[float, float]]) -> MinimalityReport:
@@ -342,27 +432,13 @@ def quasi_k_ratio(u: PiecewiseAffineQ, intervals: Iterable[tuple[float, float]])
     minimizer); zero energy over such an interval carries no information and
     the interval is skipped.
     """
-    a, b = _pairs(intervals)
-    dir_u, gsq = _energies(u, a, b)
-    keep = ~((gsq == 0.0) & (dir_u == 0.0))
-    a, b, dir_u, gsq = a[keep], b[keep], dir_u[keep], gsq[keep]
-    with np.errstate(divide="ignore"):
-        ratio = np.where(gsq > 0.0, (b - a) * dir_u / np.where(gsq > 0.0, gsq, 1.0), np.inf)
-    dir_min = np.where(gsq > 0.0, gsq / (b - a), 0.0)
-    return _build_report("quasi_k", 0.5 * (a + b), 0.5 * (b - a), dir_u, dir_min, ratio)
+    return _audit(u, "quasi_k", intervals)
 
 
 def omega_report(u: PiecewiseAffineQ, balls) -> MinimalityReport:
     """Excess-over-minimizer audit: figure = Dir(u)/Dir_min - 1 per ball
     of a family of (center, radius) pairs."""
-    x, r = _pairs(balls)
-    dir_u, gsq = _energies(u, x - r, x + r)
-    dir_min = gsq / (2.0 * r)
-    keep = ~((dir_min == 0.0) & (dir_u == 0.0))
-    x, r, dir_u, dir_min = x[keep], r[keep], dir_u[keep], dir_min[keep]
-    with np.errstate(divide="ignore"):
-        omega = np.where(dir_min > 0.0, dir_u / np.where(dir_min > 0.0, dir_min, 1.0) - 1.0, np.inf)
-    return _build_report("omega", x, r, dir_u, dir_min, omega)
+    return _audit(u, "omega", balls)
 
 
 def omega_profile(u: PiecewiseAffineQ, radii, centers) -> dict[float, float]:
@@ -385,11 +461,7 @@ def almost_deficiency(u: PiecewiseAffineQ, alpha: float, balls) -> MinimalityRep
     """
     if not 0 < alpha < 1:
         raise ValueError("alpha must lie in (0, 1)")
-    x, r = _pairs(balls)
-    dir_u, gsq = _energies(u, x - r, x + r)
-    dir_min = gsq / (2.0 * r)
-    deficiency = np.maximum(0.0, dir_u - dir_min) * r ** (1.0 - alpha)
-    return _build_report("almost", x, r, dir_u, dir_min, deficiency, alpha=alpha)
+    return _audit(u, "almost", balls, alpha)
 
 
 def energy_decay_exponent(u: PiecewiseAffineQ, z: float, r0: float, scales) -> float:
@@ -415,31 +487,65 @@ def energy_decay_exponent(u: PiecewiseAffineQ, z: float, r0: float, scales) -> f
     return float(slope)
 
 
+def _family_rows(m: int, depth: int) -> int:
+    """Rows of the standard family over m breakpoints, counted without
+    building it: m(m - 1)/2 breakpoint pairs and 2^d + 3^d cells at each
+    level d <= depth."""
+    return m * (m - 1) // 2 + 2 ** (depth + 1) - 1 + (3 ** (depth + 1) - 1) // 2
+
+
+def _check_family_size(m: int, depth: int) -> None:
+    """Refuse, before any of it exists, a standard family of more than
+    MAX_FAMILY_ROWS rows."""
+    if depth < 0:
+        raise ValueError(f"depth must be nonnegative, got {depth!r}")
+    # Past 2**32 breakpoints or depth 32 the family is far above the limit;
+    # its size is then counted there, as a lower bound, to keep the integers small.
+    capped = (min(m, 2**32), min(depth, 32))
+    rows = _family_rows(*capped)
+    if rows > MAX_FAMILY_ROWS:
+        count = f"{rows}" if capped == (m, depth) else f"more than {rows}"
+        raise FamilySizeError(
+            f"the audit family would have {count} rows; at most MAX_FAMILY_ROWS = {MAX_FAMILY_ROWS} are allowed"
+        )
+
+
+def _family_blocks(u: PiecewiseAffineQ, depth: int):
+    """The standard family of depth `depth` as (a, b) columns of at most
+    BLOCK_ROWS rows: the breakpoint pairs (i, j), i < j, in row-major order,
+    then each dyadic and each triadic level of the domain's refinement."""
+    bps = u.breakpoints
+    _check_family_size(bps.size, depth)
+    # Row i of the pairs starts at flat position starts[i]; starts[-1] is the pair count.
+    starts = np.concatenate(([0], np.cumsum(np.arange(bps.size - 1, 0, -1))))
+    for start in range(0, int(starts[-1]), BLOCK_ROWS):
+        k = np.arange(start, min(start + BLOCK_ROWS, int(starts[-1])))
+        i = np.searchsorted(starts, k, side="right") - 1
+        yield bps[i], bps[k - starts[i] + i + 1]
+    lo, hi = u.domain
+    for base in (2, 3):
+        for d in range(depth + 1):
+            cells = base**d
+            for start in range(0, cells, BLOCK_ROWS):
+                edges = lo + (hi - lo) * np.arange(start, min(start + BLOCK_ROWS, cells) + 1) / cells
+                yield edges[:-1], edges[1:]
+
+
 def audit_intervals(u: PiecewiseAffineQ, depth: int = 12) -> np.ndarray:
     """Standard interval family for the audits, as an (m, 2) array.
 
     All breakpoint pairs, plus the cells of dyadic and triadic refinements
     of the domain down to `depth`.  Extrema of the audited figures for the
     shipped constructions occur at construction-aligned intervals, and the
-    triadic cells align with the ternary refinements.
+    triadic cells align with the ternary refinements.  A family of more
+    than MAX_FAMILY_ROWS rows raises FamilySizeError before it is built.
     """
-    if depth < 0:
-        raise ValueError(f"depth must be nonnegative, got {depth!r}")
-    lo, hi = u.domain
-    bps = u.breakpoints
-    i, j = np.triu_indices(bps.size, k=1)
-    blocks = [np.column_stack((bps[i], bps[j]))]
-    for base in (2, 3):
-        for d in range(depth + 1):
-            edges = lo + (hi - lo) * np.arange(base**d + 1) / base**d
-            blocks.append(np.column_stack((edges[:-1], edges[1:])))
-    return np.concatenate(blocks, axis=0)
+    return np.concatenate([np.column_stack(block) for block in _family_blocks(u, depth)])
 
 
 def balls_from_intervals(intervals) -> np.ndarray:
     """The (center, radius) rows of a family of (a, b) intervals."""
-    a, b = _pairs(intervals)
-    return np.column_stack((0.5 * (a + b), 0.5 * (b - a)))
+    return np.column_stack(_balls(*_pairs(intervals)))
 
 
 def rescale_domain(u: PiecewiseAffineQ, scale: float) -> PiecewiseAffineQ:

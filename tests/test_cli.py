@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -110,6 +111,33 @@ class TestAudit:
         assert code == 2
         assert "depth must be nonnegative, got -1" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ["quasi", "almost"])
+    @pytest.mark.parametrize(
+        "args, count",
+        [
+            (["cantor-diamond", "--level", "12"], "76284393"),
+            (["diamond", "--depth", "16"], "64701155"),
+            (["cantor-losange", "--level", "40", "--depth", "2"], "more than"),
+        ],
+        ids=["level", "depth", "level-40"],
+    )
+    def test_oversized_family_is_usage_error(self, tmp_path, capsys, mode, args, count):
+        out = tmp_path / "audit.csv"
+        code = cli.main(["audit", *args, "--mode", mode, "--out", str(out)])
+        assert code == 2
+        assert f"the audit family would have {count}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_cantor_breakpoint_count(self):
+        # The CLI sizes a Cantor audit family from the level alone.
+        from qvlab import constructions as cons
+
+        for level in range(1, 6):
+            for flavor in ("diamond", "losange"):
+                for schedule in ("ternary", "fat"):
+                    u = cons.cantor_level(cons.CantorConstruction(level, flavor, schedule))
+                    assert u.breakpoints.size == 3 * 2**level - 1
 
     def test_omega_balls_are_radius_major(self, tmp_path):
         # the double line has positive energy on every ball, so no ball is skipped
@@ -372,6 +400,24 @@ class TestVerifyAll:
         monkeypatch.setattr(acceptance, "CRITERIA", [(2, "stub-fail", lambda: bad)])
         assert cli.main(["verify-all"]) == 1
         assert "[FAIL]" in capsys.readouterr().out
+
+    def test_criterion_times_go_to_stderr(self, monkeypatch, capsys):
+        from qvlab import acceptance
+
+        stubs = [
+            (number, name, lambda number=number, name=name: CheckResult(number, name, True, "fine"))
+            for number, name, _ in acceptance.CRITERIA
+        ]
+        monkeypatch.setattr(acceptance, "CRITERIA", stubs)
+        assert cli.main(["verify-all"]) == 0
+        captured = capsys.readouterr()
+        # stdout holds the result lines and the count, and nothing else
+        lines = [CheckResult(n, name, True, "fine").line() for n, name, _ in stubs]
+        assert captured.out.splitlines() == lines + ["12 of 12 checks passed"]
+        times = captured.err.splitlines()
+        assert len(times) == 12
+        for line, (number, name, _) in zip(times, stubs):
+            assert re.fullmatch(rf"\[time\] {number} {name} \d+\.\d{{3}} s", line)
 
     def test_no_command_is_usage_error(self):
         assert cli.main([]) == 2

@@ -1,15 +1,21 @@
 """Tests for exact energies, interval minimizers, and the minimality audits."""
 
 import json
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
+
+from qvlab import func1d
 
 from qvlab.constructions import cantor_level, CantorConstruction, make_diamond, make_double_line, make_losange, make_pluri_losange
 from qvlab.func1d import (
+    MAX_FAMILY_ROWS,
     DomainError,
     EmptyIntervalError,
+    FamilySizeError,
     PiecewiseAffineQ,
     StepWeight,
     UndefinedExponentError,
@@ -19,6 +25,7 @@ from qvlab.func1d import (
     balls_from_intervals,
     branch_values,
     dirichlet_energy,
+    energy_between,
     energy_decay_exponent,
     evaluate,
     exact_minimizer,
@@ -168,6 +175,53 @@ class TestExactMinimizer:
             exact_minimizer(p, p, 0.0, 1.0)
 
 
+@st.composite
+def piecewise_functions(draw):
+    """A Q-branch function, Q <= 3, on 2-8 breakpoints with sorted branch values."""
+    q = draw(st.integers(1, 3))
+    gaps = draw(st.lists(st.floats(0.01, 2.0), min_size=1, max_size=7))
+    bps = draw(st.floats(-5.0, 5.0)) + np.concatenate(([0.0], np.cumsum(gaps)))
+    values = draw(st.lists(st.floats(-10.0, 10.0), min_size=q * bps.size, max_size=q * bps.size))
+    return PiecewiseAffineQ(bps, np.sort(np.reshape(values, (q, bps.size)), axis=0))
+
+
+class TestEnergyProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(u=piecewise_functions(), cuts=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=8))
+    def test_prefix_energies_add_over_adjacent_intervals(self, u, cuts):
+        lo, hi = u.domain
+        xs = np.clip(lo + (hi - lo) * np.sort(cuts), lo, hi)
+        parts = energy_between(u, xs[:-1], xs[1:])
+        whole = float(energy_between(u, xs[0], xs[-1]))
+        # Each part is a difference of one shared prefix, so the sum telescopes
+        # up to a rounding of a few ulps of the largest prefix per part.
+        bound = 4 * xs.size * np.finfo(float).eps * u.energy_prefix()[-1]
+        assert abs(float(parts.sum()) - whole) <= bound
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        q=st.integers(1, 4),
+        a=st.floats(-5.0, 5.0),
+        length=st.floats(0.1, 5.0),
+        data=st.data(),
+    )
+    def test_exact_minimizer_never_beaten(self, q, a, length, data):
+        b = a + length
+        ends = data.draw(st.lists(st.floats(-5.0, 5.0), min_size=2 * q, max_size=2 * q))
+        qa, qb = QPoint.of(*ends[:q]), QPoint.of(*ends[q:])
+        fractions = data.draw(st.lists(st.floats(0.01, 0.99), min_size=1, max_size=6, unique=True))
+        xs = a + length * np.sort(fractions)
+        kicks = data.draw(st.lists(st.floats(-3.0, 3.0), min_size=q * xs.size, max_size=q * xs.size))
+        # The minimizer at interior nodes, pushed off, with the same boundary tuples.
+        interior = branch_values(exact_minimizer(qa, qb, a, b), xs) + np.reshape(kicks, (q, xs.size))
+        nodes = np.concatenate(([a], xs, [b]))
+        assume(np.all(np.diff(nodes) > 0))
+        columns = np.column_stack((qa.sorted_values(), np.sort(interior, axis=0), qb.sorted_values()))
+        competitor = PiecewiseAffineQ(nodes, columns)
+        emin = minimizer_energy(qa, qb, a, b)
+        assert dirichlet_energy(competitor, a, b) >= emin * (1 - 1e-12)
+
+
 class TestQuasiRatio:
     def test_double_line_ratio_one(self):
         report = quasi_k_ratio(double_line(), [(0.1, 0.6), (0.0, 1.0)])
@@ -303,6 +357,208 @@ class TestAuditBoundary:
         balls = balls_from_intervals([(0.0, 1.0), (0.25, 0.5)])
         assert balls.tolist() == [[0.5, 0.5], [0.375, 0.125]]
         assert balls_from_intervals([]).shape == (0, 2)
+
+
+def whole_family(u, depth):
+    """The standard family built in one piece: every breakpoint pair, then
+    each dyadic and each triadic level of the domain."""
+    lo, hi = u.domain
+    i, j = np.triu_indices(u.breakpoints.size, k=1)
+    parts = [np.column_stack((u.breakpoints[i], u.breakpoints[j]))]
+    for base in (2, 3):
+        for d in range(depth + 1):
+            edges = lo + (hi - lo) * np.arange(base**d + 1) / base**d
+            parts.append(np.column_stack((edges[:-1], edges[1:])))
+    return np.concatenate(parts)
+
+
+def whole_family_audit(u, mode, family, alpha=0.5):
+    """Each audit's formulas in one pass over the whole family: the columns,
+    then the supremum and the witness (ties go to the smallest (a, b))."""
+    first, second = np.asarray(family, dtype=float).T
+    a, b = (first, second) if mode == "quasi_k" else (first - second, first + second)
+    dir_u = energy_between(u, a, b)
+    gsq = matching_distance_sq(u, a, b)
+    if mode == "quasi_k":
+        keep = ~((gsq == 0.0) & (dir_u == 0.0))
+        a, b, dir_u, gsq = a[keep], b[keep], dir_u[keep], gsq[keep]
+        with np.errstate(divide="ignore"):
+            figure = np.where(gsq > 0.0, (b - a) * dir_u / np.where(gsq > 0.0, gsq, 1.0), np.inf)
+        columns = (0.5 * (a + b), 0.5 * (b - a), dir_u, np.where(gsq > 0.0, gsq / (b - a), 0.0), figure)
+    else:
+        x, r = first, second
+        dir_min = gsq / (2.0 * r)
+        if mode == "omega":
+            keep = ~((dir_min == 0.0) & (dir_u == 0.0))
+            x, r, dir_u, dir_min = x[keep], r[keep], dir_u[keep], dir_min[keep]
+            with np.errstate(divide="ignore"):
+                figure = np.where(dir_min > 0.0, dir_u / np.where(dir_min > 0.0, dir_min, 1.0) - 1.0, np.inf)
+        else:
+            figure = np.maximum(0.0, dir_u - dir_min) * r ** (1.0 - alpha)
+        columns = (x, r, dir_u, dir_min, figure)
+    if figure.size == 0:
+        return columns, 0.0, None
+    supremum = float(figure.max())
+    hits = [k for k in range(figure.size) if figure[k] == supremum]
+    k = min(hits, key=lambda k: (columns[0][k] - columns[1][k], columns[0][k] + columns[1][k]))
+    return columns, supremum, tuple(float(c[k]) for c in columns)
+
+
+def mode_family(mode, intervals):
+    """quasi_k reads intervals, omega and almost read balls."""
+    return intervals if mode == "quasi_k" else balls_from_intervals(intervals)
+
+
+def run_audit(u, mode, family):
+    if mode == "quasi_k":
+        return quasi_k_ratio(u, family)
+    return omega_report(u, family) if mode == "omega" else almost_deficiency(u, 0.5, family)
+
+
+def audit_families():
+    # Losanges over (1/4, 1/2) and (5/8, 7/8): flat intervals are 0/0 rows
+    # (skipped by quasi_k and omega), losange intervals have infinite quasi_k
+    # and omega figures, and the smallest infinite (a, b) comes last but one.
+    pluri = make_pluri_losange([(0.25, 0.5), (0.625, 0.875)])
+    pluri_family = [
+        (0.5, 0.625), (0.625, 0.875), (0.0, 0.25), (0.25, 0.5), (0.875, 1.0), (0.25, 0.5),
+        (0.0, 0.375), (0.3, 0.4), (0.5, 0.875), (0.0, 1.0), (0.0, 0.125), (0.125, 0.25),
+    ]
+    # On the double line every dyadic interval ties: quasi_k 1, omega and almost 0.
+    ties = [(0.5, 1.0), (0.25, 0.5), (0.5, 0.75), (0.25, 0.375), (0.75, 1.0), (0.0, 0.125)]
+    diamond = cantor_level(CantorConstruction(2, "diamond"))
+    losange = cantor_level(CantorConstruction(2, "losange"))
+    return [
+        (pluri, pluri_family),
+        (double_line(), ties),
+        (diamond, audit_intervals(diamond, depth=3)),
+        (losange, audit_intervals(losange, depth=3)),
+    ]
+
+
+class TestFamilyBlocks:
+    """One block evaluator: block sizes change no column, supremum or witness."""
+
+    @pytest.mark.parametrize("rows", [1, 7, 64])
+    def test_blocks_concatenate_to_the_whole_family(self, rows):
+        with mock.patch.object(func1d, "BLOCK_ROWS", rows):
+            for level in range(1, 6):
+                u = cantor_level(CantorConstruction(level, "diamond"))
+                for depth in range(7):
+                    blocks = list(func1d._family_blocks(u, depth))
+                    assert max(a.size for a, _ in blocks) <= rows
+                    got = np.column_stack([np.concatenate(column) for column in zip(*blocks)])
+                    want = whole_family(u, depth)
+                    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+                    assert np.array_equal(audit_intervals(u, depth).view(np.uint64), want.view(np.uint64))
+                    assert len(want) == func1d._family_rows(u.breakpoints.size, depth)
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 5, 7])
+    @pytest.mark.parametrize("mode", ["quasi_k", "omega", "almost"])
+    def test_blocked_report_matches_whole_family_audit(self, mode, rows):
+        for u, intervals in audit_families():
+            family = mode_family(mode, intervals)
+            want_columns, want_sup, want_witness = whole_family_audit(u, mode, family)
+            with mock.patch.object(func1d, "BLOCK_ROWS", rows):
+                report = run_audit(u, mode, family)
+            got_columns = (report.centers, report.radii, report.dir_u, report.dir_min, report.figure)
+            for got, want in zip(got_columns, want_columns):
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            assert report.supremum == want_sup
+            assert (report.witness and tuple(report.witness)) == want_witness
+
+    @pytest.mark.parametrize("rows", [1, 2, func1d.BLOCK_ROWS])
+    @pytest.mark.parametrize(
+        "later, error, message",
+        [((np.nan, 0.5), DomainError, "interval ends must be finite"), ((0.6, 0.3), EmptyIntervalError, "a < b")],
+    )
+    def test_the_same_error_wins_at_any_block_size(self, rows, later, error, message):
+        # The first row leaves the domain, a later one is worse: the whole
+        # family is checked, finite ends first, then a < b, then the domain.
+        family = [(0.1, 1.5), (0.2, 0.4), later]
+        with mock.patch.object(func1d, "BLOCK_ROWS", rows):
+            with pytest.raises(error, match=message):
+                quasi_k_ratio(double_line(), family)
+
+    @pytest.mark.parametrize("rows", [5, func1d.BLOCK_ROWS])
+    @pytest.mark.parametrize("level", [1, 2, 3, 4])
+    def test_supremum_reduction_matches_report(self, level, rows):
+        diamond = cantor_level(CantorConstruction(level, "diamond"))
+        losange = cantor_level(CantorConstruction(level, "losange"))
+        quasi = quasi_k_ratio(diamond, audit_intervals(diamond, depth=5)).supremum
+        almost = almost_deficiency(losange, 0.5, balls_from_intervals(audit_intervals(losange, depth=5))).supremum
+        with mock.patch.object(func1d, "BLOCK_ROWS", rows):
+            assert func1d._audit_supremum(diamond, "quasi_k", depth=5) == quasi
+            assert func1d._audit_supremum(losange, "almost", depth=5, alpha=0.5) == almost
+
+    @pytest.mark.parametrize("mode", ["quasi_k", "omega"])
+    def test_supremum_of_a_family_with_no_kept_record_is_zero(self, mode):
+        # A constant function makes every row 0/0, so quasi_k and omega keep none.
+        flat = PiecewiseAffineQ([0.0, 0.5, 1.0], [[1.0, 1.0, 1.0]])
+        report = run_audit(flat, mode, mode_family(mode, audit_intervals(flat, depth=4)))
+        assert report.figure.size == 0 and report.supremum == 0.0
+        with mock.patch.object(func1d, "BLOCK_ROWS", 3):
+            assert func1d._audit_supremum(flat, mode, depth=4) == 0.0
+
+    def test_energy_prefix_built_once_per_audit(self):
+        u, intervals = audit_families()[0]
+        prefix = PiecewiseAffineQ.energy_prefix
+        with mock.patch.object(func1d, "BLOCK_ROWS", 2):
+            for call in (
+                lambda: quasi_k_ratio(u, intervals),
+                lambda: omega_report(u, balls_from_intervals(intervals)),
+                lambda: almost_deficiency(u, 0.5, balls_from_intervals(intervals)),
+                lambda: func1d._audit_supremum(u, "quasi_k", depth=3),
+            ):
+                with mock.patch.object(PiecewiseAffineQ, "energy_prefix", autospec=True, side_effect=prefix) as spy:
+                    call()
+                assert spy.call_count == 1
+
+    def test_level_8_supremum_holds_no_family(self):
+        # numpy reports its buffers to tracemalloc.  The level-8 family has
+        # 1.1M rows; building it whole for the report peaks near 100 MB.
+        u = cantor_level(CantorConstruction(8, "diamond"))
+        tracemalloc.start()
+        try:
+            supremum = func1d._audit_supremum(u, "quasi_k")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert supremum <= 4.0 + 1e-9
+        assert peak < 16 * 2**20
+
+
+class TestFamilySize:
+    """A standard family is counted, and refused above MAX_FAMILY_ROWS, before any of it exists."""
+
+    def test_cantor_levels_11_and_12_at_the_default_depth(self):
+        # Level L has 3 * 2^L - 1 breakpoints.
+        assert func1d._family_rows(3 * 2**11 - 1, 12) == 19_670_505 <= MAX_FAMILY_ROWS
+        func1d._check_family_size(3 * 2**11 - 1, 12)
+        with pytest.raises(FamilySizeError, match="would have 76284393 rows"):
+            func1d._check_family_size(3 * 2**12 - 1, 12)
+
+    def test_deep_family_refused(self):
+        u = make_diamond(0.0, 1.0, 0.0)
+        m = u.breakpoints.size
+        rows = m * (m - 1) // 2 + sum(2**d + 3**d for d in range(17))
+        with pytest.raises(FamilySizeError, match=f"would have {rows} rows"):
+            audit_intervals(u, depth=16)
+        with pytest.raises(FamilySizeError, match=f"would have {rows} rows"):
+            next(func1d._family_blocks(u, 16))
+
+    def test_many_breakpoints_refused(self):
+        # 8193 breakpoints make 33,558,528 pairs, just over 2^25; 8192 make 33,550,336.
+        u = PiecewiseAffineQ(np.arange(8193.0), np.zeros(8193))
+        with pytest.raises(FamilySizeError, match="would have 33558530 rows"):
+            audit_intervals(u, depth=0)
+        func1d._check_family_size(8192, 0)
+
+    def test_huge_counts_are_bounded_below(self):
+        with pytest.raises(FamilySizeError, match="would have more than"):
+            func1d._check_family_size(3 * 2**40 - 1, 2)
+        with pytest.raises(FamilySizeError, match="would have more than"):
+            func1d._check_family_size(3, 10**9)
 
 
 class TestAuditScaling:

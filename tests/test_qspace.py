@@ -178,6 +178,36 @@ class TestSingleLinkageProperties:
         assert closure_clusters(pts, 2.0 * k * radius) == want
 
 
+def metric_triples():
+    """Three (Q, n) configurations and a permutation and shift of them, with
+    Q <= 12 so that n >= 2 draws reach the assignment solver."""
+    shapes = st.tuples(st.integers(1, 12), st.integers(1, 3))
+    values = st.sampled_from([-1.0, 0.0, 1.0]) | st.floats(-10.0, 10.0)
+    return shapes.flatmap(
+        lambda shape: st.tuples(
+            *(arrays(float, shape, elements=values) for _ in range(3)),
+            st.permutations(range(shape[0])),
+            arrays(float, shape[1], elements=st.floats(-100.0, 100.0)),
+        )
+    )
+
+
+class TestMetricProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(draw=metric_triples())
+    def test_metric_axioms_and_invariances(self, draw):
+        pa, pb, pc, perm, shift = draw
+        a, b, c = QPoint(pa), QPoint(pb), QPoint(pc)
+        dab = metric_g(a, b)
+        assert dab >= 0.0
+        assert metric_g(b, a) == pytest.approx(dab, rel=1e-12, abs=1e-12)
+        assert metric_g(a, c) <= dab + metric_g(b, c) + 1e-9
+        assert metric_g(QPoint(pa[list(perm)]), b) == pytest.approx(dab, rel=1e-12, abs=1e-12)
+        assert metric_g(a, QPoint(pa[list(perm)])) == pytest.approx(0.0, abs=1e-12)
+        # A shift rounds each coordinate by at most |x + t| eps / 2 (< 3e-14 here).
+        assert metric_g(a.translate(shift), b.translate(shift)) == pytest.approx(dab, rel=1e-12, abs=1e-10)
+
+
 class TestSeparationConstants:
     def test_reference_values(self):
         assert c_of_q(2, 2.0) == 5.0
