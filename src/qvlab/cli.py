@@ -49,8 +49,6 @@ def build_named_function(name: str, level: int | None = None, samples: int | Non
     if name in _LEVELED:
         if level is None:
             raise UsageError(f"{name} requires --level")
-        if level < 1:
-            raise UsageError("--level must be at least 1")
         flavor = "diamond" if "diamond" in name else "losange"
         schedule = "fat" if name.startswith("fat-") else "ternary"
         return cons.cantor_level(cons.CantorConstruction(level, flavor, schedule))
@@ -89,11 +87,6 @@ def _cmd_example(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    if args.mode != "omega" and args.name in _LEVELED and args.level is not None and args.level >= 1:
-        # Every Cantor level L has 3 * 2^L - 1 breakpoints, so an over-large
-        # family is refused before the function is built (level 16 alone
-        # takes seconds); past level 32 the count is capped there anyway.
-        func1d._check_family_size(3 * 2 ** min(args.level, 32) - 1, args.depth)
     u = build_named_function(args.name, args.level, args.samples)
     if args.mode == "omega":
         lo, hi = u.domain
@@ -101,6 +94,7 @@ def _cmd_audit(args) -> int:
             radii = args.radii
         else:
             radii = [(hi - lo) * f for f in (0.02, 0.05, 0.1, 0.2)]
+        func1d._check_family_rows(len(radii) * args.centers)
         balls = []
         for r in radii:
             if not r > 0:
@@ -151,15 +145,11 @@ def _cmd_branch(args) -> int:
 
 def _cmd_decay(args) -> int:
     u = build_named_function(args.name, args.level, args.samples)
-    scales = args.scales if args.scales else list(np.logspace(0, -2, 12))
+    scales = np.array(args.scales if args.scales else np.logspace(0, -2, 12), dtype=float)
     slope = func1d.energy_decay_exponent(u, args.center, args.r0, scales)
-    energies = [
-        (float(s), func1d.dirichlet_energy(u, args.center - s * args.r0, args.center + s * args.r0))
-        for s in scales
-    ]
+    energies = func1d.energy_between(u, args.center - scales * args.r0, args.center + scales * args.r0)
     if args.format == "csv":
-        s, e = np.array(energies).T
-        write_csv(args.out, ["scale", "radius", "energy"], [s, s * args.r0, e])
+        write_csv(args.out, ["scale", "radius", "energy"], [scales, scales * args.r0, energies])
     else:
         write_json(
             args.out,
@@ -167,7 +157,7 @@ def _cmd_decay(args) -> int:
                 "name": args.name,
                 "center": args.center,
                 "r0": args.r0,
-                "profile": [[s, e] for s, e in energies],
+                "profile": np.column_stack((scales, energies)).tolist(),
                 "slope": slope,
             },
         )

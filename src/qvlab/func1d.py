@@ -11,11 +11,14 @@ are one comparison with three figures of merit.  Each audit reads its family
 once and checks it whole, then `_evaluate`, the one block evaluator, takes
 it `BLOCK_ROWS` rows at a time: one energy prefix per audit, one boundary
 check per block, and the mode's figure and skip rule.  The standard family
-(`audit_intervals`) is itself built from `BLOCK_ROWS`-row blocks, so the
-acceptance criteria that reduce over it (`_audit_supremum`, a running max)
-never hold the family or a report, and a family of more than
-`MAX_FAMILY_ROWS` rows is refused before any of it exists.  `writers` writes
-the reports.
+(`audit_intervals`) is itself built from `BLOCK_ROWS`-row blocks, whose
+cell edges never leave the domain, so the acceptance criteria that reduce
+over it (`_audit_supremum`, a running max) never hold the family or a
+report.  `_check_family_rows` is the one size gate: the standard family,
+counted from the function's breakpoints and the depth, and the CLI's omega
+family, counted from its radii and centers, are refused above
+`MAX_FAMILY_ROWS` rows before any of them exists.  `writers` writes the
+reports.
 """
 
 from __future__ import annotations
@@ -494,20 +497,23 @@ def _family_rows(m: int, depth: int) -> int:
     return m * (m - 1) // 2 + 2 ** (depth + 1) - 1 + (3 ** (depth + 1) - 1) // 2
 
 
-def _check_family_size(m: int, depth: int) -> None:
-    """Refuse, before any of it exists, a standard family of more than
-    MAX_FAMILY_ROWS rows."""
-    if depth < 0:
-        raise ValueError(f"depth must be nonnegative, got {depth!r}")
-    # Past 2**32 breakpoints or depth 32 the family is far above the limit;
-    # its size is then counted there, as a lower bound, to keep the integers small.
-    capped = (min(m, 2**32), min(depth, 32))
-    rows = _family_rows(*capped)
+def _check_family_rows(rows: int, exact: bool = True) -> None:
+    """Refuse, before any of it exists, an audit family of more than
+    MAX_FAMILY_ROWS rows; `exact` is False when `rows` is a lower bound."""
     if rows > MAX_FAMILY_ROWS:
-        count = f"{rows}" if capped == (m, depth) else f"more than {rows}"
+        count = f"{rows}" if exact else f"more than {rows}"
         raise FamilySizeError(
             f"the audit family would have {count} rows; at most MAX_FAMILY_ROWS = {MAX_FAMILY_ROWS} are allowed"
         )
+
+
+def _check_family_size(m: int, depth: int) -> None:
+    """Refuse a standard family over m breakpoints of more than MAX_FAMILY_ROWS rows."""
+    if depth < 0:
+        raise ValueError(f"depth must be nonnegative, got {depth!r}")
+    # Past depth 32 the family is far above the limit; its size is then
+    # counted there, as a lower bound, to keep the integers small.
+    _check_family_rows(_family_rows(m, min(depth, 32)), exact=depth <= 32)
 
 
 def _family_blocks(u: PiecewiseAffineQ, depth: int):
@@ -527,7 +533,8 @@ def _family_blocks(u: PiecewiseAffineQ, depth: int):
         for d in range(depth + 1):
             cells = base**d
             for start in range(0, cells, BLOCK_ROWS):
-                edges = lo + (hi - lo) * np.arange(start, min(start + BLOCK_ROWS, cells) + 1) / cells
+                # The last edge can round above hi: 0.1 * 3 / 3 > 0.1.
+                edges = np.minimum(lo + (hi - lo) * np.arange(start, min(start + BLOCK_ROWS, cells) + 1) / cells, hi)
                 yield edges[:-1], edges[1:]
 
 

@@ -69,12 +69,6 @@ class QPoint:
         """Build from scalars (n = 1) or coordinate sequences."""
         return cls(np.array([np.atleast_1d(v) for v in values], dtype=float))
 
-    @classmethod
-    def repeated(cls, value, count: int) -> "QPoint":
-        """The configuration carrying one point with multiplicity `count`."""
-        v = np.atleast_1d(np.asarray(value, dtype=float))
-        return cls(np.tile(v, (count, 1)))
-
     def sorted_values(self) -> np.ndarray:
         """Sorted coordinate values; only meaningful for n = 1."""
         if self.ambient_dim != 1:

@@ -1,8 +1,8 @@
 """The package's one CSV writer and one JSON writer, with one text policy.
 
 Both writers take the text of equal-length 1-D columns from `_column_texts`,
-`CHUNK_ROWS` rows at a time, so memory stays flat: a float's shortest repr
-("inf", "-inf" and "nan" when not finite), an int's or a bool's `str`.  CSV
+`CHUNK_ROWS` rows at a time, so memory stays flat: each value's `repr` (for a
+float its shortest round trip: "inf", "-inf" and "nan" when not finite).  CSV
 lines end in "\r\n"; no value the package writes needs quoting.  JSON files
 have sorted keys, an indent of 2 and a trailing newline.  Strict JSON has no
 Infinity literal, so fields that can be infinite go through `json_float`,
@@ -33,10 +33,8 @@ def _column_texts(columns: Sequence) -> Iterator[list[list[str]]]:
     length = columns[0].size if columns else 0
     if any(c.shape != (length,) for c in columns):
         raise ValueError("columns must be 1-D and of equal length")
-    formats = [float.__repr__ if c.dtype.kind == "f" else str for c in columns]
-    step = CHUNK_ROWS
-    return ([list(map(f, c[start : start + step].tolist())) for c, f in zip(columns, formats)]
-            for start in range(0, length, step))
+    return ([list(map(repr, c[start : start + CHUNK_ROWS].tolist())) for c in columns]
+            for start in range(0, length, CHUNK_ROWS))
 
 
 def write_csv(path, header: Sequence[str], columns: Sequence) -> None:

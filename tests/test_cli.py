@@ -114,30 +114,29 @@ class TestAudit:
 
     @pytest.mark.parametrize("mode", ["quasi", "almost"])
     @pytest.mark.parametrize(
-        "args, count",
+        "args, message",
         [
-            (["cantor-diamond", "--level", "12"], "76284393"),
-            (["diamond", "--depth", "16"], "64701155"),
-            (["cantor-losange", "--level", "40", "--depth", "2"], "more than"),
+            (["cantor-diamond", "--level", "12"], "the audit family would have 76284393 rows"),
+            (["diamond", "--depth", "16"], "the audit family would have 64701155 rows"),
+            # a level past the construction's bound is refused before any family is counted
+            (["cantor-losange", "--level", "40", "--depth", "2"], "level must lie in [1, MAX_LEVEL = 17], got 40"),
         ],
         ids=["level", "depth", "level-40"],
     )
-    def test_oversized_family_is_usage_error(self, tmp_path, capsys, mode, args, count):
+    def test_oversized_family_is_usage_error(self, tmp_path, capsys, mode, args, message):
         out = tmp_path / "audit.csv"
         code = cli.main(["audit", *args, "--mode", mode, "--out", str(out)])
         assert code == 2
-        assert f"the audit family would have {count}" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
-    def test_cantor_breakpoint_count(self):
-        # The CLI sizes a Cantor audit family from the level alone.
-        from qvlab import constructions as cons
-
-        for level in range(1, 6):
-            for flavor in ("diamond", "losange"):
-                for schedule in ("ternary", "fat"):
-                    u = cons.cantor_level(cons.CantorConstruction(level, flavor, schedule))
-                    assert u.breakpoints.size == 3 * 2**level - 1
+    def test_oversized_omega_family_is_usage_error(self, tmp_path, capsys):
+        # four default radii times 10^12 centers, refused before any center exists
+        out = tmp_path / "omega.csv"
+        code = cli.main(["audit", "sin", "--mode", "omega", "--centers", "1000000000000", "--out", str(out)])
+        assert code == 2
+        assert "the audit family would have 4000000000000 rows" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_omega_balls_are_radius_major(self, tmp_path):
         # the double line has positive energy on every ball, so no ball is skipped
@@ -150,6 +149,30 @@ class TestAudit:
         assert rows == [
             ["0.2", "0.2"], ["0.5", "0.2"], ["0.8", "0.2"], ["0.1", "0.1"], ["0.5", "0.1"], ["0.9", "0.1"]
         ]
+
+
+class TestLevelBound:
+    """Every command that takes --level refuses one past MAX_LEVEL before writing anything."""
+
+    @pytest.mark.parametrize("level", ["18", "40"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["example"],
+            ["branch", "--grid", "101"],
+            ["decay", "--center", "0.4", "--r0", "0.05"],
+            ["audit", "--mode", "omega"],
+            ["audit", "--mode", "quasi"],
+        ],
+        ids=["example", "branch", "decay", "audit-omega", "audit-quasi"],
+    )
+    def test_level_above_bound_is_usage_error(self, tmp_path, capsys, command, level):
+        out = tmp_path / "out.csv"
+        name = "fat-cantor-losange" if command[0] == "example" else "cantor-diamond"
+        code = cli.main([command[0], name, *command[1:], "--level", level, "--out", str(out)])
+        assert code == 2
+        assert f"level must lie in [1, MAX_LEVEL = 17], got {level}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestBranchAndDecay:

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from qvlab import constructions
 from qvlab.constructions import (
+    MAX_LEVEL,
     CantorConstruction,
     cantor_level,
     cantor_limit,
@@ -22,6 +24,7 @@ from qvlab.constructions import (
 )
 from qvlab.func1d import (
     DomainError,
+    PiecewiseAffineQ,
     audit_intervals,
     branch_values,
     dirichlet_energy,
@@ -103,6 +106,62 @@ class TestRemovalSchedules:
         total = sum(b - a for a, b in kept) + sum(iv.b - iv.a for iv in removed)
         assert total == pytest.approx(1.0, rel=1e-12)
         assert len(kept) == 8
+
+
+def reference_diamond_level(spec):
+    """The diamond builder with one mask pass per removed interval."""
+    removed = spec.removed_intervals()
+    anchor = min(iv.a for iv in removed if iv.step == 1)
+    bps = {0.0, 1.0}
+    for iv in removed:
+        bps.update((iv.a, 0.5 * (iv.a + iv.b), iv.b))
+    bps = np.array(sorted(bps))
+    mids = 0.5 * (bps[:-1] + bps[1:])
+    lower_slope = np.ones(mids.size)
+    upper_slope = np.ones(mids.size)
+    for iv in removed:
+        mid = 0.5 * (iv.a + iv.b)
+        lower_slope[(mids > iv.a) & (mids < mid)] = 0.0
+        upper_slope[(mids >= mid) & (mids < iv.b)] = 0.0
+    seg = np.diff(bps)
+    lower = np.concatenate(([0.0], np.cumsum(lower_slope * seg)))
+    upper = np.concatenate(([0.0], np.cumsum(upper_slope * seg)))
+    k = int(np.searchsorted(bps, anchor))
+    lower -= lower[k]
+    upper -= upper[k]
+    return PiecewiseAffineQ(bps, np.vstack((np.minimum(lower, upper), np.maximum(lower, upper))))
+
+
+class TestCantorLevelBound:
+    def test_levels_outside_the_bound_are_refused(self):
+        message = rf"level must lie in \[1, MAX_LEVEL = {MAX_LEVEL}\]"
+        for build in (
+            lambda: CantorConstruction(MAX_LEVEL + 1, "diamond"),
+            lambda: ternary_removed_intervals(MAX_LEVEL + 1),
+            lambda: fat_removed_intervals(40),
+            lambda: CantorConstruction(0, "losange", "fat"),
+            lambda: ternary_removed_intervals(0),
+        ):
+            with pytest.raises(ValueError, match=message):
+                build()
+
+    def test_cantor_breakpoint_count(self):
+        # Every flavor and schedule has 3 * 2^L - 1 breakpoints up to the bound.
+        assert MAX_LEVEL == 17
+        for level in [1, 2, 3, 4, 5, MAX_LEVEL]:
+            for flavor in ("diamond", "losange"):
+                for schedule in ("ternary", "fat"):
+                    u = cantor_level(CantorConstruction(level, flavor, schedule))
+                    assert u.breakpoints.size == 3 * 2**level - 1
+
+    @pytest.mark.parametrize("schedule", ["ternary", "fat"])
+    def test_diamond_matches_the_reference_builder(self, schedule):
+        for level in range(1, 13):
+            spec = CantorConstruction(level, "diamond", schedule)
+            got = constructions._diamond_level(spec)
+            want = reference_diamond_level(spec)
+            assert np.array_equal(got.breakpoints.view(np.uint64), want.breakpoints.view(np.uint64))
+            assert np.array_equal(got.branches.view(np.uint64), want.branches.view(np.uint64))
 
 
 class TestCantorDiamond:
