@@ -1,80 +1,13 @@
-"""qvlab: a numerical laboratory for multi-branch (Q-valued) functions."""
+"""qvlab: a numerical laboratory for multi-branch (Q-valued) functions.
 
-from .qspace import (
-    QPoint,
-    ClusterSelection,
-    RetractionParams,
-    DimensionMismatchError,
-    metric_g,
-    support_with_multiplicity,
-    sigma,
-    c_of_q,
-    c2_of_q,
-    select_clusters,
-    semi_retraction,
-)
-from .func1d import (
-    PiecewiseAffineQ,
-    StepWeight,
-    AuditRecord,
-    MinimalityReport,
-    DomainError,
-    EmptyIntervalError,
-    FamilySizeError,
-    UnsupportedCodimensionError,
-    UndefinedExponentError,
-    evaluate,
-    branch_values,
-    dirichlet_energy,
-    exact_minimizer,
-    minimizer_energy,
-    matching_distance_sq,
-    quasi_k_ratio,
-    omega_profile,
-    omega_report,
-    almost_deficiency,
-    energy_decay_exponent,
-    audit_intervals,
-    balls_from_intervals,
-    rescale_domain,
-)
-from .constructions import (
-    CantorConstruction,
-    CantorLimit,
-    make_diamond,
-    make_losange,
-    make_double_line,
-    make_pluri_losange,
-    ternary_removed_intervals,
-    fat_removed_intervals,
-    fat_residual_length,
-    cantor_level,
-    cantor_limit,
-    sin_dir_u,
-    sin_dir_v_identity,
-    sin_w_ratio,
-    omega_sin,
-    sin_sampled,
-    SIN_HALF_WIDTH,
-)
-from .branch import (
-    BranchScan,
-    DimensionReport,
-    UndefinedDimensionError,
-    scan,
-    box_counts,
-    box_dimension,
-    dimension_report,
-    measure_at_scale,
-)
-from .disk2d import (
-    CircleTraceQ,
-    DiskMinimizer,
-    AliasingError,
-    sorted_trace,
-    minimize_disk,
-    check_squeeze_2d,
-    decay_profile_2d,
-)
+The package exports the union of the `__all__` lists of its five library
+modules; each name is declared there and only there.
+"""
+
+from .qspace import *  # noqa: F401,F403
+from .func1d import *  # noqa: F401,F403
+from .constructions import *  # noqa: F401,F403
+from .branch import *  # noqa: F401,F403
+from .disk2d import *  # noqa: F401,F403
 
 __version__ = "0.1.0"

@@ -1,10 +1,12 @@
 """Executable acceptance checks for the whole laboratory.
 
 Each criterion is a self-contained function with fixed seeds and pinned
-tolerances returning a CheckResult; `run_all` prints one PASS/FAIL line per
-criterion on stdout and its wall time on stderr.  The pytest suite asserts
-the same results, and the command-line `verify-all` subcommand drives them
-with exit code 0 only if every check passes.  The audit criteria 3, 4 and 7
+tolerances returning (passed, detail).  A criterion's number and name are
+declared once, in `CRITERIA`, and `run_all` builds each CheckResult from
+that entry; it prints one PASS/FAIL line per criterion on stdout and its
+wall time on stderr.  The pytest suite asserts the same results, and the
+command-line `verify-all` subcommand drives them with exit code 0 only if
+every check passes.  The audit criteria 3, 4 and 7
 reduce over the standard family a block at a time and never hold it whole.
 """
 
@@ -48,7 +50,7 @@ def _exhaustive_distance(pa: np.ndarray, pb: np.ndarray) -> float:
     return math.sqrt(best)
 
 
-def check_metric_oracle() -> CheckResult:
+def check_metric_oracle() -> tuple[bool, str]:
     """metric_g equals the exhaustive-permutation minimum (Q <= 6, n <= 3)."""
     rng = np.random.default_rng(12001)
     worst = 0.0
@@ -63,10 +65,10 @@ def check_metric_oracle() -> CheckResult:
             worst = max(worst, abs(got - ref) / ref)
         else:
             worst = max(worst, abs(got - ref))
-    return CheckResult(1, "metric-oracle", worst <= 1e-12, f"worst relative error {worst:.3e} (tol 1e-12)")
+    return worst <= 1e-12, f"worst relative error {worst:.3e} (tol 1e-12)"
 
 
-def check_minimizer_exactness() -> CheckResult:
+def check_minimizer_exactness() -> tuple[bool, str]:
     """Interval minimizer energy matches the closed form and beats 1e5 competitors."""
     rng = np.random.default_rng(12002)
     worst_rel = 0.0
@@ -98,15 +100,12 @@ def check_minimizer_exactness() -> CheckResult:
         trials += energies.size
         beaten += int(np.sum(energies < closed * (1 - 1e-12)))
     passed = worst_rel <= 1e-12 and beaten == 0
-    return CheckResult(
-        2,
-        "minimizer-exactness",
-        passed,
-        f"worst closed-form error {worst_rel:.3e} (tol 1e-12); {beaten} of {trials} competitors beat the minimizer",
+    return passed, (
+        f"worst closed-form error {worst_rel:.3e} (tol 1e-12); {beaten} of {trials} competitors beat the minimizer"
     )
 
 
-def check_pluri_diamond_bound() -> CheckResult:
+def check_pluri_diamond_bound() -> tuple[bool, str]:
     """Quasiminimality factor of diamond refinements stays below 4."""
     worst_sup = 0.0
     for level in range(1, 9):
@@ -121,16 +120,13 @@ def check_pluri_diamond_bound() -> CheckResult:
         and abs(level1_sup - 2.0) <= 1e-9
         and abs(level1_witness - 2.0) <= 1e-12
     )
-    return CheckResult(
-        3,
-        "pluri-diamond-bound",
-        passed,
+    return passed, (
         f"sup over levels 1-8 = {worst_sup:.12f} (<= 4+1e-9); level-1 sup {level1_sup:.12f}, "
-        f"ratio on (1/3, 2/3) = {level1_witness:.15f}",
+        f"ratio on (1/3, 2/3) = {level1_witness:.15f}"
     )
 
 
-def check_endpoint_gap() -> CheckResult:
+def check_endpoint_gap() -> tuple[bool, str]:
     """Squared endpoint distance of diamond refinements dominates (b-a)^2 / 2."""
     worst = np.inf
     for level in range(1, 9):
@@ -142,10 +138,10 @@ def check_endpoint_gap() -> CheckResult:
     # The inequality is exact; the 1e-9 guard absorbs interpolation rounding
     # at micro-intervals (measured deficit is below 1e-10).
     passed = worst >= 1.0 - 1e-9
-    return CheckResult(4, "endpoint-gap", passed, f"min gsq / ((b-a)^2/2) = {worst:.12f} (>= 1 - 1e-9)")
+    return passed, f"min gsq / ((b-a)^2/2) = {worst:.12f} (>= 1 - 1e-9)"
 
 
-def check_sin_inequality() -> CheckResult:
+def check_sin_inequality() -> tuple[bool, str]:
     """Normalized single-branch ratio stays below one, peaking at the domain ends."""
     delta = 5e-4
     half = cons.SIN_HALF_WIDTH
@@ -161,16 +157,13 @@ def check_sin_inequality() -> CheckResult:
                 best, arg = f, (float(x), float(r))
     near_edge = abs(half - abs(arg[0])) <= 1e-3
     passed = best <= 1.0 + 1e-12 and near_edge
-    return CheckResult(
-        5,
-        "sin-inequality",
-        passed,
+    return passed, (
         f"max W sin^2(r)/r^2 = {best:.15f} (<= 1+1e-12) at x = {arg[0]:+.6f}, r = {arg[1]:.2e}; "
-        f"|x| within 1e-3 of pi/4: {near_edge}",
+        f"|x| within 1e-3 of pi/4: {near_edge}"
     )
 
 
-def check_omega_decay() -> CheckResult:
+def check_omega_decay() -> tuple[bool, str]:
     """omega_sin decreases strictly to zero as r decreases on (0, 1]."""
     rs = np.linspace(1.0, 1e-4, 500)
     vals = np.array([cons.omega_sin(float(r)) for r in rs])
@@ -178,16 +171,13 @@ def check_omega_decay() -> CheckResult:
     at_001 = cons.omega_sin(0.01)
     tail = vals[-1]
     passed = monotone and at_001 <= 3.4e-5 and tail <= 1e-8
-    return CheckResult(
-        6,
-        "omega-decay",
-        passed,
+    return passed, (
         f"strictly decreasing along r down: {monotone}; omega(0.01) = {at_001:.4e} (<= 3.4e-5); "
-        f"omega(1e-4) = {tail:.2e}",
+        f"omega(1e-4) = {tail:.2e}"
     )
 
 
-def check_losange_almost() -> CheckResult:
+def check_losange_almost() -> tuple[bool, str]:
     """Additive-allowance constant of losange refinements stays below 2."""
     worst = 0.0
     for level in range(1, 9):
@@ -197,16 +187,13 @@ def check_losange_almost() -> CheckResult:
     full_ball = func1d.almost_deficiency(single, 0.5, [(0.5, 0.5)]).supremum
     exact_sqrt2 = abs(full_ball - math.sqrt(2.0)) <= 1e-12
     passed = worst <= 2.0 and exact_sqrt2
-    return CheckResult(
-        7,
-        "losange-almost",
-        passed,
+    return passed, (
         f"sup deficiency over levels 1-8 = {worst:.12f} (<= 2); full-losange ball = {full_ball:.15f} "
-        f"(= sqrt(2) to 1e-12: {exact_sqrt2})",
+        f"(= sqrt(2) to 1e-12: {exact_sqrt2})"
     )
 
 
-def check_branch_dimension() -> CheckResult:
+def check_branch_dimension() -> tuple[bool, str]:
     """Box dimension, vanishing ternary measure, fat residual lower bound."""
     approx, _ = cons.cantor_limit("diamond", 10)
     sc = branchmod.scan(approx, 3**10 + 1)
@@ -226,16 +213,13 @@ def check_branch_dimension() -> CheckResult:
     fat_ok = fat_measure >= residual - 0.02
 
     passed = dim_ok and ternary_ok and fat_ok
-    return CheckResult(
-        8,
-        "branch-dimension",
-        passed,
+    return passed, (
         f"box dimension {slope:.4f} in [0.60, 0.66]: {dim_ok}; ternary measures {np.round(measures, 4).tolist()} "
-        f"decreasing to <= 0.1: {ternary_ok}; fat measure {fat_measure:.4f} >= {residual:.4f} - 0.02: {fat_ok}",
+        f"decreasing to <= 0.1: {ternary_ok}; fat measure {fat_measure:.4f} >= {residual:.4f} - 0.02: {fat_ok}"
     )
 
 
-def check_energy_decay() -> CheckResult:
+def check_energy_decay() -> tuple[bool, str]:
     """Decay exponent of the level-8 diamond refinement beats 1/(K Q) = 1/8."""
     rng = np.random.default_rng(12009)
     u = cons.cantor_level(cons.CantorConstruction(8, "diamond"))
@@ -245,9 +229,7 @@ def check_energy_decay() -> CheckResult:
     ]
     low = min(slopes)
     passed = low >= 1.0 / 8.0 - 0.01
-    return CheckResult(
-        9, "energy-decay", passed, f"min slope over 20 random centers = {low:.4f} (>= 1/8 - 0.01 = {1/8 - 0.01:.4f})"
-    )
+    return passed, f"min slope over 20 random centers = {low:.4f} (>= 1/8 - 0.01 = {1/8 - 0.01:.4f})"
 
 
 def _random_trace(rng: np.random.Generator) -> disk2d.CircleTraceQ:
@@ -266,7 +248,7 @@ def _random_trace(rng: np.random.Generator) -> disk2d.CircleTraceQ:
     return disk2d.sorted_trace(np.array(rows), n, 64)
 
 
-def check_squeeze_2d() -> CheckResult:
+def check_squeeze_2d() -> tuple[bool, str]:
     """Interior energy never exceeds Q r times the boundary energy."""
     rng = np.random.default_rng(12010)
     worst = np.inf
@@ -276,11 +258,8 @@ def check_squeeze_2d() -> CheckResult:
     pure = disk2d.minimize_disk(disk2d.sorted_trace(lambda t: [math.cos(t)], 512, 64))
     _, pure_margin = disk2d.check_squeeze_2d(pure)
     passed = worst >= 0.0 and abs(pure_margin) <= 1e-12
-    return CheckResult(
-        10,
-        "squeeze-2d",
-        passed,
-        f"min margin over 200 random sorted traces = {worst:.6e} (>= 0); pure k=1 margin = {pure_margin:.3e}",
+    return passed, (
+        f"min margin over 200 random sorted traces = {worst:.6e} (>= 0); pure k=1 margin = {pure_margin:.3e}"
     )
 
 
@@ -304,7 +283,7 @@ def _random_selection(rng: np.random.Generator, q: int, n: int) -> qspace.Cluste
     )
 
 
-def check_retraction_contract() -> CheckResult:
+def check_retraction_contract() -> tuple[bool, str]:
     """Identity inside s1, collapse beyond s2, contraction, sampled Lipschitz bound."""
     rng = np.random.default_rng(12011)
     violations = 0
@@ -343,16 +322,13 @@ def check_retraction_contract() -> CheckResult:
         if lhs > rhs * (1.0 + 1e-9):
             lip_violations += 1
     passed = violations == 0 and lip_violations == 0
-    return CheckResult(
-        11,
-        "retraction-contract",
-        passed,
+    return passed, (
         f"{violations} contract violations over 500 configurations; "
-        f"{lip_violations} Lipschitz-bound violations over 1000 pairs",
+        f"{lip_violations} Lipschitz-bound violations over 1000 pairs"
     )
 
 
-def check_cluster_selection() -> CheckResult:
+def check_cluster_selection() -> tuple[bool, str]:
     """Separation, collapse distance, single-cluster diameter, sampled cover."""
     rng = np.random.default_rng(12012)
     violations = 0
@@ -392,16 +368,13 @@ def check_cluster_selection() -> CheckResult:
             if qspace.metric_g(z, q0) > sel.radius + 1e-9:
                 z_violations += 1
     passed = violations == 0 and z_violations == 0
-    return CheckResult(
-        12,
-        "cluster-selection",
-        passed,
+    return passed, (
         f"{violations} deterministic violations over 200 instances; "
-        f"{z_violations} cover violations over 20000 sampled nearby configurations",
+        f"{z_violations} cover violations over 20000 sampled nearby configurations"
     )
 
 
-CRITERIA: list[tuple[int, str, Callable[[], CheckResult]]] = [
+CRITERIA: list[tuple[int, str, Callable[[], tuple[bool, str]]]] = [
     (1, "metric-oracle", check_metric_oracle),
     (2, "minimizer-exactness", check_minimizer_exactness),
     (3, "pluri-diamond-bound", check_pluri_diamond_bound),
@@ -417,16 +390,15 @@ CRITERIA: list[tuple[int, str, Callable[[], CheckResult]]] = [
 ]
 
 
-def run_all(echo=print) -> list[CheckResult]:
-    """Run every criterion in order.  Each result line goes to `echo` and,
-    unless `echo` is None, the criterion's wall time to stderr."""
+def run_all() -> list[CheckResult]:
+    """Run every criterion in order: its result line goes to stdout and its
+    wall time to stderr."""
     results = []
     for number, name, fn in CRITERIA:
         start = time.perf_counter()
-        result = fn()
+        passed, detail = fn()
         seconds = time.perf_counter() - start
-        results.append(result)
-        if echo is not None:
-            echo(result.line())
-            print(f"[time] {number} {name} {seconds:.3f} s", file=sys.stderr)
+        results.append(CheckResult(number, name, passed, detail))
+        print(results[-1].line())
+        print(f"[time] {number} {name} {seconds:.3f} s", file=sys.stderr)
     return results

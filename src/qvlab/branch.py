@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .func1d import PiecewiseAffineQ, branch_values
+from .func1d import PiecewiseAffineQ, _check_rows, branch_values
 from .writers import write_csv
 
 __all__ = [
@@ -103,6 +103,7 @@ def scan(u: PiecewiseAffineQ, grid_size: int, tol: float | None = None) -> Branc
     """
     if grid_size < 3:
         raise ValueError("grid_size must be at least 3")
+    _check_rows(grid_size, "the scan grid")
     lo, hi = u.domain
     if tol is None:
         spread = float(u.branches.max() - u.branches.min())
@@ -136,8 +137,8 @@ def box_counts(scan_result: BranchScan, scales) -> np.ndarray:
     lo = float(scan_result.grid[0])
     counts = []
     for eps in scales:
-        if not eps > 0:
-            raise ValueError(f"box sizes must be positive, got {eps!r}")
+        if not (eps > 0 and np.isfinite(eps)):
+            raise ValueError(f"box sizes must be positive and finite, got {float(eps)!r}")
         counts.append(np.unique(np.floor((xs - lo) / eps).astype(np.int64)).size)
     return np.array(counts)
 
@@ -166,8 +167,8 @@ class DimensionReport:
 def dimension_report(scan_result: BranchScan, scales) -> DimensionReport:
     """Box counts at each scale, the fitted slope and its r^2."""
     scales = np.asarray(list(scales), dtype=float)
-    if scales.size < 2:
-        raise ValueError("need at least two scales for a dimension fit")
+    if np.unique(scales).size < 2:
+        raise ValueError("need at least two distinct scales for a dimension fit")
     counts = box_counts(scan_result, scales)
     logx = np.log(1.0 / scales)
     logy = np.log(counts)

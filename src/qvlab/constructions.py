@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .func1d import DomainError, PiecewiseAffineQ
+from .func1d import DomainError, PiecewiseAffineQ, _check_rows
 
 __all__ = [
     "RemovedInterval",
@@ -345,6 +345,7 @@ def sin_sampled(n: int = 4097) -> PiecewiseAffineQ:
     function's only branch point."""
     if n < 2:
         raise ValueError("need at least two samples")
+    _check_rows(n, "the sine sample grid")
     xs = np.linspace(-SIN_HALF_WIDTH, SIN_HALF_WIDTH, n)
     s = np.sin(xs)
     return PiecewiseAffineQ(xs, np.vstack((np.minimum(xs, s), np.maximum(xs, s))))

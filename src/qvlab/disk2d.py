@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .func1d import _check_rows
 from .writers import write_json
 
 __all__ = [
@@ -83,6 +84,8 @@ def sorted_trace(values, sample_count: int, mode_cap: int, radius: float = 1.0) 
         raise AliasingError(f"need at least {2 * mode_cap + 1} samples for {mode_cap} modes")
     if not (np.isfinite(radius) and radius > 0):
         raise ValueError("radius must be positive and finite")
+    basis = f"the Fourier basis of {mode_cap + 1} modes x {sample_count} samples"
+    _check_rows((mode_cap + 1) * sample_count, basis, "values")
     angles = 2.0 * np.pi * np.arange(sample_count) / sample_count
     if callable(values):
         raw = np.array([np.atleast_1d(values(t)) for t in angles], dtype=float).T

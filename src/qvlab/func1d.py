@@ -14,11 +14,11 @@ check per block, and the mode's figure and skip rule.  The standard family
 (`audit_intervals`) is itself built from `BLOCK_ROWS`-row blocks, whose
 cell edges never leave the domain, so the acceptance criteria that reduce
 over it (`_audit_supremum`, a running max) never hold the family or a
-report.  `_check_family_rows` is the one size gate: the standard family,
-counted from the function's breakpoints and the depth, and the CLI's omega
-family, counted from its radii and centers, are refused above
-`MAX_FAMILY_ROWS` rows before any of them exists.  `writers` writes the
-reports.
+report.  `_check_rows` is the one size gate: the standard family, counted
+from the function's breakpoints and the depth, the CLI's omega family,
+counted from its radii and centers, and every sample grid, scan grid and
+Fourier basis sized by input are refused above `MAX_FAMILY_ROWS` before any
+of them exists.  `writers` writes the reports.
 """
 
 from __future__ import annotations
@@ -77,7 +77,8 @@ class EmptyIntervalError(ValueError):
 
 
 class FamilySizeError(ValueError):
-    """An audit family would have more than MAX_FAMILY_ROWS rows."""
+    """An audit family, or a sample grid, scan grid or Fourier basis sized by
+    input, would exceed MAX_FAMILY_ROWS."""
 
 
 class UnsupportedCodimensionError(ValueError):
@@ -174,9 +175,10 @@ class StepWeight:
 
 
 def _check_in_domain(u: PiecewiseAffineQ, x) -> None:
+    """Refuse unless lo <= x <= hi holds for every value; NaN fails it."""
     lo, hi = u.domain
     x = np.asarray(x, dtype=float)
-    if np.any(x < lo) or np.any(x > hi):
+    if not np.all((x >= lo) & (x <= hi)):
         raise DomainError(f"point outside domain [{lo}, {hi}]")
 
 
@@ -238,6 +240,20 @@ def matching_distance_sq(u: PiecewiseAffineQ, a, b) -> np.ndarray:
     return ((vb - va) ** 2).sum(axis=0)
 
 
+def _sorted_boundary(boundary_a: QPoint, boundary_b: QPoint, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted values of the boundary tuples of an interval minimizer, once
+    both are real, they share Q, and the ends are finite with a < b."""
+    if boundary_a.ambient_dim != 1 or boundary_b.ambient_dim != 1:
+        raise UnsupportedCodimensionError("interval minimizers exist in closed form only for n = 1")
+    if boundary_a.q_count != boundary_b.q_count:
+        raise ValueError("boundary tuples must share Q")
+    if not (np.isfinite(a) and np.isfinite(b)):
+        raise DomainError(f"interval ends must be finite, got [{a}, {b}]")
+    if not a < b:
+        raise EmptyIntervalError(f"empty interval [{a}, {b}]")
+    return boundary_a.sorted_values(), boundary_b.sorted_values()
+
+
 def exact_minimizer(boundary_a: QPoint, boundary_b: QPoint, a: float, b: float) -> PiecewiseAffineQ:
     """The least-energy multi-branch function with the given boundary tuples.
 
@@ -246,23 +262,13 @@ def exact_minimizer(boundary_a: QPoint, boundary_b: QPoint, a: float, b: float) 
     tuples divided by (b - a) and is minimal among all competitors sharing
     the boundary values.
     """
-    if boundary_a.ambient_dim != 1 or boundary_b.ambient_dim != 1:
-        raise UnsupportedCodimensionError("interval minimizers exist in closed form only for n = 1")
-    if boundary_a.q_count != boundary_b.q_count:
-        raise ValueError("boundary tuples must share Q")
-    if not a < b:
-        raise EmptyIntervalError(f"empty interval [{a}, {b}]")
-    va = boundary_a.sorted_values()
-    vb = boundary_b.sorted_values()
+    va, vb = _sorted_boundary(boundary_a, boundary_b, a, b)
     return PiecewiseAffineQ(np.array([a, b]), np.column_stack((va, vb)))
 
 
 def minimizer_energy(boundary_a: QPoint, boundary_b: QPoint, a: float, b: float) -> float:
     """Closed-form minimal energy: squared matching distance over (b - a)."""
-    if not a < b:
-        raise EmptyIntervalError(f"empty interval [{a}, {b}]")
-    va = boundary_a.sorted_values()
-    vb = boundary_b.sorted_values()
+    va, vb = _sorted_boundary(boundary_a, boundary_b, a, b)
     return float(np.sum((vb - va) ** 2) / (b - a))
 
 
@@ -497,13 +503,14 @@ def _family_rows(m: int, depth: int) -> int:
     return m * (m - 1) // 2 + 2 ** (depth + 1) - 1 + (3 ** (depth + 1) - 1) // 2
 
 
-def _check_family_rows(rows: int, exact: bool = True) -> None:
-    """Refuse, before any of it exists, an audit family of more than
-    MAX_FAMILY_ROWS rows; `exact` is False when `rows` is a lower bound."""
+def _check_rows(rows: int, what: str = "the audit family", unit: str = "rows", exact: bool = True) -> None:
+    """The one size gate: refuse, before any of it exists, an array `what` of
+    more than MAX_FAMILY_ROWS `unit`; `exact` is False when `rows` is a lower
+    bound."""
     if rows > MAX_FAMILY_ROWS:
         count = f"{rows}" if exact else f"more than {rows}"
         raise FamilySizeError(
-            f"the audit family would have {count} rows; at most MAX_FAMILY_ROWS = {MAX_FAMILY_ROWS} are allowed"
+            f"{what} would have {count} {unit}; at most MAX_FAMILY_ROWS = {MAX_FAMILY_ROWS} are allowed"
         )
 
 
@@ -513,7 +520,7 @@ def _check_family_size(m: int, depth: int) -> None:
         raise ValueError(f"depth must be nonnegative, got {depth!r}")
     # Past depth 32 the family is far above the limit; its size is then
     # counted there, as a lower bound, to keep the integers small.
-    _check_family_rows(_family_rows(m, min(depth, 32)), exact=depth <= 32)
+    _check_rows(_family_rows(m, min(depth, 32)), exact=depth <= 32)
 
 
 def _family_blocks(u: PiecewiseAffineQ, depth: int):

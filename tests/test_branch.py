@@ -19,7 +19,7 @@ from qvlab.constructions import (
     make_double_line,
     sin_sampled,
 )
-from qvlab.func1d import PiecewiseAffineQ
+from qvlab.func1d import FamilySizeError, PiecewiseAffineQ
 
 
 class TestScan:
@@ -94,6 +94,10 @@ class TestScan:
         with pytest.raises(ValueError):
             scan(make_double_line(0.0, 1.0), 2)
 
+    def test_huge_grid_refused_before_it_exists(self):
+        with pytest.raises(FamilySizeError, match="the scan grid would have 1000000000000 rows"):
+            scan(make_double_line(0.0, 1.0), 10**12)
+
     def test_nan_tol_rejected(self):
         with pytest.raises(ValueError, match="tol"):
             scan(sin_sampled(257), 101, tol=float("nan"))
@@ -147,6 +151,20 @@ class TestBoxDimension:
         sc = scan(approx, 3**4 + 1)
         with pytest.raises(ValueError):
             dimension_report(sc, [0.1])
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_infinite_box_size_rejected(self, bad):
+        approx, _ = cantor_limit("diamond", 4)
+        sc = scan(approx, 3**4 + 1)
+        with pytest.raises(ValueError, match="box sizes must be positive and finite"):
+            box_counts(sc, [0.1, bad])
+
+    def test_repeated_scale_is_not_two_scales(self):
+        # a fit through two equal x values gave a slope with r_squared 1.0
+        approx, _ = cantor_limit("diamond", 3)
+        sc = scan(approx, 101)
+        with pytest.raises(ValueError, match="two distinct scales"):
+            dimension_report(sc, [0.1, 0.1])
 
     def test_report_fields(self):
         approx, _ = cantor_limit("diamond", 5)

@@ -175,7 +175,56 @@ class TestLevelBound:
         assert not out.exists()
 
 
+class TestCountBeforeAllocating:
+    """Every grid or basis whose size comes from a flag is counted against MAX_FAMILY_ROWS before it exists."""
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["example", "sin", "--samples", "1000000000000"], "the sine sample grid would have 1000000000000 rows"),
+            (["example", "diamond", "--samples", "1000000000000"], "the example grid would have 1000000000000 rows"),
+            (["branch", "diamond", "--grid", "1000000000000"], "the scan grid would have 1000000000000 rows"),
+            (
+                ["disk", "--trace", "single-cos", "--samples", "200000", "--modes", "99999"],
+                "the Fourier basis of 100000 modes x 200000 samples would have 20000000000 values",
+            ),
+        ],
+        ids=["example-sin", "example-grid", "branch-grid", "disk-basis"],
+    )
+    def test_oversized_array_is_usage_error(self, tmp_path, capsys, args, message):
+        out = tmp_path / "out.csv"
+        assert cli.main([*args, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    @pytest.mark.parametrize("command", [["example"], ["audit", "--mode", "quasi"]], ids=["example", "audit"])
+    def test_samples_below_one_is_usage_error(self, tmp_path, capsys, command, samples):
+        # --samples 0 used to fall back to the default grid without a word
+        out = tmp_path / "out.csv"
+        code = cli.main([command[0], "diamond", *command[1:], "--samples", samples, "--out", str(out)])
+        assert code == 2
+        assert f"--samples must be at least 1, got {samples}" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestBranchAndDecay:
+    @pytest.mark.parametrize(
+        "scales, message",
+        [("0.1,0.1", "need at least two distinct scales"), ("0.1,inf", "box sizes must be positive and finite")],
+        ids=["repeated", "infinite"],
+    )
+    def test_branch_degenerate_scales_are_usage_error(self, tmp_path, capsys, scales, message):
+        out = tmp_path / "branch.csv"
+        code = cli.main(
+            ["branch", "cantor-diamond", "--level", "3", "--grid", "101", "--scales", scales, "--out", str(out)]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "dimension=" not in captured.out
+        assert not out.exists()
+
     def test_branch_json(self, tmp_path):
         out = tmp_path / "branch.json"
         code = cli.main(
@@ -305,6 +354,64 @@ class TestConfig:
         path.write_text(json.dumps(cfg))
         assert cli.main(["--config", str(path)]) == 2
 
+    def test_unknown_key_is_refused_by_the_command_parser(self, tmp_path, capsys):
+        cfg = {"command": "example", "name": "losange", "out": str(tmp_path / "x.csv"), "bogus": 1}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.main(["--config", str(path)]) == 2
+        assert "unrecognized arguments: --bogus 1" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    # Per command: a config holding every one of its keys, and the same call as flags.
+    ALL_KEYS = {
+        "example": (
+            {"name": "cantor-diamond", "level": 2, "samples": 33, "format": "json"},
+            ["example", "cantor-diamond", "--level", "2", "--samples", "33", "--format", "json"],
+        ),
+        "audit": (
+            {"name": "cantor-losange", "mode": "omega", "alpha": 0.25, "depth": 3, "radii": [0.05, 0.1],
+             "centers": 5, "level": 2, "samples": 9, "format": "csv"},
+            ["audit", "cantor-losange", "--mode", "omega", "--alpha", "0.25", "--depth", "3", "--radii", "0.05,0.1",
+             "--centers", "5", "--level", "2", "--samples", "9", "--format", "csv"],
+        ),
+        "branch": (
+            {"name": "cantor-diamond", "grid": 82, "scales": [1 / 9, 1 / 27], "tol": 1e-9, "level": 3,
+             "samples": 5, "format": "json"},
+            ["branch", "cantor-diamond", "--grid", "82", "--scales", f"{1 / 9!r},{1 / 27!r}", "--tol", "1e-09",
+             "--level", "3", "--samples", "5", "--format", "json"],
+        ),
+        "decay": (
+            {"name": "cantor-diamond", "center": 0.4, "r0": 0.05, "scales": [1, 0.5, 0.25], "level": 3,
+             "samples": 7, "format": "csv"},
+            ["decay", "cantor-diamond", "--center", "0.4", "--r0", "0.05", "--scales", "1,0.5,0.25", "--level", "3",
+             "--samples", "7", "--format", "csv"],
+        ),
+        "disk": (
+            {"trace": "sqrt-type", "radius": 2.0, "samples": 64, "modes": 8, "format": "json"},
+            ["disk", "--trace", "sqrt-type", "--radius", "2.0", "--samples", "64", "--modes", "8", "--format", "json"],
+        ),
+    }
+
+    @pytest.mark.parametrize("command", sorted(ALL_KEYS))
+    def test_config_keys_are_the_flags(self, tmp_path, capsys, command):
+        keys, argv = self.ALL_KEYS[command]
+        assert cli.main([*argv, "--out", str(tmp_path / "flags.out")]) == 0
+        from_flags = capsys.readouterr()
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"command": command, **keys, "out": str(tmp_path / "config.out")}))
+        assert cli.main(["--config", str(path)]) == 0
+        assert capsys.readouterr() == from_flags
+        assert (tmp_path / "config.out").read_bytes() == (tmp_path / "flags.out").read_bytes()
+
+    def test_config_takes_the_abbreviations_the_command_line_takes(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        cfg = {"command": "example", "name": "diamond", "form": "json", "out": str(tmp_path / "a")}
+        path.write_text(json.dumps(cfg))
+        assert cli.main(["--config", str(path)]) == 0
+        assert cli.main(["example", "diamond", "--form", "json", "--out", str(tmp_path / "b")]) == 0
+        assert (tmp_path / "a").read_bytes() == (tmp_path / "b").read_bytes()
+        assert json.loads((tmp_path / "a").read_text())["name"] == "diamond"
+
     def test_config_with_extra_flags_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"command": "verify-all"}))
@@ -410,27 +517,49 @@ class TestGoldenBytes:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+class TestHelp:
+    """The named functions and traces are declared once and listed, in this order, by every --help."""
+
+    FUNCTIONS = (
+        "double-line", "diamond", "losange", "pluri-losange-demo", "sin",
+        "cantor-diamond", "cantor-losange", "fat-cantor-diamond", "fat-cantor-losange",
+    )
+    TRACES = ("single-cos", "shifted-pair", "sqrt-type", "constant")
+
+    def test_top_level_help(self, capsys):
+        assert cli.main(["--help"]) == 0
+        assert "{example,audit,branch,decay,disk,verify-all}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["example", "audit", "branch", "decay", "disk", "verify-all"])
+    def test_subcommand_help(self, capsys, command):
+        assert cli.main([command, "--help"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"usage: qvlab {command}")
+        if command in ("example", "audit", "branch", "decay"):
+            assert "{" + ",".join(self.FUNCTIONS) + "}" in out
+        if command == "disk":
+            assert "{" + ",".join(self.TRACES) + "}" in out
+
+    def test_named_functions_in_order(self):
+        assert cli.NAMED_FUNCTIONS == self.FUNCTIONS
+
+
 class TestVerifyAll:
     def test_exit_codes_follow_results(self, monkeypatch, capsys):
         from qvlab import acceptance
 
-        ok = CheckResult(1, "stub-pass", True, "fine")
-        monkeypatch.setattr(acceptance, "CRITERIA", [(1, "stub-pass", lambda: ok)])
+        monkeypatch.setattr(acceptance, "CRITERIA", [(1, "stub-pass", lambda: (True, "fine"))])
         assert cli.main(["verify-all"]) == 0
         assert "[PASS]" in capsys.readouterr().out
 
-        bad = CheckResult(2, "stub-fail", False, "broken")
-        monkeypatch.setattr(acceptance, "CRITERIA", [(2, "stub-fail", lambda: bad)])
+        monkeypatch.setattr(acceptance, "CRITERIA", [(2, "stub-fail", lambda: (False, "broken"))])
         assert cli.main(["verify-all"]) == 1
         assert "[FAIL]" in capsys.readouterr().out
 
     def test_criterion_times_go_to_stderr(self, monkeypatch, capsys):
         from qvlab import acceptance
 
-        stubs = [
-            (number, name, lambda number=number, name=name: CheckResult(number, name, True, "fine"))
-            for number, name, _ in acceptance.CRITERIA
-        ]
+        stubs = [(number, name, lambda: (True, "fine")) for number, name, _ in acceptance.CRITERIA]
         monkeypatch.setattr(acceptance, "CRITERIA", stubs)
         assert cli.main(["verify-all"]) == 0
         captured = capsys.readouterr()

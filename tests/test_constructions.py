@@ -24,6 +24,7 @@ from qvlab.constructions import (
 )
 from qvlab.func1d import (
     DomainError,
+    FamilySizeError,
     PiecewiseAffineQ,
     audit_intervals,
     branch_values,
@@ -328,6 +329,10 @@ class TestSinClosedForms:
 
 
 class TestSinSampled:
+    def test_huge_grid_refused_before_it_exists(self):
+        with pytest.raises(FamilySizeError, match="the sine sample grid would have 1000000000000 rows"):
+            sin_sampled(10**12)
+
     def test_origin_double_point(self):
         u = sin_sampled(4097)
         v = evaluate(u, 0.0)

@@ -11,6 +11,7 @@ from qvlab.disk2d import (
     minimize_disk,
     sorted_trace,
 )
+from qvlab.func1d import FamilySizeError
 
 
 def harmonic_value(trace, rho, theta):
@@ -87,6 +88,11 @@ class TestSortedTrace:
     def test_aliasing_guard(self):
         with pytest.raises(AliasingError):
             sorted_trace(lambda t: [np.cos(t)], 16, 8)
+
+    def test_huge_basis_refused_before_it_exists(self):
+        # the (modes + 1) x samples cosine and sine tables would take 149 GiB each
+        with pytest.raises(FamilySizeError, match="100000 modes x 200000 samples would have 20000000000 values"):
+            sorted_trace(lambda t: [np.cos(t)], 200000, 99999)
 
     def test_negative_mode_cap_rejected(self):
         with pytest.raises(ValueError, match="mode_cap must be nonnegative, got -1"):

@@ -69,6 +69,21 @@ class TestEvaluation:
         with pytest.raises(ValueError):
             PiecewiseAffineQ([0.0, 1.0], [[1.0, 1.0], [0.0, 0.0]])
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda u: branch_values(u, np.nan),
+            lambda u: matching_distance_sq(u, [np.nan], [0.5]),
+            lambda u: dirichlet_energy(u, np.nan, 1.0),
+            lambda u: dirichlet_energy(u, np.nan, 1.0, StepWeight([0.0, 0.5, 1.0], [1.0, 2.0])),
+        ],
+        ids=["branch_values", "matching_distance_sq", "dirichlet_energy", "dirichlet_energy-weighted"],
+    )
+    def test_nan_point_is_outside_the_domain(self, call):
+        # NaN fails lo <= x <= hi; it used to pass as inside and give nan (or 0.0 weighted)
+        with pytest.raises(DomainError, match=r"point outside domain \[0.0, 1.0\]"):
+            call(make_diamond(0.0, 1.0))
+
 
 class TestDirichletEnergy:
     def test_double_line(self):
@@ -173,6 +188,22 @@ class TestExactMinimizer:
         p = QPoint(np.zeros((2, 2)))
         with pytest.raises(UnsupportedCodimensionError):
             exact_minimizer(p, p, 0.0, 1.0)
+
+    @pytest.mark.parametrize("minimizer", [exact_minimizer, minimizer_energy])
+    @pytest.mark.parametrize(
+        "boundary_a, boundary_b, a, b, error, message",
+        [
+            (QPoint(np.zeros((2, 2))), QPoint(np.zeros((2, 2))), 0.0, 1.0, UnsupportedCodimensionError, "n = 1"),
+            (QPoint.of(0.0), QPoint.of(1.0, 2.0, 3.0), 0.0, 1.0, ValueError, "must share Q"),
+            (QPoint.of(0.0), QPoint.of(1.0), 0.0, np.inf, DomainError, "must be finite"),
+            (QPoint.of(0.0), QPoint.of(1.0), np.nan, 1.0, DomainError, "must be finite"),
+            (QPoint.of(0.0), QPoint.of(1.0), 1.0, 1.0, EmptyIntervalError, "empty interval"),
+        ],
+        ids=["codimension", "q-mismatch", "infinite-end", "nan-end", "empty"],
+    )
+    def test_both_minimizers_check_the_boundary_alike(self, minimizer, boundary_a, boundary_b, a, b, error, message):
+        with pytest.raises(error, match=message):
+            minimizer(boundary_a, boundary_b, a, b)
 
 
 @st.composite
@@ -573,6 +604,11 @@ class TestFamilySize:
     def test_huge_counts_are_bounded_below(self):
         with pytest.raises(FamilySizeError, match="would have more than"):
             func1d._check_family_size(3, 10**9)
+
+    def test_one_gate_names_what_it_counted(self):
+        func1d._check_rows(MAX_FAMILY_ROWS, "the scan grid")
+        with pytest.raises(FamilySizeError, match=r"^the scan grid would have 33554433 rows; at most"):
+            func1d._check_rows(MAX_FAMILY_ROWS + 1, "the scan grid")
 
 
 class TestAuditScaling:
