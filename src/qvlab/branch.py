@@ -157,8 +157,8 @@ class DimensionReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "scales": self.scales.tolist(),
-            "counts": self.counts.tolist(),
+            "scales": self.scales,
+            "counts": self.counts,
             "slope": self.slope,
             "r_squared": self.r_squared,
         }
@@ -190,8 +190,8 @@ def measure_at_scale(scan_result: BranchScan, eps: float) -> float:
     """
     grid = scan_result.grid
     spacing = float(grid[1] - grid[0])
-    if eps < spacing:
-        raise ValueError(f"eps must be at least the grid spacing {spacing}")
+    if not (spacing <= eps < np.inf):
+        raise ValueError(f"eps must be finite and at least the grid spacing {spacing}, got {eps!r}")
     xs = np.sort(scan_result.flagged_points())
     if xs.size == 0:
         return 0.0

@@ -68,15 +68,7 @@ def _cmd_example(args) -> int:
     if args.format == "csv":
         write_csv(args.out, ["x"] + [f"branch_{i + 1}" for i in range(u.q_count)], [xs, *values])
     else:
-        write_json(
-            args.out,
-            {
-                "name": args.name,
-                "level": args.level,
-                "x": xs.tolist(),
-                "branches": values.tolist(),
-            },
-        )
+        write_json(args.out, {"name": args.name, "level": args.level, "x": xs, "branches": values})
     return 0
 
 
@@ -121,18 +113,8 @@ def _cmd_branch(args) -> int:
     if args.format == "csv":
         sc.to_csv(args.out)
     else:
-        write_json(
-            args.out,
-            {
-                "scan": {
-                    "x": sc.grid.tolist(),
-                    "sigma": sc.sigma.tolist(),
-                    "flagged": sc.flags.tolist(),
-                    "tol": sc.tol,
-                },
-                "dimension": report.to_json_dict(),
-            },
-        )
+        scan = {"x": sc.grid, "sigma": sc.sigma, "flagged": sc.flags, "tol": sc.tol}
+        write_json(args.out, {"scan": scan, "dimension": report.to_json_dict()})
     print(f"branch {args.name} flagged={int(sc.flags.sum())} dimension={report.slope!r}")
     return 0
 
@@ -145,16 +127,9 @@ def _cmd_decay(args) -> int:
     if args.format == "csv":
         write_csv(args.out, ["scale", "radius", "energy"], [scales, scales * args.r0, energies])
     else:
-        write_json(
-            args.out,
-            {
-                "name": args.name,
-                "center": args.center,
-                "r0": args.r0,
-                "profile": np.column_stack((scales, energies)).tolist(),
-                "slope": slope,
-            },
-        )
+        profile = np.column_stack((scales, energies))
+        write_json(args.out, {"name": args.name, "center": args.center, "r0": args.r0, "profile": profile,
+                              "slope": slope})
     print(f"decay {args.name} center={args.center!r} slope={slope!r}")
     return 0
 

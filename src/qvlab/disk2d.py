@@ -88,7 +88,13 @@ def sorted_trace(values, sample_count: int, mode_cap: int, radius: float = 1.0) 
     _check_rows((mode_cap + 1) * sample_count, basis, "values")
     angles = 2.0 * np.pi * np.arange(sample_count) / sample_count
     if callable(values):
-        raw = np.array([np.atleast_1d(values(t)) for t in angles], dtype=float).T
+        q = len(np.atleast_1d(values(angles[0])))
+        raw = np.empty((sample_count, q)).T  # (Q, N) with each angle's column contiguous
+        for j, t in enumerate(angles):
+            column = np.atleast_1d(values(t))
+            if column.shape != (q,):
+                raise ValueError(f"the trace gave {q} values at angle 0 but shape {column.shape} at angle {t}")
+            raw[:, j] = column
     else:
         raw = np.asarray(values, dtype=float)
         if raw.ndim == 1:
@@ -142,10 +148,10 @@ class DiskMinimizer:
         return {
             "radius": self.trace.radius,
             "q_count": self.q_count,
-            "angles": self.trace.angles.tolist(),
-            "samples": self.trace.samples.tolist(),
-            "cos_coeffs": self.trace.cos_coeffs.tolist(),
-            "sin_coeffs": self.trace.sin_coeffs.tolist(),
+            "angles": self.trace.angles,
+            "samples": self.trace.samples,
+            "cos_coeffs": self.trace.cos_coeffs,
+            "sin_coeffs": self.trace.sin_coeffs,
             "truncation_residual": self.trace.truncation_residual,
             "dir_interior": self.dir_interior,
             "dir_boundary": self.dir_boundary,

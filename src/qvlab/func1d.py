@@ -29,7 +29,7 @@ from typing import Iterable, NamedTuple, Optional
 import numpy as np
 
 from .qspace import QPoint
-from .writers import json_float, write_csv, write_report_json
+from .writers import Records, json_float, write_csv, write_json
 
 __all__ = [
     "PiecewiseAffineQ",
@@ -306,14 +306,11 @@ class MinimalityReport:
         write_csv(path, AuditRecord._fields, self._columns())
 
     def to_json(self, path) -> None:
-        write_report_json(
-            path,
-            {"mode": self.mode, "alpha": self.alpha, "supremum": json_float(self.supremum)},
-            AuditRecord._fields,
-            self._columns(),
-            self.witness,
-            inf_fields=("figure_of_merit",),
-        )
+        w = self.witness
+        witness = None if w is None else {**w._asdict(), "figure_of_merit": json_float(w.figure_of_merit)}
+        records = Records(AuditRecord._fields, self._columns(), inf_fields=("figure_of_merit",))
+        write_json(path, {"mode": self.mode, "alpha": self.alpha, "supremum": json_float(self.supremum),
+                          "witness": witness, "records": records})
 
 
 def _witness_index(centers, radii, figure, supremum) -> int:
@@ -564,6 +561,6 @@ def balls_from_intervals(intervals) -> np.ndarray:
 
 def rescale_domain(u: PiecewiseAffineQ, scale: float) -> PiecewiseAffineQ:
     """Stretch the domain by `scale` > 0, keeping branch values."""
-    if scale <= 0:
-        raise ValueError("scale must be positive")
+    if not (0 < scale < np.inf):
+        raise ValueError(f"scale must be positive and finite, got {scale!r}")
     return PiecewiseAffineQ(u.breakpoints * scale, u.branches)

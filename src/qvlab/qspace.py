@@ -168,8 +168,8 @@ def support_with_multiplicity(a: QPoint, tol: float = 0.0) -> list[tuple[np.ndar
     representative is the lexicographically smallest member, and clusters are
     listed in lexicographic order of their representatives.
     """
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
+    if not (0 <= tol < np.inf):
+        raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
     pts = a.points
     return [(pts[leader].copy(), size) for leader, size in _single_linkage(pts, _spanning_tree(pts), tol)]
 
@@ -188,8 +188,8 @@ def c_of_q(q: int, k: float) -> float:
     """Geometric separation constant 1 + g + g^2 + ... + g^(Q-1), g = 2K(Q-1)^2."""
     if q < 2:
         raise ValueError("c_of_q requires Q >= 2")
-    if k <= 1:
-        raise ValueError("c_of_q requires K > 1")
+    if not (1 < k < np.inf):
+        raise ValueError(f"c_of_q requires a finite K > 1, got k={k!r}")
     return _separation_sum(q, k, q)
 
 
@@ -229,10 +229,10 @@ class ClusterSelection:
             raise ValueError("cluster_count does not match multiplicities/centers")
         if any(k < 1 for k in self.multiplicities):
             raise ValueError("multiplicities must be positive")
-        if not (0 < self.s0 <= self.radius):
-            raise ValueError("radius must satisfy s0 <= radius")
-        if self.separation_k <= 1:
-            raise ValueError("separation_k must exceed 1")
+        if not (0 < self.s0 <= self.radius < np.inf):
+            raise ValueError(f"radius must be finite with 0 < s0 <= radius, got {self.radius!r} for s0={self.s0!r}")
+        if not (1 < self.separation_k < np.inf):
+            raise ValueError(f"separation_k must be finite and exceed 1, got {self.separation_k!r}")
         q = self.q_count
         if q >= 2 and self.radius > c_of_q(q, self.separation_k) * self.s0 * (1 + 1e-12):
             raise ValueError("radius exceeds C(Q) * s0")
@@ -273,10 +273,10 @@ def select_clusters(a: QPoint, s0: float, separation_k: float) -> ClusterSelecti
       within s0 of the input is within r of the collapsed configuration),
     - in the single-cluster case, support diameter at most C(Q) s0 / (Q-1).
     """
-    if s0 <= 0:
-        raise ValueError("s0 must be positive")
-    if separation_k <= 1:
-        raise ValueError("separation_k must exceed 1")
+    if not (0 < s0 < np.inf):
+        raise ValueError(f"s0 must be positive and finite, got {s0!r}")
+    if not (1 < separation_k < np.inf):
+        raise ValueError(f"separation_k must be finite and exceed 1, got {separation_k!r}")
     pts = a.points
     q = a.q_count
     tree = _spanning_tree(pts)

@@ -3,26 +3,31 @@
 Both writers take the text of equal-length 1-D columns from `_column_texts`,
 `CHUNK_ROWS` rows at a time, so memory stays flat: each value's `repr` (for a
 float its shortest round trip: "inf", "-inf" and "nan" when not finite).  CSV
-lines end in "\r\n"; no value the package writes needs quoting.  JSON files
-have sorted keys, an indent of 2 and a trailing newline.  Strict JSON has no
-Infinity literal, so fields that can be infinite go through `json_float`,
-which writes the strings "inf" and "-inf".  `write_report_json` writes an
-audit report's float columns with the bytes `write_json` would write for the
-same records built as dicts.
+lines end in "\r\n"; no value the package writes needs quoting.
+
+JSON files have sorted keys, an indent of 2 and a trailing newline: the bytes
+`json.dump` writes for the same payload with its arrays as lists.  In a
+payload, each ndarray (1-D, or 2-D as a list of rows) and each `Records`
+table is written from its columns; every other value goes through
+`json.dumps`.  A column holding a value whose repr is not its JSON text (a
+non-finite float, a bool) has its texts looked up in one table of json's
+texts.  Strict JSON has no Infinity literal, so fields that can be infinite
+go through `json_float`, which writes the strings "inf" and "-inf"; a
+`Records` table applies it to its `inf_fields`.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from typing import Collection, Iterator, Sequence
+from itertools import chain
+from typing import Collection, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-__all__ = ["CHUNK_ROWS", "json_float", "write_csv", "write_json", "write_report_json"]
+__all__ = ["CHUNK_ROWS", "Records", "json_float", "write_csv", "write_json"]
 
 CHUNK_ROWS = 1024  # rows turned into text at a time; few enough that a chunk's texts barely move peak RSS
-_NON_FINITE = {"inf": math.inf, "-inf": -math.inf, "nan": math.nan}  # keyed by their repr
 
 
 def _column_texts(columns: Sequence) -> Iterator[list[list[str]]]:
@@ -53,62 +58,75 @@ def json_float(x: float) -> float | str:
     return float(x)
 
 
-def write_json(path, payload: dict) -> None:
-    """Write `payload` to `path` with sorted keys, indent 2 and a final newline."""
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+class Records(NamedTuple):
+    """A JSON list of objects with keys `fields`, one per row of the
+    equal-length 1-D `columns`; `json_float` applies to the fields in
+    `inf_fields`."""
+
+    fields: Sequence[str]
+    columns: Sequence
+    inf_fields: Collection[str] = ()
 
 
-def _record_texts(fields: Sequence[str], columns: Sequence, inf_fields: Collection[str], indent: int) -> Iterator[str]:
-    """JSON objects with keys `fields`, one per row of the equal-length float
-    `columns`, as they sit at `indent` spaces in an indent-2 file; yields the
-    objects of `CHUNK_ROWS` rows at a time, joined by the list separator.
-    The columns are checked before the first chunk is asked for."""
-    order = sorted(range(len(fields)), key=fields.__getitem__)
-    pad = " " * indent
-    keys = [json.dumps(fields[i]).replace("%", "%%") for i in order]
-    template = "{\n" + ",\n".join(f"{pad}  {key}: %s" for key in keys) + f"\n{pad}}}"
-    columns = [np.asarray(columns[i], dtype=float) for i in order]
+# json's text for each value whose repr is not its JSON text, plain and after `json_float`
+_JSON_TEXTS = {repr(v): json.dumps(v) for v in (math.inf, -math.inf, math.nan, True, False)}
+_INF_FIELD_TEXTS = {**_JSON_TEXTS, **{repr(v): json.dumps(json_float(v)) for v in (math.inf, -math.inf)}}
+
+
+def _join(brackets: str, items: Iterable[Iterable[str]], pad: str) -> Iterator[str]:
+    """The texts of `items` between `brackets` ("[]" or "{}"), one item per
+    line, as an indent-2 `json.dump` lays them out at `pad`."""
+    first = True
+    for item in items:
+        yield (brackets[0] + "\n  " if first else ",\n  ") + pad
+        yield from item
+        first = False
+    yield brackets if first else "\n" + pad + brackets[1]
+
+
+def _rows_texts(template: str, columns: Sequence, inf: Sequence[bool], pad: str) -> Iterator[str]:
+    """The JSON list at `pad` of `template % row` for each row of the
+    equal-length 1-D `columns`, `CHUNK_ROWS` rows per text.  A column whose
+    `inf` flag is set takes `json_float`'s text for an infinity."""
+    columns = [np.asarray(c) for c in columns]
     chunks = _column_texts(columns)
-    # json's text for each non-finite repr, after `json_float` on `inf_fields`, in columns that have one
-    fixes = [{t: json.dumps(json_float(v) if fields[i] in inf_fields else v) for t, v in _NON_FINITE.items()}
-             if not np.isfinite(c).all() else None for i, c in zip(order, columns)]
+    tables = [None if c.dtype != bool and np.isfinite(c).all() else _INF_FIELD_TEXTS if i else _JSON_TEXTS
+              for c, i in zip(columns, inf)]
+    sep = ",\n  " + pad
 
-    def chunk_text(texts: list[list[str]]) -> str:
-        texts = [col if fix is None else [fix.get(t, t) for t in col] for col, fix in zip(texts, fixes)]
-        return f",\n{pad}".join(template % row for row in zip(*texts))
+    def chunk_text(texts: list[list[str]]) -> list[str]:
+        texts = [col if table is None else [table.get(t, t) for t in col] for col, table in zip(texts, tables)]
+        return [sep.join(template % row for row in zip(*texts))]
 
-    return map(chunk_text, chunks)
-
-
-def _list_texts(chunks: Iterator[str]) -> Iterator[str]:
-    """The record chunks as the JSON list under a top-level key."""
-    first = next(chunks, None)
-    if first is None:
-        yield "[]"
-        return
-    yield "[\n    " + first
-    for text in chunks:
-        yield ",\n    " + text
-    yield "\n  ]"
+    return _join("[]", map(chunk_text, chunks), pad)
 
 
-def write_report_json(path, payload: dict, fields: Sequence[str], columns: Sequence, witness: Sequence | None,
-                      inf_fields: Collection[str]) -> None:
-    """Write `payload` plus "records", one object per row of the float
-    `columns`, and "witness", one such row or None.
+def _json_texts(value, pad: str) -> Iterable[str]:
+    """The texts of `value` as it sits at `pad` in an indent-2 file.  Every
+    table in it is checked now, before the first text is asked for."""
+    inner = pad + "  "
+    if isinstance(value, Records):
+        order = sorted(range(len(value.fields)), key=value.fields.__getitem__)
+        keys = [json.dumps(value.fields[i]).replace("%", "%%") for i in order]
+        template = "{" + ",".join(f"\n{inner}  {key}: %s" for key in keys) + f"\n{inner}}}"
+        return _rows_texts(template, [value.columns[i] for i in order],
+                           [value.fields[i] in value.inf_fields for i in order], pad)
+    if isinstance(value, np.ndarray) and value.ndim == 2:  # its rows pass the check, so each is made when written
+        return _join("[]", (_json_texts(row, inner) for row in value), pad)
+    if isinstance(value, np.ndarray):
+        return _rows_texts("%s", [value], [False], pad)
+    if isinstance(value, dict):
+        return _join("{}", [chain([json.dumps(key) + ": "], _json_texts(value[key], inner)) for key in sorted(value)],
+                     pad)
+    return [json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + pad)]
 
-    The bytes equal `write_json` of the same dict with each record built as
-    `dict(zip(fields, row))` of Python floats and `json_float` applied to
-    the fields in `inf_fields`.
-    """
-    # A payload value sits one level deep, so its inner lines gain one indent.
-    values = {key: [json.dumps(v, indent=2, sort_keys=True).replace("\n", "\n  ")] for key, v in payload.items()}
-    values["records"] = _list_texts(_record_texts(fields, columns, inf_fields, 4))
-    values["witness"] = ["null"] if witness is None else _record_texts(fields, [[v] for v in witness], inf_fields, 2)
+
+def write_json(path, payload: dict) -> None:
+    """Write `payload`, whose dicts have string keys, to `path` with sorted
+    keys, indent 2 and a final newline: the bytes `json.dump` writes for it
+    with every ndarray `.tolist()`'d and every `Records` as its list of
+    dicts.  Every table is checked before the file opens."""
+    texts = _json_texts(payload, "")
     with open(path, "w") as fh:
-        for n, key in enumerate(sorted(values)):
-            fh.write((",\n  " if n else "{\n  ") + json.dumps(key) + ": ")
-            fh.writelines(values[key])
-        fh.write("\n}\n")
+        fh.writelines(texts)
+        fh.write("\n")

@@ -198,3 +198,9 @@ class TestMeasureAtScale:
         sc = scan(make_double_line(0.0, 1.0), 101)
         with pytest.raises(ValueError):
             measure_at_scale(sc, 1e-4)
+
+    @pytest.mark.parametrize("eps", [np.nan, np.inf])
+    def test_nonfinite_eps_rejected(self, eps):
+        sc = scan(cantor_level(CantorConstruction(3, "diamond")), 3**3 + 1)
+        with pytest.raises(ValueError, match="eps must be finite"):
+            measure_at_scale(sc, eps)

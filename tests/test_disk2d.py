@@ -1,5 +1,7 @@
 """Tests for sorted circle traces and their least-energy disk extensions."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -111,6 +113,30 @@ class TestSortedTrace:
             sorted_trace(v, 17, 8)
         with pytest.raises(ValueError, match="trace samples must be finite"):
             sorted_trace(lambda t: [np.cos(t), bad], 17, 8)
+
+    @pytest.mark.parametrize("values", [lambda t: [1.0, 2.0] if t < 3 else [1.0],
+                                        lambda t: [1.0] if t < 3 else [1.0, 2.0],
+                                        lambda t: 1.0 if t < 3 else [[1.0]]], ids=["fewer", "more", "nested"])
+    def test_value_count_must_stay_the_first_angles(self, values):
+        with pytest.raises(ValueError):
+            sorted_trace(values, 17, 8)
+
+    def test_callable_peak_memory_near_the_array_path(self):
+        # The callable path once listed one small array per angle, about 4x the array path's peak.
+        n = 50000
+        f = lambda t: [np.cos(t), 1.0 - np.sin(t)]
+        values = np.array([f(t) for t in 2.0 * np.pi * np.arange(n) / n]).T
+        traces, peaks = [], []
+        for trace in (values, f):
+            tracemalloc.start()
+            try:
+                traces.append(sorted_trace(trace, n, 4))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0]
+        for name in ("samples", "cos_coeffs", "sin_coeffs", "truncation_residual"):
+            assert np.array_equal(getattr(traces[0], name), getattr(traces[1], name))
 
 
 class TestDiskMinimizer:

@@ -121,6 +121,11 @@ class TestDirichletEnergy:
         rv = quasi_k_ratio(v, [(0.2 * lam, 0.8 * lam)]).supremum
         assert rv == pytest.approx(ru, rel=1e-12)
 
+    @pytest.mark.parametrize("scale", [0.0, np.nan, np.inf])
+    def test_rescale_needs_positive_finite_scale(self, scale):
+        with pytest.raises(ValueError, match="scale must be positive and finite"):
+            rescale_domain(double_line(), scale)
+
 
 class TestWeightedEnergy:
     def test_matches_manual_sum(self):

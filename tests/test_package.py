@@ -1,6 +1,9 @@
-"""The package's exports: each public name is declared once, in its module's `__all__`."""
+"""The package's layout: each public name is declared once, in its module's
+`__all__`, and every file the package writes goes through `qvlab.writers`."""
 
+import ast
 import types
+from pathlib import Path
 
 import qvlab
 from qvlab import branch, constructions, disk2d, func1d, qspace
@@ -25,3 +28,29 @@ def test_no_name_is_declared_twice():
 def test_constants_are_exported():
     assert qvlab.MAX_LEVEL == constructions.MAX_LEVEL
     assert qvlab.RemovedInterval is constructions.RemovedInterval
+
+
+def file_writes(module_path):
+    """The `json.dump` calls, `csv` imports and `open` calls with a mode
+    other than reading in one source file, as (line, what) pairs."""
+    found = []
+    for node in ast.walk(ast.parse(Path(module_path).read_text())):
+        if isinstance(node, ast.Import) and any(alias.name == "csv" for alias in node.names):
+            found.append((node.lineno, "import csv"))
+        elif isinstance(node, ast.ImportFrom) and node.module == "csv":
+            found.append((node.lineno, "from csv"))
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "dump":
+            if isinstance(node.func.value, ast.Name) and node.func.value.id == "json":
+                found.append((node.lineno, "json.dump"))
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "open":
+            modes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "mode"]
+            if any(not (isinstance(m, ast.Constant) and set(m.value) <= set("rbt")) for m in modes):
+                found.append((node.lineno, "open for writing"))
+    return found
+
+
+def test_only_writers_writes_files():
+    package = Path(qvlab.__file__).parent
+    writes = {path.name: file_writes(path) for path in sorted(package.glob("*.py"))}
+    assert [what for _, what in writes.pop("writers.py")] == ["open for writing", "open for writing"]
+    assert {name: found for name, found in writes.items() if found} == {}

@@ -121,6 +121,15 @@ class TestSupport:
         with pytest.raises(ValueError):
             support_with_multiplicity(QPoint.of(0.0), -1.0)
 
+    @pytest.mark.parametrize("tol", [np.nan, np.inf])
+    def test_nonfinite_tol_rejected(self, tol):
+        # A NaN tol merged nothing, so coincident points split into Q singletons.
+        a = QPoint.of(0.0, 0.0, 5.0)
+        with pytest.raises(ValueError, match="tol"):
+            support_with_multiplicity(a, tol)
+        with pytest.raises(ValueError, match="tol"):
+            sigma(a, tol)
+
 
 def closure_clusters(pts, threshold):
     """Independent oracle: classes of the transitive closure of dist <= threshold.
@@ -224,6 +233,11 @@ class TestSeparationConstants:
         with pytest.raises(ValueError):
             c_of_q(3, 1.0)
 
+    @pytest.mark.parametrize("k", [np.nan, np.inf])
+    def test_nonfinite_k_rejected(self, k):
+        with pytest.raises(ValueError, match="K"):
+            c_of_q(3, k)
+
 
 def random_nearby(rng, pts, s0):
     """A configuration within matching distance s0 of pts."""
@@ -300,6 +314,22 @@ class TestSelectClusters:
             select_clusters(a, 0.0, 2.0)
         with pytest.raises(ValueError):
             select_clusters(a, 1.0, 1.0)
+
+    @pytest.mark.parametrize("s0", [np.nan, np.inf])
+    def test_nonfinite_s0_rejected(self, s0):
+        with pytest.raises(ValueError, match="s0 must be positive and finite"):
+            select_clusters(QPoint.of(0.0, 1.0), s0, 2.0)
+
+    @pytest.mark.parametrize("k", [np.nan, np.inf])
+    def test_nonfinite_separation_rejected(self, k):
+        with pytest.raises(ValueError, match="separation_k"):
+            select_clusters(QPoint.of(0.0, 1.0), 0.1, k)
+        with pytest.raises(ValueError, match="separation_k"):
+            ClusterSelection(1, (2,), np.array([[0.0]]), radius=1.0, s0=1.0, separation_k=k)
+
+    def test_infinite_radius_rejected(self):
+        with pytest.raises(ValueError, match="radius must be finite"):
+            ClusterSelection(1, (2,), np.array([[0.0]]), radius=np.inf, s0=1.0, separation_k=2.0)
 
 
 def make_selection(centers, multiplicities, k=1.5):

@@ -1,8 +1,9 @@
-"""Tests for the CSV and report JSON writers against the per-row code they replaced."""
+"""Tests for the CSV and JSON writers against the per-row and `json.dump` code they replaced."""
 
 import csv
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -10,9 +11,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qvlab import writers
+from qvlab import cli, writers
 from qvlab.func1d import AuditRecord, MinimalityReport
-from qvlab.writers import json_float, write_csv
+from qvlab.writers import Records, json_float, write_csv, write_json
 
 
 def per_row_csv(path, header, float_columns, int_columns):
@@ -161,7 +162,76 @@ class TestWriteReportJson:
         assert new == old
 
     def test_unequal_columns_rejected_before_writing(self, tmp_path):
+        # The malformed table sorts last, so every table is checked before the file opens.
         path = tmp_path / "x.json"
         with pytest.raises(ValueError):
-            writers.write_report_json(path, {}, ["a", "b"], [np.zeros(3), np.zeros(2)], None, ())
+            write_json(path, {"a": np.zeros(3), "b": Records(["a", "b"], [np.zeros(3), np.zeros(2)])})
         assert not path.exists()
+
+
+def listed(value):
+    """`value` as `json.dump` took it before `write_json` wrote tables itself:
+    arrays as lists and `Records` as a list of dicts."""
+    if isinstance(value, dict):
+        return {key: listed(v) for key, v in value.items()}
+    if isinstance(value, Records):
+        rows = zip(*(np.asarray(c).tolist() for c in value.columns))
+        return [{f: json_float(v) if f in value.inf_fields else v for f, v in zip(value.fields, row)} for row in rows]
+    return value.tolist() if isinstance(value, np.ndarray) else value
+
+
+@st.composite
+def arrays(draw):
+    shape = draw(st.tuples(st.integers(0, 12)) | st.tuples(st.integers(0, 4), st.integers(0, 6)))
+    elements, dtype = draw(st.sampled_from([(any_floats, float), (few_floats, float), (ints, np.int64),
+                                            (st.booleans(), bool)]))
+    values = draw(st.lists(elements, min_size=int(np.prod(shape)), max_size=int(np.prod(shape))))
+    return np.array(values, dtype=dtype).reshape(shape)
+
+
+@st.composite
+def records(draw):
+    fields = draw(st.lists(st.text(max_size=3), unique=True, max_size=4))
+    length = draw(st.integers(0, 12))
+    columns = [np.array(draw(st.lists(any_floats, min_size=length, max_size=length)), dtype=float) for _ in fields]
+    return Records(fields, columns, draw(st.sets(st.sampled_from(fields)) if fields else st.just(set())))
+
+
+leaves = st.none() | st.text(max_size=5) | ints | any_floats | arrays() | records()
+payloads = st.dictionaries(st.text(max_size=5), st.recursive(
+    leaves, lambda children: st.dictionaries(st.text(max_size=5), children, max_size=3), max_leaves=8), max_size=5)
+
+
+class TestWriteJson:
+    @settings(max_examples=200, deadline=None)
+    @given(payload=payloads, chunk=st.integers(1, 5))
+    @example(payload={"a": np.zeros((3, 0)), "b": np.zeros((0, 2)), "c": np.array([-0.0, np.nan, np.inf, -np.inf]),
+                      "d": {"e": np.array([True, False]), "f": np.array([], dtype=np.int64), "g": {}},
+                      "h": Records(["%s", "x"], [np.array([1.5, np.inf]), np.array([-np.inf, np.nan])], {"x"})},
+             chunk=1)
+    def test_matches_json_dump_of_lists(self, payload, chunk):
+        with tempfile.TemporaryDirectory() as tmp:
+            new, old = Path(tmp, "new.json"), Path(tmp, "old.json")
+            with mock.patch.object(writers, "CHUNK_ROWS", chunk):
+                write_json(new, payload)
+            with open(old, "w") as fh:
+                json.dump(listed(payload), fh, indent=2, sort_keys=True)
+                fh.write("\n")
+            assert new.read_bytes() == old.read_bytes()
+
+
+class TestJsonMemory:
+    @pytest.mark.parametrize("argv", [["example", "diamond", "--samples", "50000"],
+                                      ["branch", "cantor-diamond", "--level", "5", "--grid", "50000"]],
+                             ids=["example", "branch"])
+    def test_json_peak_within_a_tenth_of_csv(self, argv, tmp_path):
+        # JSON once went through Python lists of the whole grid, 1.6-3x the CSV call's peak.
+        peaks = {}
+        for fmt in ("csv", "json"):
+            tracemalloc.start()
+            try:
+                assert cli.main(argv + ["--format", fmt, "--out", str(tmp_path / f"out.{fmt}")]) == 0
+                peaks[fmt] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks["json"] <= 1.1 * peaks["csv"]
