@@ -139,7 +139,10 @@ def box_counts(scan_result: BranchScan, scales) -> np.ndarray:
     for eps in scales:
         if not (eps > 0 and np.isfinite(eps)):
             raise ValueError(f"box sizes must be positive and finite, got {float(eps)!r}")
-        counts.append(np.unique(np.floor((xs - lo) / eps).astype(np.int64)).size)
+        boxes = np.floor((xs - lo) / eps)
+        if not boxes.max() < 2.0**63:
+            raise ValueError(f"box size {float(eps)!r} is too small for this scan: its box indices overflow int64")
+        counts.append(np.unique(boxes.astype(np.int64)).size)
     return np.array(counts)
 
 

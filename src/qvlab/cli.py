@@ -75,6 +75,8 @@ def _cmd_example(args) -> int:
 def _cmd_audit(args) -> int:
     u = build_named_function(args.name, args.level, args.samples)
     if args.mode == "omega":
+        if args.centers < 1:
+            raise UsageError(f"--centers must be at least 1, got {args.centers}")
         lo, hi = u.domain
         if args.radii:
             radii = args.radii
@@ -88,6 +90,8 @@ def _cmd_audit(args) -> int:
             if 2 * r >= hi - lo:
                 raise UsageError(f"radius {r} does not fit inside the domain")
             centers = np.linspace(lo + r, hi - r, args.centers)
+            if np.any(centers - r >= centers + r):
+                raise UsageError(f"radius {r} is too small to resolve: a ball around a center rounds to a point")
             balls.append(np.column_stack((centers, np.full(centers.size, r))))
         report = func1d.omega_report(u, np.concatenate(balls))
     else:

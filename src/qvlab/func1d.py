@@ -59,8 +59,12 @@ __all__ = [
 
 # Rows per block of an audit family.  Blocks of 1024 rows doubled the time
 # of a level-8 audit over the whole family; from 4096 to 65536 the time is
-# flat while the memory of a block grows with it.
-BLOCK_ROWS = 8192
+# flat while the memory of a block grows with it.  From 8192 rows up, a
+# Q = 2 block's (Q, rows) temporaries pass glibc's 128 KiB mmap threshold;
+# once its dynamic thresholds settle on them, the freed heap top is trimmed
+# after each block and faulted back in by the next (acceptance criterion 4:
+# about 76,000 minor page faults at 8192 rows, 35 at 4096).
+BLOCK_ROWS = 4096
 
 # The largest standard family an audit builds: level 11 of a Cantor
 # refinement at the default depth (19,670,505 rows) fits, level 12

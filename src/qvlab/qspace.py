@@ -2,18 +2,20 @@
 
 A configuration is a multiset of Q points in R^n.  The distance between two
 configurations is the minimum over pairings of the root-sum-square of the
-pairwise distances, solved exactly.  On top of the metric this module
-provides support/multiplicity queries, a scale-separated cluster selection,
-and a Lipschitz semi-retraction onto configurations with prescribed
-multiplicities around well-separated centers.
+pairwise distances, solved exactly: by the sorted pairing in one dimension
+and otherwise by the module's own assignment solver, so the package needs
+nothing beyond numpy.  On top of the metric this module provides
+support/multiplicity queries, a scale-separated cluster selection, and a
+Lipschitz semi-retraction onto configurations with prescribed multiplicities
+around well-separated centers.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 __all__ = [
     "QPoint",
@@ -50,7 +52,7 @@ class QPoint:
             pts = pts.reshape(-1, 1)
         if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] < 1:
             raise ValueError(f"expected a (Q, n) array of points, got shape {pts.shape}")
-        if not np.all(np.isfinite(pts)):
+        if not np.isfinite(pts).all():
             raise ValueError("all coordinates must be finite")
         pts = pts.copy()
         pts.flags.writeable = False
@@ -80,11 +82,8 @@ class QPoint:
 
 
 def _check_compatible(a: QPoint, b: QPoint) -> None:
-    if a.q_count != b.q_count or a.ambient_dim != b.ambient_dim:
-        raise DimensionMismatchError(
-            f"incompatible configurations: ({a.q_count}, {a.ambient_dim}) vs "
-            f"({b.q_count}, {b.ambient_dim})"
-        )
+    if a.points.shape != b.points.shape:
+        raise DimensionMismatchError(f"incompatible configurations: {a.points.shape} vs {b.points.shape}")
 
 
 def _pairwise_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -92,21 +91,90 @@ def _pairwise_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("ijk,ijk->ij", diff, diff)
 
 
+def _assignment(c: list[list[float]]) -> list[int]:
+    """The column of each row in a least-cost matching of a square cost matrix,
+    given as a list of rows.
+
+    Shortest augmenting paths with dual potentials (Crouse, "On implementing
+    2D rectangular assignment algorithms", IEEE TAES 2016), started from
+    Jonker-Volgenant column reduction: each column's potential v[j] is its
+    least cost, and a column whose least-cost row is still free is matched
+    to it.  Each free row then grows one Dijkstra tree over the reduced
+    costs c[i][j] - u[i] - v[j], which the potentials keep nonnegative,
+    until it reaches a free column.  The scanned columns' potentials drop
+    by what their distance falls short of the path's, and the path is
+    flipped.  A matched row's u[i] is c[i][j] - v[j] on its own column, so
+    only v is stored.  Among columns at the same distance the scan prefers
+    a free one, which ends the path early when costs tie.  Raises
+    ValueError when no assignment has a finite cost.
+    """
+    size = len(c)
+    v = []
+    col4row = [-1] * size
+    row4col = [-1] * size
+    for j, column in enumerate(zip(*c)):
+        least = min(column)
+        v.append(least)
+        i = column.index(least)
+        if col4row[i] < 0:
+            col4row[i], row4col[j] = j, i
+    for free in range(size):
+        if col4row[free] >= 0:
+            continue
+        dist = [math.inf] * size
+        path = [free] * size
+        remaining = list(range(size))
+        scanned = []
+        i, shift = free, 0.0
+        while True:
+            row = c[i]
+            lowest, best = math.inf, -1
+            for j in remaining:
+                d = dist[j]
+                r = row[j] - v[j] + shift
+                if r < d:
+                    path[j] = i
+                    dist[j] = d = r
+                if d < lowest or (d == lowest and row4col[j] < 0):
+                    lowest, best = d, j
+            if lowest == math.inf:
+                raise ValueError("the cost matrix has no finite-cost assignment")
+            remaining.remove(best)
+            scanned.append(best)
+            i = row4col[best]
+            if i < 0:
+                break
+            shift = lowest - (c[i][best] - v[best])  # the path length to row i, less its u[i]
+        for k in scanned:
+            v[k] += dist[k] - lowest
+        j = best
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == free:
+                break
+    return col4row
+
+
 def metric_g(a: QPoint, b: QPoint) -> float:
     """Optimal-matching distance between two configurations.
 
     Returns min over pairings sigma of (sum_i |a_i - b_sigma(i)|^2)^(1/2).
     For n = 1 the sorted pairing is optimal (squared distance is a convex
-    cost); otherwise an exact assignment solver finds the optimal pairing.
+    cost); otherwise `_assignment` finds an optimal pairing of the squared
+    distance matrix, and numpy sums the paired entries in row order.  Where
+    squared distances overflow to inf, n = 1 gives inf and n >= 2 raises
+    ValueError unless some pairing has a finite cost.
     """
     _check_compatible(a, b)
     if a.ambient_dim == 1:
         da = np.sort(a.points[:, 0])
         db = np.sort(b.points[:, 0])
         return float(np.sqrt(np.sum((da - db) ** 2)))
-    cost = _pairwise_sq(a.points, b.points)
-    rows, cols = linear_sum_assignment(cost)
-    return float(np.sqrt(cost[rows, cols].sum()))
+    cost = _pairwise_sq(a.points, b.points).tolist()
+    matched = np.array([row[j] for row, j in zip(cost, _assignment(cost))])
+    return math.sqrt(matched.sum())
 
 
 def _spanning_tree(pts: np.ndarray) -> list[tuple[int, int, float]]:
@@ -236,11 +304,8 @@ class ClusterSelection:
         q = self.q_count
         if q >= 2 and self.radius > c_of_q(q, self.separation_k) * self.s0 * (1 + 1e-12):
             raise ValueError("radius exceeds C(Q) * s0")
-        for i in range(j):
-            for m in range(i + 1, j):
-                gap = float(np.linalg.norm(centers[i] - centers[m]))
-                if gap <= 2.0 * self.separation_k * self.radius:
-                    raise ValueError("centers are not 2 K radius separated")
+        if self.min_center_gap() <= 2.0 * self.separation_k * self.radius:
+            raise ValueError("centers are not 2 K radius separated")
 
     @property
     def q_count(self) -> int:
@@ -255,8 +320,8 @@ class ClusterSelection:
         if self.cluster_count < 2:
             return float("inf")
         d = np.sqrt(_pairwise_sq(self.centers, self.centers))
-        iu = np.triu_indices(self.cluster_count, k=1)
-        return float(d[iu].min())
+        np.fill_diagonal(d, np.inf)
+        return float(d.min())
 
 
 def select_clusters(a: QPoint, s0: float, separation_k: float) -> ClusterSelection:
@@ -280,14 +345,14 @@ def select_clusters(a: QPoint, s0: float, separation_k: float) -> ClusterSelecti
     pts = a.points
     q = a.q_count
     tree = _spanning_tree(pts)
-    merges = np.array([length for _, _, length in tree])
+    merges = [length for _, _, length in tree]
     mu = 2.0 * separation_k * (q - 1) ** 1.5
 
     radius = s0
     threshold = 0.0
     for _ in range(q):
         ceiling = 2.0 * separation_k * radius
-        if not np.any((merges > threshold) & (merges <= ceiling)):
+        if not any(threshold < m <= ceiling for m in merges):
             groups = _single_linkage(pts, tree, threshold)
             return ClusterSelection(
                 cluster_count=len(groups),
@@ -355,19 +420,18 @@ def semi_retraction(q: QPoint, params: RetractionParams) -> QPoint:
     if rho >= params.s2:
         return q0
     beta = (params.s2 - rho) / (params.s2 - params.s1)
-    centers = sel.centers
-    out = np.empty_like(q.points)
-    for i, point in enumerate(q.points):
-        gaps = np.linalg.norm(centers - point, axis=1)
-        # Lexicographic tie-break keeps the map deterministic.
-        candidates = np.flatnonzero(gaps == gaps.min())
-        j = min(candidates, key=lambda c: tuple(centers[c]))
-        d = gaps[j]
-        if d == 0.0:
-            out[i] = centers[j]
-            continue
-        new_d = min(d, beta * min(d, params.s1))
-        out[i] = centers[j] + (point - centers[j]) * (new_d / d)
+    points, centers = q.points, sel.centers
+    gaps = np.linalg.norm(points[:, None, :] - centers[None, :, :], axis=2)
+    # Each point goes to its nearest center; argmin over the centers in
+    # lexicographic order breaks ties toward the smallest, so the map is
+    # deterministic.
+    order = np.lexsort(centers.T[::-1])
+    nearest = order[np.argmin(gaps[:, order], axis=1)]
+    d = gaps[np.arange(len(nearest)), nearest]
+    new_d = np.minimum(d, beta * np.minimum(d, params.s1))
+    out = centers[nearest]
+    moving = d > 0.0
+    out[moving] += (points[moving] - out[moving]) * (new_d[moving] / d[moving])[:, None]
     return QPoint(out)
 
 

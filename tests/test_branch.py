@@ -1,5 +1,7 @@
 """Tests for branch-set scanning, box dimension, and measure at scale."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -158,6 +160,14 @@ class TestBoxDimension:
         sc = scan(approx, 3**4 + 1)
         with pytest.raises(ValueError, match="box sizes must be positive and finite"):
             box_counts(sc, [0.1, bad])
+
+    def test_overflowing_box_size_rejected(self):
+        approx, _ = cantor_limit("diamond", 3)
+        sc = scan(approx, 101)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="box size 1e-200 is too small"):
+                box_counts(sc, [0.1, 1e-200])
 
     def test_repeated_scale_is_not_two_scales(self):
         # a fit through two equal x values gave a slope with r_squared 1.0

@@ -102,6 +102,23 @@ class TestAudit:
         assert f"radius {float(radius)} must be positive" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("centers", ["0", "-1"])
+    def test_omega_centers_below_one_is_usage_error(self, tmp_path, capsys, centers):
+        # --centers 0 used to exit 0 with records=0, and -1 gave numpy's sampling message
+        out = tmp_path / "omega.csv"
+        code = cli.main(["audit", "sin", "--mode", "omega", "--centers", centers, "--out", str(out)])
+        assert code == 2
+        assert f"--centers must be at least 1, got {centers}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unresolvable_omega_radius_is_usage_error(self, tmp_path, capsys):
+        # c - r == c + r at this radius; the message used to be "intervals must satisfy a < b"
+        out = tmp_path / "omega.csv"
+        code = cli.main(["audit", "sin", "--mode", "omega", "--radii", "1e-300", "--out", str(out)])
+        assert code == 2
+        assert "radius 1e-300 is too small to resolve" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("mode", ["quasi", "almost"])
     def test_negative_depth_is_usage_error(self, tmp_path, capsys, mode):
         out = tmp_path / "audit.csv"
@@ -211,8 +228,13 @@ class TestCountBeforeAllocating:
 class TestBranchAndDecay:
     @pytest.mark.parametrize(
         "scales, message",
-        [("0.1,0.1", "need at least two distinct scales"), ("0.1,inf", "box sizes must be positive and finite")],
-        ids=["repeated", "infinite"],
+        [
+            ("0.1,0.1", "need at least two distinct scales"),
+            ("0.1,inf", "box sizes must be positive and finite"),
+            # box indices past int64 used to give a cast warning and dimension=0.0
+            ("1e-300,1e-200", "box size 1e-300 is too small for this scan"),
+        ],
+        ids=["repeated", "infinite", "overflowing"],
     )
     def test_branch_degenerate_scales_are_usage_error(self, tmp_path, capsys, scales, message):
         out = tmp_path / "branch.csv"

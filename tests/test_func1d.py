@@ -503,7 +503,7 @@ class TestFamilyBlocks:
             assert report.supremum == want_sup
             assert (report.witness and tuple(report.witness)) == want_witness
 
-    @pytest.mark.parametrize("rows", [1, 2, func1d.BLOCK_ROWS])
+    @pytest.mark.parametrize("rows", [1, 2, func1d.BLOCK_ROWS, 8192])
     @pytest.mark.parametrize(
         "later, error, message",
         [((np.nan, 0.5), DomainError, "interval ends must be finite"), ((0.6, 0.3), EmptyIntervalError, "a < b")],
@@ -516,7 +516,7 @@ class TestFamilyBlocks:
             with pytest.raises(error, match=message):
                 quasi_k_ratio(double_line(), family)
 
-    @pytest.mark.parametrize("rows", [5, func1d.BLOCK_ROWS])
+    @pytest.mark.parametrize("rows", [5, func1d.BLOCK_ROWS, 8192])
     @pytest.mark.parametrize("level", [1, 2, 3, 4])
     def test_supremum_reduction_matches_report(self, level, rows):
         diamond = cantor_level(CantorConstruction(level, "diamond"))

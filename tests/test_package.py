@@ -1,7 +1,11 @@
 """The package's layout: each public name is declared once, in its module's
-`__all__`, and every file the package writes goes through `qvlab.writers`."""
+`__all__`, every file the package writes goes through `qvlab.writers`, and
+importing the package loads no scipy module."""
 
 import ast
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -54,3 +58,13 @@ def test_only_writers_writes_files():
     writes = {path.name: file_writes(path) for path in sorted(package.glob("*.py"))}
     assert [what for _, what in writes.pop("writers.py")] == ["open for writing", "open for writing"]
     assert {name: found for name, found in writes.items() if found} == {}
+
+
+def test_import_loads_no_scipy():
+    # numpy is the only runtime dependency; scipy is for the tests alone
+    src = str(Path(qvlab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, qvlab, qvlab.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -13,6 +13,7 @@ from qvlab.qspace import (
     DimensionMismatchError,
     QPoint,
     RetractionParams,
+    _assignment,
     c2_of_q,
     c_of_q,
     lipschitz_bound,
@@ -52,11 +53,10 @@ class TestMetric:
             got = metric_g(QPoint(pa), QPoint(pb))
             assert got == pytest.approx(_exhaustive_distance(pa, pb), rel=1e-12, abs=1e-15)
 
-    def test_large_q_uses_assignment_solver(self):
+    def test_permuted_and_shifted_copies(self):
         rng = np.random.default_rng(1)
         pa = rng.normal(0, 1, (9, 2))
         perm = rng.permutation(9)
-        # permuted copy must be at distance zero regardless of solver path
         assert metric_g(QPoint(pa), QPoint(pa[perm])) == pytest.approx(0.0, abs=1e-12)
         shift = pa + np.array([1.0, 0.0])
         assert metric_g(QPoint(pa), QPoint(shift)) == pytest.approx(3.0, rel=1e-12)
@@ -217,6 +217,75 @@ class TestMetricProperties:
         assert metric_g(a.translate(shift), b.translate(shift)) == pytest.approx(dab, rel=1e-12, abs=1e-10)
 
 
+@st.composite
+def matching_pairs(draw):
+    """Two (Q, n) configurations with Q <= 8 and n in {2, 3}.  Half of the
+    draws sit on a small integer grid and each configuration may repeat its
+    rows, so equal costs and tied optimal pairings are common."""
+    q = draw(st.integers(1, 8))
+    n = draw(st.integers(2, 3))
+    grid = draw(st.booleans())
+    values = st.sampled_from([-1.0, 0.0, 1.0, 2.0]) if grid else st.floats(-10.0, 10.0)
+
+    def configuration():
+        pts = draw(arrays(float, (q, n), elements=values))
+        rows = draw(st.lists(st.integers(0, q - 1), min_size=q, max_size=q) | st.just(list(range(q))))
+        return pts[rows]
+
+    return configuration(), configuration()
+
+
+def squared_distances(rng, q, ties):
+    a = rng.integers(-1, 2, (q, 2)).astype(float) if ties else rng.normal(0, 3, (q, 2))
+    b = rng.integers(-1, 2, (q, 2)).astype(float) if ties else rng.normal(0, 3, (q, 2))
+    return ((a[:, None, :] - b[None, :, :]) ** 2).sum(-1)
+
+
+class TestAssignment:
+    @settings(max_examples=150, deadline=None)
+    @given(draw=matching_pairs())
+    def test_metric_matches_exhaustive_oracle(self, draw):
+        pa, pb = draw
+        assert metric_g(QPoint(pa), QPoint(pb)) == pytest.approx(_exhaustive_distance(pa, pb), rel=1e-12, abs=1e-15)
+
+    def test_cost_matches_scipy(self):
+        from scipy.optimize import linear_sum_assignment
+
+        rng = np.random.default_rng(2024)
+        for q in range(1, 41):
+            for cost in (
+                squared_distances(rng, q, ties=False),
+                squared_distances(rng, q, ties=True),
+                rng.integers(0, 3, (q, q)).astype(float),
+                rng.uniform(0, 1e6, (q, q)),
+            ):
+                cols = _assignment(cost.tolist())
+                assert sorted(cols) == list(range(q))
+                rows, want = linear_sum_assignment(cost)
+                assert cost[range(q), cols].sum() == pytest.approx(cost[rows, want].sum(), rel=1e-12, abs=1e-12)
+
+    def test_single_row(self):
+        assert _assignment([[3.5]]) == [0]
+
+    def test_constant_cost(self):
+        cols = _assignment(np.full((7, 7), 2.5).tolist())
+        assert sorted(cols) == list(range(7))
+
+    @pytest.mark.parametrize("q", [1, 2, 5, 12])
+    def test_coincident_points(self, q):
+        a = QPoint(np.tile([1.5, -2.0], (q, 1)))
+        assert metric_g(a, a) == 0.0
+        b = QPoint(np.tile([4.5, 2.0], (q, 1)))
+        assert metric_g(a, b) == pytest.approx(5.0 * np.sqrt(q), rel=1e-15)
+
+    def test_no_finite_pairing_rejected(self):
+        # every squared distance overflows to inf
+        a = QPoint(np.array([[1e200, 0.0], [2e200, 0.0]]))
+        b = QPoint(np.array([[-1e200, 0.0], [-2e200, 0.0]]))
+        with pytest.raises(ValueError, match="finite-cost assignment"):
+            metric_g(a, b)
+
+
 class TestSeparationConstants:
     def test_reference_values(self):
         assert c_of_q(2, 2.0) == 5.0
@@ -344,6 +413,32 @@ def make_selection(centers, multiplicities, k=1.5):
     )
 
 
+def retraction_loop(q, params):
+    """The semi-retraction one point at a time, as it was first written: the
+    reference for the vectorised map."""
+    sel = params.selection
+    q0 = sel.collapsed()
+    rho = metric_g(q, q0)
+    if rho <= params.s1:
+        return q.points
+    if rho >= params.s2:
+        return q0.points
+    beta = (params.s2 - rho) / (params.s2 - params.s1)
+    centers = sel.centers
+    out = np.empty_like(q.points)
+    for i, point in enumerate(q.points):
+        gaps = np.linalg.norm(centers - point, axis=1)
+        candidates = np.flatnonzero(gaps == gaps.min())
+        j = min(candidates, key=lambda c: tuple(centers[c]))
+        d = gaps[j]
+        if d == 0.0:
+            out[i] = centers[j]
+            continue
+        new_d = min(d, beta * min(d, params.s1))
+        out[i] = centers[j] + (point - centers[j]) * (new_d / d)
+    return out
+
+
 class TestSemiRetraction:
     def setup_method(self):
         self.sel = make_selection([[0.0, 0.0], [10.0, 0.0]], (2, 1))
@@ -399,3 +494,37 @@ class TestSemiRetraction:
         single = make_selection([[0.0, 0.0]], (3,))
         with pytest.raises(ValueError):
             RetractionParams.from_selection(single, s1=0.5)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_bitwise_equal_to_per_point_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        for trial in range(300):
+            q = int(rng.integers(2, 7))
+            n = int(rng.integers(1, 4))
+            j = int(rng.integers(2, q + 1))
+            ties = trial % 2 == 1
+            if ties:
+                # distinct integer centers and integer probes: equal center distances are common
+                grid = np.array(list(itertools.product(range(-3, 4), repeat=n)), dtype=float)
+                centers = grid[rng.choice(len(grid), j, replace=False)]
+            else:
+                centers = rng.uniform(0, 10, (j, n)) + 20.0 * np.arange(j)[:, None]
+            sel = make_selection(centers, [1] * (j - 1) + [q - j + 1])
+            q0 = sel.collapsed().points
+            if ties:
+                probe = q0 + rng.integers(-2, 3, (q, n))
+                params = RetractionParams(s1=float(rng.uniform(0.1, 1.0)), s2=50.0, selection=sel)
+            else:
+                probe = q0 + rng.normal(0, 1, (q, n)) * float(rng.choice([0.1, 1.0, 3.0]))
+                params = RetractionParams.from_selection(sel, s1=float(rng.uniform(0.05, 0.8)) * sel.min_center_gap() / 2)
+            got = semi_retraction(QPoint(probe), params).points
+            assert got.tobytes() == retraction_loop(QPoint(probe), params).tobytes()
+
+    def test_tie_goes_to_lexicographically_smaller_center(self):
+        # The first center is the larger one.  The point at the origin is at
+        # distance 1 from both; s2 is set directly above rho so it moves.
+        sel = make_selection([[1.0, 0.0], [-1.0, 0.0]], (1, 1))
+        params = RetractionParams(s1=0.5, s2=10.0, selection=sel)
+        out = semi_retraction(QPoint(np.array([[0.0, 0.0], [1.0, 0.0]])), params).points
+        assert out[0, 0] < 0.0 and out[0, 1] == 0.0
+        assert np.array_equal(out[1], [1.0, 0.0])
