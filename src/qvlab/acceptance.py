@@ -12,6 +12,7 @@ reduce over the standard family a block at a time and never hold it whole.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import sys
@@ -42,12 +43,21 @@ class CheckResult:
         return f"[{status}] {self.number:2d} {self.name}: {self.detail}"
 
 
+@functools.cache
+def _permutations(q: int) -> np.ndarray:
+    """Every permutation of range(q), one per row."""
+    return np.array(list(itertools.permutations(range(q))), dtype=np.intp)
+
+
 def _exhaustive_distance(pa: np.ndarray, pb: np.ndarray) -> float:
     """The oracle for `metric_g`: the least sum of pair costs over all permutations, in row order."""
     q = pa.shape[0]
-    cost = [[float(((pa[i] - pb[j]) ** 2).sum()) for j in range(q)] for i in range(q)]
-    best = min(sum(cost[i][p[i]] for i in range(q)) for p in itertools.permutations(range(q)))
-    return math.sqrt(best)
+    cost = ((pa[:, None, :] - pb[None, :, :]) ** 2).sum(axis=2)
+    perms = _permutations(q)
+    total = cost[0, perms[:, 0]]
+    for i in range(1, q):
+        total = total + cost[i, perms[:, i]]
+    return math.sqrt(total.min())
 
 
 def check_metric_oracle() -> tuple[bool, str]:

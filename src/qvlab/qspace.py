@@ -371,10 +371,13 @@ def select_clusters(a: QPoint, s0: float, separation_k: float) -> ClusterSelecti
 class RetractionParams:
     """Parameters of the semi-retraction around a cluster selection.
 
-    `inner` (s1) is the radius below which configurations are left alone and
-    `outer` (s2) the radius beyond which they collapse onto the centers;
-    `outer` is half the minimum center gap, so the balls B(p_j, outer) are
-    disjoint.
+    `s1` is the radius below which configurations are left alone and `s2`,
+    any finite value above `s1`, the radius beyond which they collapse onto
+    the centers.  `from_selection` sets `s2` to half the minimum center gap,
+    so the balls B(p_j, s2) are disjoint.  Then a point tied between two
+    nearest centers is at least s2 from both, the configuration collapses,
+    and `semi_retraction`'s nearest-center tie-break is reached only with a
+    larger, hand-built `s2`.
     """
 
     s1: float

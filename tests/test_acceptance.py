@@ -5,6 +5,10 @@ failure) and asserts it passed.  The same checks back the command-line
 `verify-all` subcommand.
 """
 
+import itertools
+import math
+
+import numpy as np
 import pytest
 
 from qvlab import acceptance
@@ -27,3 +31,27 @@ def test_criteria_are_numbered_once():
     names = [name for _, name, _ in acceptance.CRITERIA]
     assert numbers == list(range(1, 13))
     assert len(set(names)) == len(names)
+
+
+def permutation_loop_distance(pa, pb):
+    """The criterion-1 oracle as a loop over `itertools.permutations`, each sum in row order."""
+    q = pa.shape[0]
+    cost = [[float(((pa[i] - pb[j]) ** 2).sum()) for j in range(q)] for i in range(q)]
+    best = min(sum(cost[i][p[i]] for i in range(q)) for p in itertools.permutations(range(q)))
+    return math.sqrt(best)
+
+
+def test_exhaustive_distance_matches_permutation_loop_bitwise():
+    # Integer grids and permuted near-copies put many tied and near-tied pairings in the draws.
+    rng = np.random.default_rng(20001)
+    for k in range(1000):
+        q, n = int(rng.integers(1, 8)), int(rng.integers(1, 4))
+        if k % 3 == 0:
+            pa, pb = rng.normal(0.0, 5.0, (q, n)), rng.normal(0.0, 5.0, (q, n))
+        elif k % 3 == 1:
+            pa, pb = (rng.integers(-2, 3, (2, q, n)) * 0.5).astype(float)
+        else:
+            pa = rng.normal(0.0, 1e3, (q, n))
+            pb = pa[rng.permutation(q)] + rng.normal(0.0, 1e-9, (q, n))
+        got = acceptance._exhaustive_distance(pa, pb)
+        assert type(got) is float and got == permutation_loop_distance(pa, pb), (pa, pb)

@@ -65,7 +65,7 @@ class TestWriteCsv:
             new, old = both_bytes(*table)
         assert new == old
 
-    @pytest.mark.parametrize("length", [0, 1, writers.CHUNK_ROWS + 1])
+    @pytest.mark.parametrize("length", [0, 1, 1025, writers.CHUNK_ROWS + 1])  # 1025 crossed the earlier 1024-row chunk
     def test_matches_per_row_loop_at_chunk_size(self, length):
         rng = np.random.default_rng(length)
         floats_col = rng.standard_normal(length) * 10.0 ** rng.integers(-320, 300, length)
@@ -150,7 +150,7 @@ class TestWriteReportJson:
             new, old = both_json_bytes(report)
         assert new == old
 
-    @pytest.mark.parametrize("length", [0, 1, writers.CHUNK_ROWS + 1])
+    @pytest.mark.parametrize("length", [0, 1, 1025, writers.CHUNK_ROWS + 1])  # 1025 crossed the earlier 1024-row chunk
     def test_matches_dict_path_at_chunk_size(self, length):
         rng = np.random.default_rng(length)
         columns = [rng.standard_normal(length) * 10.0 ** rng.integers(-320, 300, length) for _ in range(5)]
@@ -235,3 +235,73 @@ class TestJsonMemory:
             finally:
                 tracemalloc.stop()
         assert peaks["json"] <= 1.1 * peaks["csv"]
+
+
+# NaNs with a payload and with the sign bit set; each chunk formats its distinct values once, by their bits.
+PAYLOAD_NANS = np.array([0x7FF8000000000001, 0xFFF8000000000000, 0xFFF0000000000002], dtype=np.uint64).view(float)
+
+
+def repeated_columns(length):
+    """Float, int64 and bool columns of `length` rows that repeat a few values,
+    with runs of -0.0 and of 0.0 that cross chunk boundaries."""
+    rows = np.arange(length)
+    zeros = np.where(rows // 3 % 2, -0.0, 0.0)
+    mixed = np.array([*PAYLOAD_NANS, np.nan, -0.0, 0.0, 1.5, np.inf, -np.inf, 5e-324])[rows % 10]
+    extremes = np.array([-(2**63), 2**63 - 1, 0, -1], dtype=np.int64)[rows // 2 % 4]
+    return [zeros, mixed], [extremes], rows % 3 == 0
+
+
+class TestRepeatedValues:
+    @pytest.mark.parametrize("chunk, length", [(1, 7), (3, 10), (5, 16), (writers.CHUNK_ROWS, writers.CHUNK_ROWS + 1)])
+    def test_csv_matches_per_row_loop(self, chunk, length, tmp_path):
+        float_columns, int_columns, flags = repeated_columns(length)
+        with mock.patch.object(writers, "CHUNK_ROWS", chunk):
+            new, old = both_bytes(float_columns, int_columns)
+            write_csv(tmp_path / "flags.csv", ["flag"], [flags])
+        assert new == old
+        assert (tmp_path / "flags.csv").read_bytes() == "".join(f"{f}\r\n" for f in ["flag", *flags.tolist()]).encode()
+
+    @pytest.mark.parametrize("chunk, length", [(1, 7), (3, 10), (5, 16), (writers.CHUNK_ROWS, writers.CHUNK_ROWS + 1)])
+    def test_json_matches_json_dump(self, chunk, length, tmp_path):
+        (zeros, mixed), (extremes,), flags = repeated_columns(length)
+        payload = {"zeros": zeros, "mixed": mixed, "extremes": extremes, "flags": flags,
+                   "records": Records(["a", "b", "c"], [mixed, zeros, extremes], {"a"}),
+                   "rows": np.column_stack((zeros, mixed))}
+        with mock.patch.object(writers, "CHUNK_ROWS", chunk):
+            write_json(tmp_path / "new.json", payload)
+        with open(tmp_path / "old.json", "w") as fh:
+            json.dump(listed(payload), fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        assert (tmp_path / "new.json").read_bytes() == (tmp_path / "old.json").read_bytes()
+
+    @pytest.mark.parametrize("column", [np.array([1, 1.0, True], dtype=object), np.array(["a", "b"]),
+                                        np.array([1 + 0j]), np.array([1.0], dtype=np.longdouble)],
+                             ids=["object", "str", "complex", "longdouble"])
+    def test_other_dtypes_rejected_before_writing(self, column, tmp_path):
+        # An object column's 1, 1.0 and True are equal, so formatting distinct values would merge their texts.
+        for write, path in ((lambda p: write_csv(p, ["a"], [column]), tmp_path / "x.csv"),
+                            (lambda p: write_json(p, {"a": column}), tmp_path / "x.json")):
+            with pytest.raises(ValueError, match="bools, integers or floats"):
+                write(path)
+            assert not path.exists()
+
+
+class TestWriterMemory:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_peak_stays_flat_in_the_row_count(self, fmt, tmp_path):
+        # Five columns of distinct floats: the chunk's texts are the writer's whole working set.
+        rng = np.random.default_rng(3)
+        peaks = {}
+        for chunks in (4, 32):
+            columns = [rng.standard_normal(chunks * writers.CHUNK_ROWS) for _ in range(5)]
+            path = tmp_path / f"table{chunks}.{fmt}"
+            tracemalloc.start()
+            try:
+                if fmt == "csv":
+                    write_csv(path, list("abcde"), columns)
+                else:
+                    write_json(path, {"table": Records(list("abcde"), columns)})
+                peaks[chunks] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[32] <= 1.1 * peaks[4], peaks
