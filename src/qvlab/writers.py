@@ -42,9 +42,12 @@ CHUNK_ROWS = 4096
 def _texts(chunk: np.ndarray) -> list[str]:
     """The repr of each value of the 1-D `chunk`, each distinct value
     formatted once.  Floats are told apart by their bits, so -0.0 and 0.0,
-    and NaNs with different payloads, keep their own texts."""
+    and NaNs with different payloads, keep their own texts.  A chunk with no
+    repeats is formatted in row order, with no index back."""
     key = chunk.view(f"u{chunk.itemsize}") if chunk.dtype.kind == "f" else chunk
     distinct, inverse = np.unique(key, return_inverse=True)
+    if distinct.size == chunk.size:
+        return list(map(repr, chunk.tolist()))
     texts = np.array(list(map(repr, distinct.view(chunk.dtype).tolist())), dtype=object)
     return texts[inverse].tolist()
 
@@ -119,7 +122,8 @@ def _rows_texts(fixed: Sequence[str], columns: Sequence, inf: Sequence[bool], pa
         parts = [repeat(fixed[0])]
         for col, table, text in zip(texts, tables, fixed[1:]):
             parts += [col if table is None else [table.get(t, t) for t in col], repeat(text)]
-        return [sep.join(map("".join, zip(*parts)))]
+        rows = parts[1] if fixed == ["", ""] else map("".join, zip(*parts))  # an array's row is its value's text
+        return [sep.join(rows)]
 
     return _join("[]", map(chunk_text, chunks), pad)
 

@@ -5,8 +5,10 @@ failure) and asserts it passed.  The same checks back the command-line
 `verify-all` subcommand.
 """
 
+import functools
 import itertools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -34,10 +36,12 @@ def test_criteria_are_numbered_once():
 
 
 def permutation_loop_distance(pa, pb):
-    """The criterion-1 oracle as a loop over `itertools.permutations`, each sum in row order."""
+    """The criterion-1 oracle as a loop over `itertools.permutations`, each sum
+    added left to right in row order.  (`sum` would not do: from Python 3.12 it
+    adds floats with compensation.)"""
     q = pa.shape[0]
     cost = [[float(((pa[i] - pb[j]) ** 2).sum()) for j in range(q)] for i in range(q)]
-    best = min(sum(cost[i][p[i]] for i in range(q)) for p in itertools.permutations(range(q)))
+    best = min(functools.reduce(operator.add, (cost[i][p[i]] for i in range(q))) for p in itertools.permutations(range(q)))
     return math.sqrt(best)
 
 
