@@ -265,7 +265,7 @@ def check_squeeze_2d() -> tuple[bool, str]:
     for _ in range(200):
         _, margin = disk2d.check_squeeze_2d(disk2d.minimize_disk(_random_trace(rng)))
         worst = min(worst, margin)
-    pure = disk2d.minimize_disk(disk2d.sorted_trace(lambda t: [math.cos(t)], 512, 64))
+    pure = disk2d.minimize_disk(disk2d.sorted_trace(np.cos, 512, 64))
     _, pure_margin = disk2d.check_squeeze_2d(pure)
     passed = worst >= 0.0 and abs(pure_margin) <= 1e-12
     return passed, (

@@ -141,7 +141,7 @@ def _cmd_decay(args) -> int:
     return 0
 
 
-# The disk command's circle traces: angle -> the Q boundary values there.
+# The disk command's circle traces: the array of angles -> its Q branches over them.
 _TRACES = {
     "single-cos": lambda t: [np.cos(t)],
     "shifted-pair": lambda t: [np.cos(t), 2.0 + np.cos(t)],

@@ -16,9 +16,9 @@ cell edges never leave the domain, so the acceptance criteria that reduce
 over it (`_audit_supremum`, a running max) never hold the family or a
 report.  `_check_rows` is the one size gate: the standard family, counted
 from the function's breakpoints and the depth, the CLI's omega family,
-counted from its radii and centers, and every sample grid, scan grid and
-Fourier basis sized by input are refused above `MAX_FAMILY_ROWS` before any
-of them exists.  `writers` writes the reports.
+counted from its radii and centers, and every sample grid (a circle
+trace's included) and scan grid sized by input are refused above
+`MAX_FAMILY_ROWS` before any of them exists.  `writers` writes the reports.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ __all__ = [
     "evaluate",
     "branch_values",
     "dirichlet_energy",
+    "energy_between",
     "exact_minimizer",
     "minimizer_energy",
     "matching_distance_sq",
@@ -81,8 +82,8 @@ class EmptyIntervalError(ValueError):
 
 
 class FamilySizeError(ValueError):
-    """An audit family, or a sample grid, scan grid or Fourier basis sized by
-    input, would exceed MAX_FAMILY_ROWS."""
+    """An audit family, or a sample grid (the example, sine or circle-trace
+    grid) or scan grid sized by input, would exceed MAX_FAMILY_ROWS."""
 
 
 class UnsupportedCodimensionError(ValueError):

@@ -29,6 +29,7 @@ __all__ = [
     "c2_of_q",
     "select_clusters",
     "semi_retraction",
+    "lipschitz_bound",
 ]
 
 class DimensionMismatchError(ValueError):

@@ -193,7 +193,7 @@ class TestLevelBound:
 
 
 class TestCountBeforeAllocating:
-    """Every grid or basis whose size comes from a flag is counted against MAX_FAMILY_ROWS before it exists."""
+    """Every grid whose size comes from a flag is counted against MAX_FAMILY_ROWS before it exists."""
 
     @pytest.mark.parametrize(
         "args, message",
@@ -201,18 +201,21 @@ class TestCountBeforeAllocating:
             (["example", "sin", "--samples", "1000000000000"], "the sine sample grid would have 1000000000000 rows"),
             (["example", "diamond", "--samples", "1000000000000"], "the example grid would have 1000000000000 rows"),
             (["branch", "diamond", "--grid", "1000000000000"], "the scan grid would have 1000000000000 rows"),
-            (
-                ["disk", "--trace", "single-cos", "--samples", "200000", "--modes", "99999"],
-                "the Fourier basis of 100000 modes x 200000 samples would have 20000000000 values",
-            ),
+            (["disk", "--trace", "single-cos", "--samples", "1000000000000"], "the circle trace would have 1000000000000 samples"),
         ],
-        ids=["example-sin", "example-grid", "branch-grid", "disk-basis"],
+        ids=["example-sin", "example-grid", "branch-grid", "disk-trace"],
     )
     def test_oversized_array_is_usage_error(self, tmp_path, capsys, args, message):
         out = tmp_path / "out.csv"
         assert cli.main([*args, "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    def test_disk_mode_count_is_not_a_size(self, tmp_path):
+        # a (modes + 1) x samples Fourier basis of 2 x 10^8 values was refused here
+        out = tmp_path / "disk.csv"
+        assert cli.main(["disk", "--trace", "sqrt-type", "--samples", "20000", "--modes", "9999", "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 20001
 
     @pytest.mark.parametrize("samples", ["0", "-3"])
     @pytest.mark.parametrize("command", [["example"], ["audit", "--mode", "quasi"]], ids=["example", "audit"])

@@ -91,10 +91,18 @@ class TestSortedTrace:
         with pytest.raises(AliasingError):
             sorted_trace(lambda t: [np.cos(t)], 16, 8)
 
-    def test_huge_basis_refused_before_it_exists(self):
-        # the (modes + 1) x samples cosine and sine tables would take 149 GiB each
-        with pytest.raises(FamilySizeError, match="100000 modes x 200000 samples would have 20000000000 values"):
-            sorted_trace(lambda t: [np.cos(t)], 200000, 99999)
+    def test_huge_trace_refused_before_it_exists(self):
+        calls = []
+        with pytest.raises(FamilySizeError, match="the circle trace would have 1000000000000 samples"):
+            sorted_trace(lambda t: calls.append(t) or [np.cos(t)], 10**12, 8)
+        assert calls == []
+
+    def test_many_modes_need_no_basis(self):
+        # (modes + 1) x samples cosine and sine tables once took 149 GiB each here
+        tr = sorted_trace(lambda t: [np.cos(t)], 200000, 99999)
+        assert tr.cos_coeffs.shape == tr.sin_coeffs.shape == (1, 100000)
+        assert tr.cos_coeffs[0, 1] == pytest.approx(1.0, rel=1e-12)
+        assert tr.truncation_residual < 1e-12
 
     def test_negative_mode_cap_rejected(self):
         with pytest.raises(ValueError, match="mode_cap must be nonnegative, got -1"):
@@ -114,12 +122,68 @@ class TestSortedTrace:
         with pytest.raises(ValueError, match="trace samples must be finite"):
             sorted_trace(lambda t: [np.cos(t), bad], 17, 8)
 
-    @pytest.mark.parametrize("values", [lambda t: [1.0, 2.0] if t < 3 else [1.0],
-                                        lambda t: [1.0] if t < 3 else [1.0, 2.0],
-                                        lambda t: 1.0 if t < 3 else [[1.0]]], ids=["fewer", "more", "nested"])
-    def test_value_count_must_stay_the_first_angles(self, values):
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize("values", [np.zeros((0, 17)), np.zeros((2, 16)), np.zeros((1, 2, 17)), lambda t: []],
+                             ids=["no-branch", "wrong-width", "three-dim", "no-branch-callable"])
+    def test_sample_shape_must_be_branches_by_angles(self, values):
+        # no branch used to fail in numpy's max of an empty array
+        with pytest.raises(ValueError, match="a trace must have Q >= 1 branches of one value per angle"):
             sorted_trace(values, 17, 8)
+
+    def test_callable_is_called_once_with_every_angle(self):
+        calls = []
+
+        def trace(t):
+            calls.append(np.copy(t))
+            return [np.cos(t), np.sin(t)]
+
+        tr = sorted_trace(trace, 64, 8)
+        assert len(calls) == 1
+        assert np.array_equal(calls[0], tr.angles)
+
+    def test_bare_array_is_one_branch(self):
+        # not one constant branch per angle
+        tr = sorted_trace(lambda t: np.cos(t), 17, 8)
+        assert tr.q_count == 1
+        assert np.array_equal(tr.samples[0], np.cos(tr.angles))
+
+    @pytest.mark.parametrize("values", [lambda t: 1.0, lambda t: np.float64(1.0), lambda t: np.array(1.0)],
+                             ids=["float", "numpy-scalar", "zero-dim"])
+    def test_scalar_result_is_refused(self, values):
+        with pytest.raises(ValueError, match="a trace must return a sequence of branches"):
+            sorted_trace(values, 17, 8)
+
+    @pytest.mark.parametrize("values", [lambda t: [np.cos(t), np.cos(t)[:-1]],
+                                        lambda t: [np.cos(t), np.ones(18)],
+                                        lambda t: [[np.cos(t)]]], ids=["fewer", "more", "nested"])
+    def test_branch_must_have_one_value_per_angle(self, values):
+        with pytest.raises(ValueError, match="is neither a constant nor one value per angle"):
+            sorted_trace(values, 17, 8)
+
+    @pytest.mark.parametrize("values", [lambda t: [np.cos(t)], lambda t: [np.cos(t), 2.0 + np.cos(t)],
+                                        lambda t: [np.cos(t / 2.0), -np.cos(t / 2.0)],
+                                        lambda t: [np.cos(t) + 0.5 * np.sin(3 * t), 0.3]],
+                             ids=["single-cos", "shifted-pair", "sqrt-type", "mixed"])
+    def test_residual_matches_the_dense_basis(self, values):
+        eps = np.finfo(float).eps
+        for n in range(1, 33):
+            for mode_cap in range((n + 1) // 2):
+                tr = sorted_trace(values, n, mode_cap)
+                k = np.arange(mode_cap + 1)
+                dense = tr.cos_coeffs @ np.cos(np.outer(k, tr.angles)) + tr.sin_coeffs @ np.sin(np.outer(k, tr.angles))
+                oracle = np.abs(dense - tr.samples).max()
+                assert abs(tr.truncation_residual - oracle) <= 8 * eps * np.abs(tr.samples).max()
+
+    def test_peak_memory_does_not_grow_with_modes(self):
+        # A dense (modes + 1) x samples basis once took 32 MB at 512 modes.
+        peaks = []
+        for mode_cap in (8, 512):
+            tracemalloc.start()
+            try:
+                sorted_trace(lambda t: [np.cos(t), 2.0 + np.sin(t)], 4096, mode_cap)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0]
 
     def test_callable_peak_memory_near_the_array_path(self):
         # The callable path once listed one small array per angle, about 4x the array path's peak.

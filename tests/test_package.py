@@ -3,6 +3,7 @@
 importing the package loads no scipy module."""
 
 import ast
+import inspect
 import os
 import subprocess
 import sys
@@ -27,6 +28,18 @@ def test_exports_are_the_union_of_the_module_lists():
 def test_no_name_is_declared_twice():
     names = [name for module in MODULES for name in module.__all__]
     assert len(set(names)) == len(names)
+
+
+def test_every_public_definition_is_exported():
+    for module in MODULES:
+        defined = {
+            name
+            for name, value in vars(module).items()
+            if not name.startswith("_")
+            and (inspect.isfunction(value) or inspect.isclass(value))
+            and value.__module__ == module.__name__
+        }
+        assert defined - set(module.__all__) == set(), module.__name__
 
 
 def test_constants_are_exported():
