@@ -67,7 +67,7 @@ def _call_trace(trace, angles: np.ndarray) -> np.ndarray:
         result = [result]  # one branch over the angles, not one constant branch per angle
     if not np.iterable(result):
         raise ValueError(f"a trace must return a sequence of branches, got {result!r}")
-    branches = [np.asarray(branch, dtype=float) for branch in result]
+    branches = [np.asarray(branch) for branch in result]
     for branch in branches:
         if branch.shape not in ((), (1,), angles.shape):
             raise ValueError(f"a branch of shape {branch.shape} is neither a constant nor one value per angle")
@@ -93,7 +93,10 @@ def sorted_trace(values, sample_count: int, mode_cap: int, radius: float = 1.0) 
         raise ValueError("radius must be positive and finite")
     _check_rows(sample_count, "the circle trace", "samples")
     angles = 2.0 * np.pi * np.arange(sample_count) / sample_count
-    raw = np.atleast_2d(np.asarray(_call_trace(values, angles) if callable(values) else values, dtype=float))
+    raw = np.asarray(_call_trace(values, angles) if callable(values) else values)
+    if np.iscomplexobj(raw):
+        raise ValueError("trace values must be real, not complex")
+    raw = np.atleast_2d(raw.astype(float, copy=False))
     if raw.ndim != 2 or raw.shape[1] != sample_count or len(raw) == 0:
         raise ValueError(f"a trace must have Q >= 1 branches of one value per angle, got shape {raw.shape}")
     if not np.all(np.isfinite(raw)):

@@ -8,17 +8,20 @@ energy equals the squared matching distance of the boundary tuples divided
 by the interval length.  On top of the exact energies this module provides
 an empirical energy-decay exponent and the three minimality audits, which
 are one comparison with three figures of merit.  Each audit reads its family
-once and checks it whole, then `_evaluate`, the one block evaluator, takes
-it `BLOCK_ROWS` rows at a time: one energy prefix per audit, one boundary
-check per block, and the mode's figure and skip rule.  The standard family
-(`audit_intervals`) is itself built from `BLOCK_ROWS`-row blocks, whose
-cell edges never leave the domain, so the acceptance criteria that reduce
-over it (`_audit_supremum`, a running max) never hold the family or a
-report.  `_check_rows` is the one size gate: the standard family, counted
-from the function's breakpoints and the depth, the CLI's omega family,
-counted from its radii and centers, and every sample grid (a circle
-trace's included) and scan grid sized by input are refused above
-`MAX_FAMILY_ROWS` before any of them exists.  `writers` writes the reports.
+once and checks it whole (finite ends, then a < b, then the domain), then
+`_evaluate`, the one block evaluator, takes it `BLOCK_ROWS` rows at a time:
+one energy prefix per audit, G^2 from `matching_distance_sq`, and the mode's
+figure and skip rule.  `_supremum`, the one reduction, keeps the largest
+figure and its witness record across blocks, for a report and for the
+acceptance criteria that reduce over the standard family
+(`_audit_supremum`).  That family (`audit_intervals`) is itself built from
+`BLOCK_ROWS`-row blocks whose ends never leave the domain, so those
+criteria never hold the family or a report.  `_check_rows` is the one
+size gate: the standard family, counted from the function's breakpoints
+and the depth, the CLI's omega family, counted from its radii and centers,
+and every sample grid (a circle trace's included) and scan grid sized by
+input are refused above `MAX_FAMILY_ROWS` before any of them exists.
+`writers` writes the reports.
 """
 
 from __future__ import annotations
@@ -99,7 +102,8 @@ class PiecewiseAffineQ:
     """Q sorted piecewise-affine real branches over shared breakpoints.
 
     Invariants: breakpoints strictly increase, branch values are finite and
-    sorted ascending at every breakpoint.  Affine interpolation of sorted
+    sorted ascending at every breakpoint, and the domain length, the branch
+    spread and the energy are finite.  Affine interpolation of sorted
     columns stays sorted, so the induced multi-branch map is continuous.
     """
 
@@ -127,6 +131,17 @@ class PiecewiseAffineQ:
         br.flags.writeable = False
         object.__setattr__(self, "breakpoints", bps)
         object.__setattr__(self, "branches", br)
+        # These bound every interval length, Dir(u) and G^2 of an audit, so
+        # that no figure of merit is inf/inf or inf * 0.
+        with np.errstate(over="ignore", invalid="ignore"):
+            totals = {
+                "domain length": bps[-1] - bps[0],
+                "branch spread Q (max - min)^2": br.shape[0] * np.ptp(br) ** 2,
+                "Dirichlet energy": self.energy_prefix()[-1],
+            }
+        for name, total in totals.items():
+            if not np.isfinite(total):
+                raise ValueError(f"the {name} of the function overflows")
 
     @property
     def q_count(self) -> int:
@@ -153,7 +168,10 @@ class PiecewiseAffineQ:
 
 @dataclass(frozen=True)
 class StepWeight:
-    """Piecewise-constant positive weight: values[i] on (knots[i], knots[i+1])."""
+    """Piecewise-constant positive weight: values[i] on (knots[i], knots[i+1]).
+
+    It is defined on [knots[0], knots[-1]] only: a weighted energy over an
+    interval that the knots do not cover is refused."""
 
     knots: np.ndarray
     values: np.ndarray
@@ -163,6 +181,8 @@ class StepWeight:
         values = np.asarray(self.values, dtype=float)
         if knots.ndim != 1 or values.ndim != 1 or knots.size != values.size + 1:
             raise ValueError("need k+1 knots for k weight values")
+        if not (np.all(np.isfinite(knots)) and np.all(np.isfinite(values))):
+            raise ValueError("weight knots and values must be finite")
         if not np.all(np.diff(knots) > 0):
             raise ValueError("weight knots must be strictly increasing")
         if not np.all(values > 0):
@@ -224,6 +244,8 @@ def dirichlet_energy(
     _check_in_domain(u, [a, b])
     if weight is None:
         return float(energy_between(u, a, b))
+    if not weight.knots[0] <= a < b <= weight.knots[-1]:
+        raise DomainError(f"the weight's knots [{weight.knots[0]}, {weight.knots[-1]}] do not cover [{a}, {b}]")
     cuts = np.concatenate((u.breakpoints, weight.knots, [a, b]))
     cuts = np.unique(cuts)
     cuts = cuts[(cuts >= a) & (cuts <= b)]
@@ -318,25 +340,6 @@ class MinimalityReport:
                           "witness": witness, "records": records})
 
 
-def _witness_index(centers, radii, figure, supremum) -> int:
-    """Index of the extremal record; ties go to the smallest (a, b)."""
-    hits = np.flatnonzero(figure == supremum)
-    a = centers[hits] - radii[hits]
-    b = centers[hits] + radii[hits]
-    return int(hits[np.lexsort((b, a))[0]])
-
-
-def _build_report(mode, centers, radii, dir_u, dir_min, figure, alpha=None) -> MinimalityReport:
-    if figure.size == 0:
-        return MinimalityReport(mode, centers, radii, dir_u, dir_min, figure, 0.0, None, alpha)
-    supremum = float(np.max(figure))
-    idx = _witness_index(centers, radii, figure, supremum)
-    witness = AuditRecord(
-        float(centers[idx]), float(radii[idx]), float(dir_u[idx]), float(dir_min[idx]), float(figure[idx])
-    )
-    return MinimalityReport(mode, centers, radii, dir_u, dir_min, figure, supremum, witness, alpha)
-
-
 def _listed(values) -> np.ndarray:
     """A float array: an ndarray is used as it is, any other iterable is listed once."""
     return np.asarray(values if isinstance(values, np.ndarray) else list(values), dtype=float)
@@ -350,17 +353,6 @@ def _pairs(family) -> tuple[np.ndarray, np.ndarray]:
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError("an audit family must be an iterable of pairs")
     return arr[:, 0], arr[:, 1]
-
-
-def _checked_ends(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The ends of the intervals (a_i, b_i), once they are finite and a < b.
-    The domain check follows, so the audits' checks keep that order."""
-    ends = np.concatenate((a, b))
-    if not np.all(np.isfinite(ends)):
-        raise DomainError("interval ends must be finite")
-    if np.any(a >= b):
-        raise EmptyIntervalError("intervals must satisfy a < b")
-    return ends
 
 
 def _balls(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -380,20 +372,18 @@ def _slices(first: np.ndarray, second: np.ndarray):
 
 
 def _evaluate(u: PiecewiseAffineQ, mode: str, blocks, alpha: Optional[float] = None):
-    """The one audit evaluator: per block of a family, the kept (centers,
-    radii, dir_u, dir_min, figure) columns.
+    """The one audit evaluator: per block of a checked family, the kept
+    (centers, radii, dir_u, dir_min, figure) columns.
 
     Dir(u) is a difference of one energy prefix, built once per call, and
-    G^2(u(a), u(b)) comes from one `branch_values` call per block, which is
-    the domain part of the block's one boundary check.  quasi_k skips the
-    intervals with zero energy between identical boundary tuples and omega
-    the balls with Dir(u) = Dir_min = 0: they carry no information.
+    G^2(u(a), u(b)) is `matching_distance_sq`.  quasi_k skips the intervals
+    with zero energy between identical boundary tuples and omega the balls
+    with Dir(u) = Dir_min = 0: they carry no information.
     """
     bps, prefix = u.breakpoints, u.energy_prefix()
     for first, second in blocks:
         a, b = _interval_ends(mode, first, second)
-        values = branch_values(u, _checked_ends(a, b))
-        gsq = ((values[:, a.size :] - values[:, : a.size]) ** 2).sum(axis=0)
+        gsq = matching_distance_sq(u, a, b)
         dir_u = np.interp(b, bps, prefix) - np.interp(a, bps, prefix)
         if mode == "quasi_k":
             keep = ~((gsq == 0.0) & (dir_u == 0.0))
@@ -413,24 +403,49 @@ def _evaluate(u: PiecewiseAffineQ, mode: str, blocks, alpha: Optional[float] = N
             yield first, second, dir_u, dir_min, np.maximum(0.0, dir_u - dir_min) * second ** (1.0 - alpha)
 
 
+def _supremum(blocks) -> tuple[float, Optional[AuditRecord]]:
+    """The one audit reduction: the supremum of the figures of `_evaluate`'s
+    blocks and the record that attains it.  Ties go to the smallest (a, b),
+    a = center - radius and b = center + radius, across blocks too; no
+    record gives (0.0, None)."""
+    best, witness = None, None
+    for block in blocks:
+        centers, radii, *_, figure = block
+        if figure.size == 0:
+            continue
+        top = figure.max()
+        hits = np.flatnonzero(figure == top)
+        a, b = centers[hits] - radii[hits], centers[hits] + radii[hits]
+        k = np.lexsort((b, a))[0]
+        # The larger figure wins, then the smaller a, then the smaller b.
+        key = (top, -a[k], -b[k])
+        if best is None or key > best:
+            best, witness = key, AuditRecord(*(float(column[hits[k]]) for column in block))
+    return (0.0, None) if best is None else (float(best[0]), witness)
+
+
 def _audit(u: PiecewiseAffineQ, mode: str, family, alpha: Optional[float] = None) -> MinimalityReport:
-    """Read a family once and check it whole, so that the same error wins at
-    any block size; then evaluate it a block at a time and report."""
+    """Read a family once and check it whole, finite ends first, then a < b,
+    then the domain, so that the same error wins at any block size; then
+    evaluate it a block at a time and reduce it."""
     first, second = _pairs(family)
-    _check_in_domain(u, _checked_ends(*_interval_ends(mode, first, second)))
-    columns = zip(*_evaluate(u, mode, _slices(first, second), alpha))
-    return _build_report(mode, *(np.concatenate(column) for column in columns), alpha=alpha)
+    ends = np.stack(_interval_ends(mode, first, second))
+    if not np.all(np.isfinite(ends)):
+        raise DomainError("interval ends must be finite")
+    if np.any(ends[0] >= ends[1]):
+        raise EmptyIntervalError("intervals must satisfy a < b")
+    _check_in_domain(u, ends)
+    columns = tuple(np.concatenate(column) for column in zip(*_evaluate(u, mode, _slices(first, second), alpha)))
+    return MinimalityReport(mode, *columns, *_supremum([columns]), alpha)
 
 
 def _audit_supremum(u: PiecewiseAffineQ, mode: str, depth: int = 12, alpha: Optional[float] = None) -> float:
     """The supremum of an audit over the standard family of depth `depth`,
-    reduced block by block: neither the family nor a report is held.  A
-    family with no kept record gives 0.0, as `_build_report` does."""
+    reduced block by block: neither the family nor a report is held."""
     blocks = _family_blocks(u, depth)
     if mode != "quasi_k":
         blocks = (_balls(a, b) for a, b in blocks)
-    maxima = [np.max(figure) for *_, figure in _evaluate(u, mode, blocks, alpha) if figure.size]
-    return float(np.max(maxima)) if maxima else 0.0
+    return _supremum(_evaluate(u, mode, blocks, alpha))[0]
 
 
 def quasi_k_ratio(u: PiecewiseAffineQ, intervals: Iterable[tuple[float, float]]) -> MinimalityReport:
@@ -487,6 +502,10 @@ def energy_decay_exponent(u: PiecewiseAffineQ, z: float, r0: float, scales) -> f
     for name, value in (("center", z), ("r0", r0)):
         if not np.isfinite(value):
             raise DomainError(f"{name} must be finite, got {value!r}")
+    if not r0 > 0:
+        raise DomainError(f"r0 must be positive, got {r0!r}")
+    if not z - r0 < z + r0:
+        raise DomainError(f"r0 = {r0!r} is too small: the ball about {z!r} rounds to a point")
     base = dirichlet_energy(u, z - r0, z + r0)
     if base <= 0.0:
         raise UndefinedExponentError("zero energy at the base radius")

@@ -316,6 +316,19 @@ class TestBranchAndDecay:
         assert f"{name} must be finite, got nan" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "r0, message",
+        [("-0.1", "r0 must be positive, got -0.1"), ("1e-320", "r0 = 1e-320 is too small")],
+        ids=["negative", "subnormal"],
+    )
+    def test_decay_r0_without_a_ball_is_usage_error(self, tmp_path, capsys, r0, message):
+        # these got "empty interval [0.6, 0.4]" and "empty interval [0.5, 0.5]"
+        out = tmp_path / "decay.csv"
+        code = cli.main(["decay", "diamond", "--center", "0.5", "--r0", r0, "--out", str(out)])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestDisk:
     def test_json_output(self, tmp_path):

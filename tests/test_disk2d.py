@@ -122,6 +122,16 @@ class TestSortedTrace:
         with pytest.raises(ValueError, match="trace samples must be finite"):
             sorted_trace(lambda t: [np.cos(t), bad], 17, 8)
 
+    @pytest.mark.parametrize(
+        "values",
+        [lambda t: [np.exp(1j * t)], lambda t: [np.cos(t), 1j], np.exp(2j * np.pi * np.arange(17) / 17)],
+        ids=["callable", "callable-constant", "array"],
+    )
+    def test_complex_trace_refused(self, values):
+        # the imaginary part used to be dropped with only a ComplexWarning
+        with pytest.raises(ValueError, match="trace values must be real, not complex"):
+            sorted_trace(values, 17, 8)
+
     @pytest.mark.parametrize("values", [np.zeros((0, 17)), np.zeros((2, 16)), np.zeros((1, 2, 17)), lambda t: []],
                              ids=["no-branch", "wrong-width", "three-dim", "no-branch-callable"])
     def test_sample_shape_must_be_branches_by_angles(self, values):

@@ -70,6 +70,26 @@ class TestEvaluation:
             PiecewiseAffineQ([0.0, 1.0], [[1.0, 1.0], [0.0, 0.0]])
 
     @pytest.mark.parametrize(
+        "breakpoints, branches, total",
+        [
+            ([0.0, 1.0], [[-1e308, 1e308]], "branch spread"),
+            ([0.0, 1e-320], [[0.0, 1.0]], "Dirichlet energy"),
+            ([-1e308, 0.0, 1e308], [[0.0, 0.0, 1.0]], "domain length"),
+        ],
+        ids=["spread", "energy", "length"],
+    )
+    def test_overflowing_function_refused(self, breakpoints, branches, total):
+        # Each was accepted: its quasi audit met inf/inf or inf * 0 = NaN
+        # figures (an IndexError from the witness search), or its energy was inf.
+        with pytest.raises(ValueError, match=f"the {total} .*of the function overflows"):
+            PiecewiseAffineQ(breakpoints, branches)
+
+    def test_rescale_to_an_overflowing_energy_refused(self):
+        # the subnormal domain used to get energy inf
+        with pytest.raises(ValueError, match="the Dirichlet energy of the function overflows"):
+            rescale_domain(make_diamond(0.0, 1.0), 1e-320)
+
+    @pytest.mark.parametrize(
         "call",
         [
             lambda u: branch_values(u, np.nan),
@@ -149,6 +169,19 @@ class TestWeightedEnergy:
     def test_weight_validation(self):
         with pytest.raises(ValueError):
             StepWeight([0.0, 1.0], [0.0])
+
+    @pytest.mark.parametrize("knots, values", [([0.0, 1.0], [np.inf]), ([0.0, np.inf], [1.0]), ([0.0, 1.0], [np.nan])])
+    def test_weight_must_be_finite(self, knots, values):
+        # an infinite value gave Dir = inf, or NaN on a flat function
+        with pytest.raises(ValueError, match="weight knots and values must be finite"):
+            StepWeight(knots, values)
+
+    def test_weight_must_cover_the_interval(self):
+        # the weight used to be stretched past its knots: 2.0 over [0.1, 0.9] gave 1.6
+        u = make_diamond(0.0, 1.0)
+        with pytest.raises(DomainError, match=r"the weight's knots \[0.4, 0.6\] do not cover \[0.1, 0.9\]"):
+            dirichlet_energy(u, 0.1, 0.9, StepWeight([0.4, 0.6], [2.0]))
+        assert dirichlet_energy(u, 0.4, 0.6, StepWeight([0.4, 0.6], [2.0])) == pytest.approx(0.4, rel=1e-14)
 
 
 class TestExactMinimizer:
@@ -503,6 +536,21 @@ class TestFamilyBlocks:
             assert report.supremum == want_sup
             assert (report.witness and tuple(report.witness)) == want_witness
 
+    @pytest.mark.parametrize("rows", [1, 2, 3, 5])
+    @pytest.mark.parametrize("mode", ["quasi_k", "omega", "almost"])
+    def test_supremum_reduces_blocks_like_the_whole_family(self, mode, rows):
+        # Ties and infinite figures fall in different blocks at these sizes.
+        for u, intervals in audit_families():
+            family = np.asarray(mode_family(mode, intervals), dtype=float)
+            _, want_sup, want_witness = whole_family_audit(u, mode, family)
+            with mock.patch.object(func1d, "BLOCK_ROWS", rows):
+                blocks = list(func1d._evaluate(u, mode, func1d._slices(*family.T), alpha=0.5))
+            assert len(blocks) == -(-len(family) // rows)
+            supremum, witness = func1d._supremum(blocks)
+            assert supremum == want_sup
+            assert (witness and tuple(witness)) == want_witness
+        assert func1d._supremum([]) == (0.0, None)
+
     @pytest.mark.parametrize("rows", [1, 2, func1d.BLOCK_ROWS, 8192])
     @pytest.mark.parametrize(
         "later, error, message",
@@ -560,6 +608,7 @@ class TestFamilyBlocks:
     @settings(max_examples=200, deadline=None)
     @given(lo=st.floats(-1e3, 1e3), width=st.floats(1e-3, 1e3), depth=st.integers(0, 8))
     @example(lo=0.0, width=0.1, depth=1)
+    @example(lo=0.0, width=1.0, depth=12)  # the acceptance criteria's family
     def test_family_ends_lie_in_the_domain(self, lo, width, depth):
         u = make_double_line(lo, lo + width)
         lo, hi = u.domain
@@ -684,6 +733,17 @@ class TestDecayExponent:
     def test_nonfinite_center_or_r0_rejected(self, center, r0, name):
         with pytest.raises(DomainError, match=f"{name} must be finite"):
             energy_decay_exponent(double_line(), center, r0, [1.0, 0.5])
+
+    @pytest.mark.parametrize(
+        "r0, message",
+        [(-0.1, "r0 must be positive, got -0.1"), (0.0, "r0 must be positive, got 0.0"),
+         (1e-320, "r0 = 1e-320 is too small: the ball about 0.5 rounds to a point")],
+        ids=["negative", "zero", "subnormal"],
+    )
+    def test_r0_must_give_a_ball(self, r0, message):
+        # these gave "empty interval [0.6, 0.4]" and "[0.5, 0.5]", naming no parameter
+        with pytest.raises(DomainError, match=message):
+            energy_decay_exponent(double_line(), 0.5, r0, [1.0, 0.5])
 
 
 class TestReports:
