@@ -7,12 +7,11 @@ c r^(alpha - 1).  With alpha = 1/2 the constant 2 suffices at every level,
 and a single losange on [0, 1] pins the deficiency sqrt(2) exactly.
 """
 
-import numpy as np
-
 from qvlab import (
     CantorConstruction,
     almost_deficiency,
     audit_intervals,
+    balls_from_intervals,
     cantor_level,
     make_losange,
     quasi_k_ratio,
@@ -30,8 +29,7 @@ def main():
     print("\nlosange refinement levels, alpha = 1/2, depth-9 interval family:")
     for level in range(1, 7):
         u = cantor_level(CantorConstruction(level, "losange"))
-        fam = audit_intervals(u, depth=9)
-        balls = np.column_stack((0.5 * (fam[:, 0] + fam[:, 1]), 0.5 * (fam[:, 1] - fam[:, 0])))
+        balls = balls_from_intervals(audit_intervals(u, depth=9))
         rep = almost_deficiency(u, 0.5, balls)
         print(f"  level {level}: smallest certified c = {rep.supremum:.9f}  (stays below 2)")
 

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .func1d import PiecewiseAffineQ, _check_rows, branch_values
-from .writers import write_csv
 
 __all__ = [
     "BranchScan",
@@ -56,9 +55,6 @@ class BranchScan:
     def collapsed_mask(self) -> np.ndarray:
         """Grid mask of the full-collision set {sigma == 1}."""
         return self.sigma == 1
-
-    def to_csv(self, path) -> None:
-        write_csv(path, ["x", "sigma", "flagged"], [self.grid, self.sigma, self.flags.astype(int)])
 
 
 def _sigma_of_columns(values: np.ndarray, tol: float) -> np.ndarray:
@@ -108,8 +104,8 @@ def scan(u: PiecewiseAffineQ, grid_size: int, tol: float | None = None) -> Branc
     if tol is None:
         spread = float(u.branches.max() - u.branches.min())
         tol = DEFAULT_TOL_FACTOR * (spread if spread > 0 else 1.0)
-    if not tol >= 0:
-        raise ValueError(f"tol must be nonnegative, got {tol!r}")
+    if not (0 <= tol < np.inf):
+        raise ValueError(f"tol must be nonnegative and finite, got {tol!r}")
     grid = np.linspace(lo, hi, grid_size)
     values = branch_values(u, grid)
     sig = _sigma_of_columns(values, tol)
@@ -157,14 +153,6 @@ class DimensionReport:
     counts: np.ndarray
     slope: float
     r_squared: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "scales": self.scales,
-            "counts": self.counts,
-            "slope": self.slope,
-            "r_squared": self.r_squared,
-        }
 
 
 def dimension_report(scan_result: BranchScan, scales) -> DimensionReport:

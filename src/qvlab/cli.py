@@ -60,6 +60,16 @@ def build_named_function(name: str, level: int | None = None, samples: int | Non
     return cons.cantor_level(cons.CantorConstruction(level, *_LEVELED[name]))
 
 
+def _write(args, header, columns, payload) -> None:
+    """Write a command's file: the CSV `columns` under `header`, or the JSON
+    `payload`, as --format asks.  Every layout but an audit report's, which
+    its `MinimalityReport` writes, is declared in the command that calls this."""
+    if args.format == "csv":
+        write_csv(args.out, header, columns)
+    else:
+        write_json(args.out, payload)
+
+
 def _cmd_example(args) -> int:
     u = build_named_function(args.name, args.level, args.samples)
     n = args.samples if args.samples else 1025
@@ -67,10 +77,8 @@ def _cmd_example(args) -> int:
     lo, hi = u.domain
     xs = np.linspace(lo, hi, n)
     values = func1d.branch_values(u, xs)
-    if args.format == "csv":
-        write_csv(args.out, ["x"] + [f"branch_{i + 1}" for i in range(u.q_count)], [xs, *values])
-    else:
-        write_json(args.out, {"name": args.name, "level": args.level, "x": xs, "branches": values})
+    _write(args, ["x"] + [f"branch_{i + 1}" for i in range(u.q_count)], [xs, *values],
+           {"name": args.name, "level": args.level, "x": xs, "branches": values})
     return 0
 
 
@@ -117,11 +125,11 @@ def _cmd_branch(args) -> int:
     sc = branch.scan(u, args.grid, args.tol)
     scales = args.scales if args.scales else [3.0**-k for k in range(2, 8)]
     report = branch.dimension_report(sc, scales)
-    if args.format == "csv":
-        sc.to_csv(args.out)
-    else:
-        scan = {"x": sc.grid, "sigma": sc.sigma, "flagged": sc.flags, "tol": sc.tol}
-        write_json(args.out, {"scan": scan, "dimension": report.to_json_dict()})
+    scan = {"x": sc.grid, "sigma": sc.sigma, "flagged": sc.flags, "tol": sc.tol}
+    dimension = {"scales": report.scales, "counts": report.counts, "slope": report.slope,
+                 "r_squared": report.r_squared}
+    _write(args, ["x", "sigma", "flagged"], [sc.grid, sc.sigma, sc.flags.astype(int)],
+           {"scan": scan, "dimension": dimension})
     print(f"branch {args.name} flagged={int(sc.flags.sum())} dimension={report.slope!r}")
     return 0
 
@@ -131,12 +139,9 @@ def _cmd_decay(args) -> int:
     scales = np.array(args.scales if args.scales else np.logspace(0, -2, 12), dtype=float)
     slope = func1d.energy_decay_exponent(u, args.center, args.r0, scales)
     energies = func1d.energy_between(u, args.center - scales * args.r0, args.center + scales * args.r0)
-    if args.format == "csv":
-        write_csv(args.out, ["scale", "radius", "energy"], [scales, scales * args.r0, energies])
-    else:
-        profile = np.column_stack((scales, energies))
-        write_json(args.out, {"name": args.name, "center": args.center, "r0": args.r0, "profile": profile,
-                              "slope": slope})
+    _write(args, ["scale", "radius", "energy"], [scales, scales * args.r0, energies],
+           {"name": args.name, "center": args.center, "r0": args.r0,
+            "profile": np.column_stack((scales, energies)), "slope": slope})
     print(f"decay {args.name} center={args.center!r} slope={slope!r}")
     return 0
 
@@ -154,11 +159,11 @@ def _cmd_disk(args) -> int:
     trace = disk2d.sorted_trace(_TRACES[args.trace], args.samples, args.modes, radius=args.radius)
     minimizer = disk2d.minimize_disk(trace)
     holds, margin = disk2d.check_squeeze_2d(minimizer)
-    if args.format == "csv":
-        header = ["angle"] + [f"branch_{i + 1}" for i in range(trace.q_count)]
-        write_csv(args.out, header, [trace.angles, *trace.samples])
-    else:
-        minimizer.to_json(args.out)
+    _write(args, ["angle"] + [f"branch_{i + 1}" for i in range(trace.q_count)], [trace.angles, *trace.samples],
+           {"radius": trace.radius, "q_count": trace.q_count, "angles": trace.angles, "samples": trace.samples,
+            "cos_coeffs": trace.cos_coeffs, "sin_coeffs": trace.sin_coeffs,
+            "truncation_residual": trace.truncation_residual, "dir_interior": minimizer.dir_interior,
+            "dir_boundary": minimizer.dir_boundary, "squeeze_margin": margin})
     print(
         f"disk trace={args.trace} dir_interior={minimizer.dir_interior!r} "
         f"dir_boundary={minimizer.dir_boundary!r} squeeze={'ok' if holds else 'VIOLATED'} margin={margin!r}"

@@ -91,8 +91,11 @@ def make_double_line(a: float, b: float, offset: float = 0.0) -> PiecewiseAffine
 
 def make_pluri_losange(intervals, lo: float = 0.0, hi: float = 1.0) -> PiecewiseAffineQ:
     """Losanges above the given disjoint subintervals of [lo, hi], the double
-    value zero elsewhere."""
+    value zero elsewhere.  Intervals may touch at an end but not overlap."""
     ivs = sorted((float(a), float(b)) for a, b in intervals)
+    for (a0, b0), (a1, b1) in zip(ivs, ivs[1:]):
+        if a1 < b0:
+            raise DomainError(f"losange intervals [{a0}, {b0}] and [{a1}, {b1}] overlap")
     bps = [lo]
     lower = [0.0]
     upper = [0.0]
@@ -300,9 +303,10 @@ def cantor_limit(flavor: str, level_cap: int, schedule: str = "ternary") -> Cant
 
 
 def _check_sin_ball(x: float, r: float) -> None:
-    if r <= 0:
-        raise DomainError("radius must be positive")
-    if x - r <= -SIN_HALF_WIDTH or x + r >= SIN_HALF_WIDTH:
+    """Refuse unless r > 0 and (x - r, x + r) lies inside (-pi/4, pi/4); NaN fails both."""
+    if not r > 0:
+        raise DomainError(f"radius must be positive, got {r!r}")
+    if not (-SIN_HALF_WIDTH < x - r and x + r < SIN_HALF_WIDTH):
         raise DomainError(f"ball ({x - r}, {x + r}) leaves (-pi/4, pi/4)")
 
 
@@ -334,8 +338,8 @@ def sin_w_ratio(x: float, r: float) -> float:
 
 def omega_sin(r: float) -> float:
     """Excess profile r^2 / sin^2(r) - 1; decreases to 0 as r decreases to 0."""
-    if r <= 0:
-        raise DomainError("radius must be positive")
+    if not 0 < r < math.inf:
+        raise DomainError(f"radius must be positive and finite, got {r!r}")
     return (r / math.sin(r)) ** 2 - 1.0
 
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .func1d import _check_rows
-from .writers import write_json
 
 __all__ = [
     "CircleTraceQ",
@@ -143,23 +142,6 @@ class DiskMinimizer:
         k = np.arange(a.shape[1])
         power = (a**2 + b**2) * scale ** (2 * k)
         return float(np.pi * np.sum(k * power))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "radius": self.trace.radius,
-            "q_count": self.q_count,
-            "angles": self.trace.angles,
-            "samples": self.trace.samples,
-            "cos_coeffs": self.trace.cos_coeffs,
-            "sin_coeffs": self.trace.sin_coeffs,
-            "truncation_residual": self.trace.truncation_residual,
-            "dir_interior": self.dir_interior,
-            "dir_boundary": self.dir_boundary,
-            "squeeze_margin": check_squeeze_2d(self)[1],
-        }
-
-    def to_json(self, path) -> None:
-        write_json(path, self.to_json_dict())
 
 
 def minimize_disk(trace: CircleTraceQ) -> DiskMinimizer:

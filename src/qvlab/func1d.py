@@ -132,12 +132,14 @@ class PiecewiseAffineQ:
         object.__setattr__(self, "breakpoints", bps)
         object.__setattr__(self, "branches", br)
         # These bound every interval length, Dir(u) and G^2 of an audit, so
-        # that no figure of merit is inf/inf or inf * 0.
+        # that no figure of merit is inf/inf or inf * 0, and every a + b of
+        # two domain points, so that no ball center overflows.
         with np.errstate(over="ignore", invalid="ignore"):
             totals = {
                 "domain length": bps[-1] - bps[0],
                 "branch spread Q (max - min)^2": br.shape[0] * np.ptp(br) ** 2,
                 "Dirichlet energy": self.energy_prefix()[-1],
+                "doubled domain end": 2.0 * max(abs(bps[0]), abs(bps[-1])),
             }
         for name, total in totals.items():
             if not np.isfinite(total):
@@ -221,6 +223,8 @@ def evaluate(u: PiecewiseAffineQ, x: float) -> QPoint:
 
 def energy_between(u: PiecewiseAffineQ, a, b) -> np.ndarray:
     """Vectorized Dirichlet energy over intervals (a_i, b_i)."""
+    _check_in_domain(u, a)
+    _check_in_domain(u, b)
     prefix = u.energy_prefix()
     pa = np.interp(a, u.breakpoints, prefix)
     pb = np.interp(b, u.breakpoints, prefix)
@@ -241,9 +245,9 @@ def dirichlet_energy(
     """
     if a >= b:
         raise EmptyIntervalError(f"empty interval [{a}, {b}]")
-    _check_in_domain(u, [a, b])
     if weight is None:
         return float(energy_between(u, a, b))
+    _check_in_domain(u, [a, b])
     if not weight.knots[0] <= a < b <= weight.knots[-1]:
         raise DomainError(f"the weight's knots [{weight.knots[0]}, {weight.knots[-1]}] do not cover [{a}, {b}]")
     cuts = np.concatenate((u.breakpoints, weight.knots, [a, b]))

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from qvlab import cli
 from qvlab.branch import (
     UndefinedDimensionError,
     box_counts,
@@ -104,10 +105,15 @@ class TestScan:
         with pytest.raises(ValueError, match="tol"):
             scan(sin_sampled(257), 101, tol=float("nan"))
 
+    def test_infinite_tol_rejected(self):
+        # at tol = inf every point merged into one support value
+        with pytest.raises(ValueError, match="tol must be nonnegative and finite, got inf"):
+            scan(make_double_line(0.0, 1.0), 11, tol=float("inf"))
+
     def test_csv_export(self, tmp_path):
-        sc = scan(sin_sampled(257), 101)
+        # the scan CSV layout is the CLI's: x, sigma and an integer flag per grid point
         path = tmp_path / "scan.csv"
-        sc.to_csv(path)
+        assert cli.main(["branch", "sin", "--samples", "257", "--grid", "101", "--out", str(path)]) == 0
         lines = path.read_text().splitlines()
         assert lines[0] == "x,sigma,flagged"
         assert len(lines) == 102
@@ -182,8 +188,6 @@ class TestBoxDimension:
         rep = dimension_report(sc, [3.0**-k for k in range(1, 5)])
         assert rep.counts.size == 4
         assert 0.0 <= rep.r_squared <= 1.0
-        payload = rep.to_json_dict()
-        assert set(payload) == {"scales", "counts", "slope", "r_squared"}
 
 
 class TestMeasureAtScale:

@@ -259,6 +259,8 @@ class TestBranchAndDecay:
         payload = json.loads(out.read_text())
         assert set(payload) == {"scan", "dimension"}
         assert len(payload["scan"]["x"]) == 244
+        assert set(payload["dimension"]) == {"scales", "counts", "slope", "r_squared"}
+        assert {type(flag) for flag in payload["scan"]["flagged"]} == {bool}
 
     def test_branch_single_scale_is_usage_error(self, tmp_path):
         out = tmp_path / "branch.json"
@@ -286,7 +288,17 @@ class TestBranchAndDecay:
         out = tmp_path / "branch.csv"
         code = cli.main(["branch", "sin", "--grid", "101", "--out", str(out)])
         assert code == 0
-        assert out.read_text().splitlines()[0] == "x,sigma,flagged"
+        lines = out.read_text().splitlines()
+        assert lines[0] == "x,sigma,flagged"
+        assert {line.rsplit(",", 1)[1] for line in lines[1:]} == {"0", "1"}
+
+    def test_branch_infinite_tol_is_usage_error(self, tmp_path, capsys):
+        # every point merged, and the run ended in "no flagged points to count"
+        out = tmp_path / "b.csv"
+        code = cli.main(["branch", "diamond", "--grid", "11", "--tol", "inf", "--out", str(out)])
+        assert code == 2
+        assert "tol must be nonnegative and finite, got inf" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_decay_csv_and_slope(self, tmp_path, capsys):
         out = tmp_path / "decay.csv"

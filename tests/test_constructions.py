@@ -14,6 +14,7 @@ from qvlab.constructions import (
     fat_residual_length,
     make_diamond,
     make_losange,
+    make_pluri_losange,
     omega_sin,
     sin_dir_u,
     sin_dir_v_identity,
@@ -84,6 +85,17 @@ class TestLosange:
 
     def test_energy(self):
         assert dirichlet_energy(make_losange(0.0, 1.0), 0.0, 1.0) == pytest.approx(2.0, rel=1e-14)
+
+    @pytest.mark.parametrize("intervals", [[(0.1, 0.5), (0.3, 0.9)], [(0.3, 0.9), (0.1, 0.5)], [(0.1, 0.9), (0.3, 0.5)]])
+    def test_overlapping_intervals_are_refused(self, intervals):
+        # [(0.1, 0.5), (0.3, 0.9)] gave breakpoints [0, .1, .3, .5, .6, .9, 1], not two losanges
+        with pytest.raises(DomainError, match=r"losange intervals \[0\.1, .*\] and \[0\.3, .*\] overlap"):
+            make_pluri_losange(intervals)
+
+    def test_touching_intervals_are_two_losanges(self):
+        u = make_pluri_losange([(0.2, 0.5), (0.5, 0.8)])
+        assert u.breakpoints.tolist() == [0.0, 0.2, 0.35, 0.5, 0.65, 0.8, 1.0]
+        assert dirichlet_energy(u, 0.0, 1.0) == pytest.approx(2 * 2.0 * 0.3, rel=1e-14)
 
 
 class TestRemovalSchedules:
@@ -326,6 +338,24 @@ class TestSinClosedForms:
             sin_dir_u(0.7, 0.2)
         with pytest.raises(DomainError):
             omega_sin(0.0)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: sin_dir_u(0.0, float("nan")),
+            lambda: sin_dir_u(float("nan"), 0.1),
+            lambda: sin_dir_v_identity(float("inf"), 0.1),
+            lambda: sin_w_ratio(float("nan"), 0.1),
+            lambda: sin_w_ratio(0.0, float("inf")),
+            lambda: omega_sin(float("nan")),
+            lambda: omega_sin(float("inf")),
+        ],
+        ids=["dir_u-nan-r", "dir_u-nan-x", "dir_v-inf-x", "w_ratio-nan-x", "w_ratio-inf-r", "omega-nan", "omega-inf"],
+    )
+    def test_nonfinite_ball_is_refused(self, call):
+        # NaN passed the `r <= 0` and `x - r <= -W` tests and gave nan; omega_sin(inf) hit a math domain error
+        with pytest.raises(DomainError):
+            call()
 
 
 class TestSinSampled:

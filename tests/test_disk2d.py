@@ -1,11 +1,13 @@
 """Tests for sorted circle traces and their least-energy disk extensions."""
 
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qvlab import cli
 from qvlab.disk2d import (
     AliasingError,
     check_squeeze_2d,
@@ -340,11 +342,12 @@ class TestDecayProfile:
 
 
 def test_json_export(tmp_path):
-    m = minimize_disk(sorted_trace(lambda t: [np.cos(t)], 64, 8))
+    # the disk JSON layout is the CLI's
     path = tmp_path / "disk.json"
-    m.to_json(path)
-    import json
-
+    code = cli.main(
+        ["disk", "--trace", "single-cos", "--samples", "64", "--modes", "8", "--out", str(path), "--format", "json"]
+    )
+    assert code == 0
     payload = json.loads(path.read_text())
     assert payload["dir_interior"] == pytest.approx(np.pi)
     assert payload["squeeze_margin"] == pytest.approx(0.0, abs=1e-12)

@@ -75,8 +75,10 @@ class TestEvaluation:
             ([0.0, 1.0], [[-1e308, 1e308]], "branch spread"),
             ([0.0, 1e-320], [[0.0, 1.0]], "Dirichlet energy"),
             ([-1e308, 0.0, 1e308], [[0.0, 0.0, 1.0]], "domain length"),
+            # a ball center 0.5 * (a + b) was inf, with "overflow encountered in add"
+            ([1e308, 1.7e308], [[0.0, 1.0]], "doubled domain end"),
         ],
-        ids=["spread", "energy", "length"],
+        ids=["spread", "energy", "length", "center"],
     )
     def test_overflowing_function_refused(self, breakpoints, branches, total):
         # Each was accepted: its quasi audit met inf/inf or inf * 0 = NaN
@@ -96,8 +98,13 @@ class TestEvaluation:
             lambda u: matching_distance_sq(u, [np.nan], [0.5]),
             lambda u: dirichlet_energy(u, np.nan, 1.0),
             lambda u: dirichlet_energy(u, np.nan, 1.0, StepWeight([0.0, 0.5, 1.0], [1.0, 2.0])),
+            # these gave nan, and 0.5 clamped by np.interp
+            lambda u: energy_between(u, np.nan, 0.5),
+            lambda u: energy_between(u, -5.0, 0.5),
+            lambda u: energy_between(u, [0.1, 0.2], np.array([0.5, np.nan])),
         ],
-        ids=["branch_values", "matching_distance_sq", "dirichlet_energy", "dirichlet_energy-weighted"],
+        ids=["branch_values", "matching_distance_sq", "dirichlet_energy", "dirichlet_energy-weighted",
+             "energy_between", "energy_between-outside", "energy_between-array"],
     )
     def test_nan_point_is_outside_the_domain(self, call):
         # NaN fails lo <= x <= hi; it used to pass as inside and give nan (or 0.0 weighted)

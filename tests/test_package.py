@@ -1,6 +1,7 @@
 """The package's layout: each public name is declared once, in its module's
-`__all__`, every file the package writes goes through `qvlab.writers`, and
-importing the package loads no scipy module."""
+`__all__`, every file the package writes goes through `qvlab.writers`, only
+the CLI and the audit report use those writers, and importing the package
+loads no scipy module."""
 
 import ast
 import inspect
@@ -71,6 +72,28 @@ def test_only_writers_writes_files():
     writes = {path.name: file_writes(path) for path in sorted(package.glob("*.py"))}
     assert [what for _, what in writes.pop("writers.py")] == ["open for writing", "open for writing"]
     assert {name: found for name, found in writes.items() if found} == {}
+
+
+def imports_writers(module_path):
+    """Whether one source file imports `qvlab.writers` or a name from it."""
+    for node in ast.walk(ast.parse(Path(module_path).read_text())):
+        if isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            if module in (".writers", "qvlab.writers"):
+                return True
+            if module in (".", "qvlab") and any(alias.name == "writers" for alias in node.names):
+                return True
+        elif isinstance(node, ast.Import) and any(alias.name == "qvlab.writers" for alias in node.names):
+            return True
+    return False
+
+
+def test_only_the_cli_and_the_audit_report_use_the_writers():
+    # a library module computes; the CLI declares each file layout but the
+    # audit report's, which `func1d.MinimalityReport` writes
+    package = Path(qvlab.__file__).parent
+    users = [path.name for path in sorted(package.glob("*.py")) if imports_writers(path)]
+    assert users == ["cli.py", "func1d.py"]
 
 
 def test_import_loads_no_scipy():
