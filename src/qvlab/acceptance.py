@@ -60,6 +60,13 @@ def _exhaustive_distance(pa: np.ndarray, pb: np.ndarray) -> float:
     return math.sqrt(total.min())
 
 
+def _worst(pick, worst: float, value: float) -> float:
+    """pick (max or min) of the running worst and a new value, or NaN from
+    the first value that is not finite on: a NaN or infinite figure fails
+    every bound, where max(0.0, nan) and min(inf, nan) would drop it."""
+    return pick(worst, value) if math.isfinite(value) and not math.isnan(worst) else math.nan
+
+
 def check_metric_oracle() -> tuple[bool, str]:
     """metric_g equals the exhaustive-permutation minimum (Q <= 6, n <= 3)."""
     rng = np.random.default_rng(12001)
@@ -121,7 +128,7 @@ def check_pluri_diamond_bound() -> tuple[bool, str]:
     for level in range(1, 9):
         u = cons.cantor_level(cons.CantorConstruction(level, "diamond"))
         sup = func1d._audit_supremum(u, "quasi_k")
-        worst_sup = max(worst_sup, sup)
+        worst_sup = _worst(max, worst_sup, sup)
         if level == 1:
             level1_sup = sup
             level1_witness = func1d.quasi_k_ratio(u, [(1.0 / 3.0, 2.0 / 3.0)]).supremum
@@ -144,7 +151,7 @@ def check_endpoint_gap() -> tuple[bool, str]:
         for a, b in func1d._family_blocks(u, 12):
             w = b - a
             gsq = func1d.matching_distance_sq(u, a, b)
-            worst = min(worst, float(np.min(gsq / (0.5 * w * w))))
+            worst = _worst(min, worst, float(np.min(gsq / (0.5 * w * w))))
     # The inequality is exact; the 1e-9 guard absorbs interpolation rounding
     # at micro-intervals (measured deficit is below 1e-10).
     passed = worst >= 1.0 - 1e-9
@@ -192,7 +199,7 @@ def check_losange_almost() -> tuple[bool, str]:
     worst = 0.0
     for level in range(1, 9):
         u = cons.cantor_level(cons.CantorConstruction(level, "losange"))
-        worst = max(worst, func1d._audit_supremum(u, "almost", alpha=0.5))
+        worst = _worst(max, worst, func1d._audit_supremum(u, "almost", alpha=0.5))
     single = cons.make_losange(0.0, 1.0)
     full_ball = func1d.almost_deficiency(single, 0.5, [(0.5, 0.5)]).supremum
     exact_sqrt2 = abs(full_ball - math.sqrt(2.0)) <= 1e-12
@@ -313,7 +320,7 @@ def check_retraction_contract() -> tuple[bool, str]:
             violations += 1
         if rho >= params.s2 and qspace.metric_g(image, q0) != 0.0:
             violations += 1
-        if qspace.metric_g(probe, image) > rho * (1.0 + 1e-12) + 1e-15:
+        if not qspace.metric_g(probe, image) <= rho * (1.0 + 1e-12) + 1e-15:
             violations += 1
 
     lip_violations = 0
@@ -329,7 +336,7 @@ def check_retraction_contract() -> tuple[bool, str]:
         qa, qb = qspace.QPoint(base), qspace.QPoint(other)
         lhs = qspace.metric_g(qspace.semi_retraction(qa, params), qspace.semi_retraction(qb, params))
         rhs = qspace.lipschitz_bound(params) * qspace.metric_g(qa, qb)
-        if lhs > rhs * (1.0 + 1e-9):
+        if not lhs <= rhs * (1.0 + 1e-9):
             lip_violations += 1
     passed = violations == 0 and lip_violations == 0
     return passed, (
@@ -363,19 +370,19 @@ def check_cluster_selection() -> tuple[bool, str]:
         sel = qspace.select_clusters(a, s0, k)  # separation is validated on construction
         q0 = sel.collapsed()
         c_q = qspace.c_of_q(q, k)
-        if qspace.metric_g(a, q0) > c_q * s0 / math.sqrt(q - 1) + 1e-12:
+        if not qspace.metric_g(a, q0) <= c_q * s0 / math.sqrt(q - 1) + 1e-12:
             violations += 1
         if not (s0 <= sel.radius <= c_q * s0 * (1 + 1e-12)):
             violations += 1
         if sel.cluster_count == 1:
             diam = float(np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1)).max())
-            if diam > c_q * s0 / (q - 1) + 1e-12:
+            if not diam <= c_q * s0 / (q - 1) + 1e-12:
                 violations += 1
         for _ in range(100):
             disp = rng.normal(0.0, 1.0, (q, n))
             disp *= s0 * float(rng.uniform(0.0, 1.0)) / max(float(np.sqrt((disp**2).sum())), 1e-300)
             z = qspace.QPoint(pts + disp)
-            if qspace.metric_g(z, q0) > sel.radius + 1e-9:
+            if not qspace.metric_g(z, q0) <= sel.radius + 1e-9:
                 z_violations += 1
     passed = violations == 0 and z_violations == 0
     return passed, (

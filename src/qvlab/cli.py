@@ -6,7 +6,9 @@ configuration errors.  Only verify-all exits 1: an audit that finds an
 infinite factor and a disk that prints squeeze=VIOLATED still exit 0.
 Identical invocations produce byte-identical output files; floats are
 serialized with their shortest round-trip representation and infinities as
-the strings "inf"/"-inf".
+the strings "inf"/"-inf".  An audit's report is written as it is evaluated,
+block by block, and its summary line takes the record count and supremum
+from that write.
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ def _write(args, header, columns, payload) -> None:
     `payload`, as --format asks.  Every layout but an audit report's, which
     its `MinimalityReport` writes, is declared in the command that calls this."""
     if args.format == "csv":
-        write_csv(args.out, header, columns)
+        write_csv(args.out, header, [columns])
     else:
         write_json(args.out, payload)
 
@@ -110,13 +112,12 @@ def _cmd_audit(args) -> int:
             report = func1d.quasi_k_ratio(u, intervals)
         else:
             report = func1d.almost_deficiency(u, args.alpha, func1d.balls_from_intervals(intervals))
-        del intervals  # not written: its memory goes to the report's texts
+        del intervals  # the report holds the family it evaluates: in almost mode the balls alone
     if args.format == "csv":
         report.to_csv(args.out)
     else:
         report.to_json(args.out)
-    sup = report.supremum
-    print(f"audit {args.name} mode={args.mode} records={report.figure.size} supremum={sup!r}")
+    print(f"audit {args.name} mode={args.mode} records={report.record_count} supremum={report.supremum!r}")
     return 0
 
 

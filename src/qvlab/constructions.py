@@ -337,9 +337,11 @@ def sin_w_ratio(x: float, r: float) -> float:
 
 
 def omega_sin(r: float) -> float:
-    """Excess profile r^2 / sin^2(r) - 1; decreases to 0 as r decreases to 0."""
-    if not 0 < r < math.inf:
-        raise DomainError(f"radius must be positive and finite, got {r!r}")
+    """Excess profile r^2 / sin^2(r) - 1 on its domain (0, pi); decreases to
+    0 as r decreases to 0.  sin vanishes at pi, past which the formula is no
+    excess profile, so a radius outside (0, pi) raises DomainError."""
+    if not 0 < r < math.pi:
+        raise DomainError(f"radius must lie in (0, pi), got {r!r}")
     return (r / math.sin(r)) ** 2 - 1.0
 
 

@@ -10,24 +10,30 @@ an empirical energy-decay exponent and the three minimality audits, which
 are one comparison with three figures of merit.  Each audit reads its family
 once and checks it whole (finite ends, then a < b, then the domain), then
 `_evaluate`, the one block evaluator, takes it `BLOCK_ROWS` rows at a time:
-one energy prefix per audit, G^2 from `matching_distance_sq`, and the mode's
+one energy prefix per evaluation, G^2 from `matching_distance_sq`, and the mode's
 figure and skip rule.  `_supremum`, the one reduction, keeps the largest
 figure and its witness record across blocks, for a report and for the
 acceptance criteria that reduce over the standard family
-(`_audit_supremum`).  That family (`audit_intervals`) is itself built from
-`BLOCK_ROWS`-row blocks whose ends never leave the domain, so those
-criteria never hold the family or a report.  `_check_rows` is the one
-size gate: the standard family, counted from the function's breakpoints
-and the depth, the CLI's omega family, counted from its radii and centers,
-and every sample grid (a circle trace's included) and scan grid sized by
-input are refused above `MAX_FAMILY_ROWS` before any of them exists.
+(`_audit_supremum`).  An audit returns a report that holds its checked
+family and is written as it is evaluated: the writers take the blocks as
+they come, and the record count, supremum and witness are reduced on the
+way, so a written report's columns are never held whole.  A library caller
+that reads a column gets the blocks concatenated.  The standard family is
+itself made of `BLOCK_ROWS`-row blocks whose ends never leave the domain:
+`audit_intervals` fills them into one array, and the criteria reduce them
+as they come, so those criteria never hold the family or a report.
+`_check_rows` is the one size gate: the standard family, counted from the
+function's breakpoints and the depth, the CLI's omega family, counted from
+its radii and centers, and every sample grid (a circle trace's included)
+and scan grid sized by input are refused above `MAX_FAMILY_ROWS` before any
+of them exists.
 `writers` writes the reports.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -222,9 +228,16 @@ def evaluate(u: PiecewiseAffineQ, x: float) -> QPoint:
 
 
 def energy_between(u: PiecewiseAffineQ, a, b) -> np.ndarray:
-    """Vectorized Dirichlet energy over intervals (a_i, b_i)."""
+    """Vectorized Dirichlet energy over intervals (a_i, b_i) with a_i <= b_i;
+    an interval whose ends are equal has energy 0, and a reversed one is
+    refused with EmptyIntervalError."""
     _check_in_domain(u, a)
     _check_in_domain(u, b)
+    lo, hi = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    reversed_ = np.flatnonzero(lo > hi)
+    if reversed_.size:
+        k = reversed_[0]
+        raise EmptyIntervalError(f"reversed interval [{float(lo.flat[k])!r}, {float(hi.flat[k])!r}]: a exceeds b")
     prefix = u.energy_prefix()
     pa = np.interp(a, u.breakpoints, prefix)
     pb = np.interp(b, u.breakpoints, prefix)
@@ -311,37 +324,87 @@ class AuditRecord(NamedTuple):
     figure_of_merit: float
 
 
-@dataclass
 class MinimalityReport:
     """Per-ball audit records plus the supremum and its witness.
 
     mode is one of {"quasi_k", "omega", "almost"}; `figure` holds the
     ratio (quasi_k, omega) or deficiency (almost) per record.  Records are
-    stored columnar because audit families run to millions of intervals.
+    columnar because audit families run to millions of intervals.
+
+    A report built from its columns holds them.  A report an audit returns
+    holds its checked family and evaluates it when it is written or read: a
+    write takes `_evaluate`'s blocks as they come and keeps only their
+    record count, supremum and witness, so the report's columns are never
+    held whole; reading a column (or, before a write, the supremum or the
+    witness) concatenates the blocks once and keeps them, and a later write
+    uses them.
     """
 
-    mode: str
-    centers: np.ndarray
-    radii: np.ndarray
-    dir_u: np.ndarray
-    dir_min: np.ndarray
-    figure: np.ndarray
-    supremum: float
-    witness: Optional[AuditRecord]
-    alpha: Optional[float] = None
+    def __init__(self, mode: str, centers: np.ndarray, radii: np.ndarray, dir_u: np.ndarray, dir_min: np.ndarray,
+                 figure: np.ndarray, supremum: float, witness: Optional[AuditRecord], alpha: Optional[float] = None):
+        self.mode, self.alpha = mode, alpha
+        self._evaluate = None
+        self._columns = (centers, radii, dir_u, dir_min, figure)
+        self._reduced = (supremum, witness, len(figure))
 
-    def _columns(self) -> tuple[np.ndarray, ...]:
-        return (self.centers, self.radii, self.dir_u, self.dir_min, self.figure)
+    @classmethod
+    def _of_family(cls, mode: str, alpha: Optional[float], evaluate: Callable[[], Iterator[tuple]]):
+        """The report of a checked family, whose blocks `evaluate()` makes when asked."""
+        report = cls.__new__(cls)
+        report.mode, report.alpha = mode, alpha
+        report._evaluate, report._columns, report._reduced = evaluate, None, None
+        return report
+
+    def _whole(self) -> tuple[np.ndarray, ...]:
+        """The columns, concatenated from the blocks and reduced the first time they are asked for."""
+        if self._columns is None:
+            self._columns = tuple(np.concatenate(column) for column in zip(*self._evaluate()))
+            self._reduced = (*_supremum([self._columns]), self._columns[-1].size)
+        return self._columns
+
+    def _summary(self) -> tuple:
+        """(supremum, witness, record count): from the last write, or from the columns."""
+        if self._reduced is None:
+            self._whole()
+        return self._reduced
+
+    centers = property(lambda self: self._whole()[0])
+    radii = property(lambda self: self._whole()[1])
+    dir_u = property(lambda self: self._whole()[2])
+    dir_min = property(lambda self: self._whole()[3])
+    figure = property(lambda self: self._whole()[4])
+    supremum = property(lambda self: self._summary()[0])
+    witness = property(lambda self: self._summary()[1])
+    record_count = property(lambda self: self._summary()[2], doc="The number of records.")
+
+    def _blocks(self) -> Iterator[tuple]:
+        """The blocks to write: the columns whole once they are held, else
+        `_evaluate`'s blocks as they come, whose record count, supremum and
+        witness are kept once the last one is written.  The supremum is
+        `_supremum` of the blocks' own (supremum, witness) records."""
+        if self._columns is not None:
+            yield self._columns
+            return
+        count, witnesses = 0, []
+        for block in self._evaluate():
+            count += block[-1].size
+            witness = _supremum([block])[1]
+            if witness is not None:
+                witnesses.append(witness)
+            yield block
+        self._reduced = (*_supremum([np.array(witnesses).reshape(-1, len(AuditRecord._fields)).T]), count)
 
     def to_csv(self, path) -> None:
-        write_csv(path, AuditRecord._fields, self._columns())
+        write_csv(path, AuditRecord._fields, self._blocks())
 
     def to_json(self, path) -> None:
-        w = self.witness
-        witness = None if w is None else {**w._asdict(), "figure_of_merit": json_float(w.figure_of_merit)}
-        records = Records(AuditRecord._fields, self._columns(), inf_fields=("figure_of_merit",))
-        write_json(path, {"mode": self.mode, "alpha": self.alpha, "supremum": json_float(self.supremum),
-                          "witness": witness, "records": records})
+        def witness():
+            w = self.witness
+            return None if w is None else {**w._asdict(), "figure_of_merit": json_float(w.figure_of_merit)}
+
+        records = Records(AuditRecord._fields, self._blocks(), inf_fields=("figure_of_merit",))
+        write_json(path, {"mode": self.mode, "alpha": self.alpha, "records": records,
+                          "supremum": lambda: json_float(self.supremum), "witness": witness})
 
 
 def _listed(values) -> np.ndarray:
@@ -430,17 +493,17 @@ def _supremum(blocks) -> tuple[float, Optional[AuditRecord]]:
 
 def _audit(u: PiecewiseAffineQ, mode: str, family, alpha: Optional[float] = None) -> MinimalityReport:
     """Read a family once and check it whole, finite ends first, then a < b,
-    then the domain, so that the same error wins at any block size; then
-    evaluate it a block at a time and reduce it."""
+    then the domain, so that the same error wins at any block size; the
+    report evaluates it a block at a time when it is written or read."""
     first, second = _pairs(family)
-    ends = np.stack(_interval_ends(mode, first, second))
-    if not np.all(np.isfinite(ends)):
+    a, b = _interval_ends(mode, first, second)
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise DomainError("interval ends must be finite")
-    if np.any(ends[0] >= ends[1]):
+    if np.any(a >= b):
         raise EmptyIntervalError("intervals must satisfy a < b")
-    _check_in_domain(u, ends)
-    columns = tuple(np.concatenate(column) for column in zip(*_evaluate(u, mode, _slices(first, second), alpha)))
-    return MinimalityReport(mode, *columns, *_supremum([columns]), alpha)
+    _check_in_domain(u, a)
+    _check_in_domain(u, b)
+    return MinimalityReport._of_family(mode, alpha, lambda: _evaluate(u, mode, _slices(first, second), alpha))
 
 
 def _audit_supremum(u: PiecewiseAffineQ, mode: str, depth: int = 12, alpha: Optional[float] = None) -> float:
@@ -539,13 +602,15 @@ def _check_rows(rows: int, what: str = "the audit family", unit: str = "rows", e
         )
 
 
-def _check_family_size(m: int, depth: int) -> None:
-    """Refuse a standard family over m breakpoints of more than MAX_FAMILY_ROWS rows."""
+def _check_family_size(m: int, depth: int) -> int:
+    """The rows of a standard family over m breakpoints, refused above MAX_FAMILY_ROWS."""
     if depth < 0:
         raise ValueError(f"depth must be nonnegative, got {depth!r}")
     # Past depth 32 the family is far above the limit; its size is then
     # counted there, as a lower bound, to keep the integers small.
-    _check_rows(_family_rows(m, min(depth, 32)), exact=depth <= 32)
+    rows = _family_rows(m, min(depth, 32))
+    _check_rows(rows, exact=depth <= 32)
+    return rows
 
 
 def _family_blocks(u: PiecewiseAffineQ, depth: int):
@@ -577,9 +642,16 @@ def audit_intervals(u: PiecewiseAffineQ, depth: int = 12) -> np.ndarray:
     of the domain down to `depth`.  Extrema of the audited figures for the
     shipped constructions occur at construction-aligned intervals, and the
     triadic cells align with the ternary refinements.  A family of more
-    than MAX_FAMILY_ROWS rows raises FamilySizeError before it is built.
+    than MAX_FAMILY_ROWS rows raises FamilySizeError before it is built;
+    the blocks fill the array in place, so the family is held once.
     """
-    return np.concatenate([np.column_stack(block) for block in _family_blocks(u, depth)])
+    family = np.empty((_check_family_size(u.breakpoints.size, depth), 2))
+    start = 0
+    for a, b in _family_blocks(u, depth):
+        family[start : start + a.size, 0] = a
+        family[start : start + a.size, 1] = b
+        start += a.size
+    return family
 
 
 def balls_from_intervals(intervals) -> np.ndarray:

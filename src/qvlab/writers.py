@@ -1,23 +1,29 @@
 """The package's one CSV writer and one JSON writer, with one text policy.
 
-Both writers take the text of equal-length 1-D columns of bools, integers
-or floats from `_column_texts`, `CHUNK_ROWS` rows at a time, so memory stays
-flat: each value's `repr` (for a float its shortest round trip: "inf", "-inf"
-and "nan" when not finite).  The reprs are most of a report's writing time,
-and a chunk of an audit column repeats its values, so each distinct value of
-a chunk is formatted once and its text shared by the rows that hold it.  A
-chunk's rows are then joined in one pass.  CSV lines end in "\r\n"; no value
-the package writes needs quoting.
+Both writers take a table as an iterable of column blocks: each block is a
+sequence of equal-length 1-D columns of bools, integers or floats, and the
+table's rows are the blocks' rows in order.  A table held whole is one block;
+an audit report's blocks come from its evaluation as they are made, so a
+report is written as it is evaluated and never held whole.  Each block is cut
+into `CHUNK_ROWS`-row chunks, and memory stays flat: a chunk's texts are each
+value's `repr` (for a float its shortest round trip: "inf", "-inf" and "nan"
+when not finite).  The reprs are most of a report's writing time, and a chunk
+of an audit column repeats its values, so each distinct value of a chunk is
+formatted once and its text shared by the rows that hold it.  A chunk's rows
+are then joined in one pass.  CSV lines end in "\r\n"; no value the package
+writes needs quoting.
 
 JSON files have sorted keys, an indent of 2 and a trailing newline: the bytes
 `json.dump` writes for the same payload with its arrays as lists.  In a
 payload, each ndarray (1-D, or 2-D as a list of rows) and each `Records`
-table is written from its columns; every other value goes through
-`json.dumps`.  A column holding a value whose repr is not its JSON text (a
-non-finite float, a bool) has its texts looked up in one table of json's
-texts.  Strict JSON has no Infinity literal, so fields that can be infinite
-go through `json_float`, which writes the strings "inf" and "-inf"; a
-`Records` table applies it to its `inf_fields`.
+table is written from its columns; a callable is called for its value when
+the writer reaches it, so a value can be one that an earlier key's table
+computes as it is written; every other value goes through `json.dumps`.  A
+chunk holding a value whose repr is not its JSON text (a non-finite float, a
+bool) has its texts looked up in one table of json's texts.  Strict JSON has
+no Infinity literal, so fields that can be infinite go through `json_float`,
+which writes the strings "inf" and "-inf"; a `Records` table applies it to its
+`inf_fields`.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from __future__ import annotations
 import json
 import math
 from itertools import chain, repeat
-from typing import Collection, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -52,26 +58,41 @@ def _texts(chunk: np.ndarray) -> list[str]:
     return texts[inverse].tolist()
 
 
-def _column_texts(columns: Sequence) -> Iterator[list[list[str]]]:
-    """The texts of the equal-length 1-D `columns`, one list per column for
-    each `CHUNK_ROWS` rows.  The columns are checked before the first chunk
-    is asked for."""
-    columns = [np.asarray(c) for c in columns]
+def _checked(block: Sequence) -> list[np.ndarray]:
+    """The columns of one block as arrays, once they are 1-D, of equal length
+    and of a dtype the writers format."""
+    columns = [np.asarray(c) for c in block]
     length = columns[0].size if columns else 0
     if any(c.shape != (length,) for c in columns):
         raise ValueError("columns must be 1-D and of equal length")
     if any(c.dtype.kind not in "biuf" or c.itemsize > 8 for c in columns):
         raise ValueError("columns must hold bools, integers or floats of at most 64 bits")
-    return ([_texts(c[start : start + CHUNK_ROWS]) for c in columns] for start in range(0, length, CHUNK_ROWS))
+    return columns
 
 
-def write_csv(path, header: Sequence[str], columns: Sequence) -> None:
-    """Write `header`, then one row per index of the equal-length `columns`."""
-    chunks = _column_texts(columns)
+def _chunks(blocks: Iterable[Sequence]) -> Iterator[list[np.ndarray]]:
+    """The columns of each of `blocks`, `CHUNK_ROWS` rows at a time.  Each
+    block is checked when it comes, the first one before this returns, so a
+    table passed whole, as one block, is checked before its file opens."""
+    blocks = iter(blocks)
+    first = _checked(next(blocks, ()))
+
+    def chunks():
+        for columns in chain([first], map(_checked, blocks)):
+            length = columns[0].size if columns else 0
+            for start in range(0, length, CHUNK_ROWS):
+                yield [c[start : start + CHUNK_ROWS] for c in columns]
+
+    return chunks()
+
+
+def write_csv(path, header: Sequence[str], blocks: Iterable[Sequence]) -> None:
+    """Write `header`, then one row per row of the column `blocks`."""
+    chunks = _chunks(blocks)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        for texts in chunks:
-            fh.writelines(("\r\n".join(map(",".join, zip(*texts))), "\r\n"))
+        for chunk in chunks:
+            fh.writelines(("\r\n".join(map(",".join, zip(*map(_texts, chunk)))), "\r\n"))
 
 
 def json_float(x: float) -> float | str:
@@ -82,12 +103,12 @@ def json_float(x: float) -> float | str:
 
 
 class Records(NamedTuple):
-    """A JSON list of objects with keys `fields`, one per row of the
-    equal-length 1-D `columns`; `json_float` applies to the fields in
-    `inf_fields`."""
+    """A JSON list of objects with keys `fields`, one per row of the column
+    `blocks`, each block a sequence of equal-length 1-D columns in the order
+    of `fields`; `json_float` applies to the fields in `inf_fields`."""
 
     fields: Sequence[str]
-    columns: Sequence
+    blocks: Iterable[Sequence]
     inf_fields: Collection[str] = ()
 
 
@@ -107,51 +128,61 @@ def _join(brackets: str, items: Iterable[Iterable[str]], pad: str) -> Iterator[s
     yield brackets if first else "\n" + pad + brackets[1]
 
 
-def _rows_texts(fixed: Sequence[str], columns: Sequence, inf: Sequence[bool], pad: str) -> Iterator[str]:
-    """The JSON list at `pad` of one text per row of the k equal-length 1-D
-    `columns`, `CHUNK_ROWS` rows per text: fixed[0], the row's k values
-    each followed by the next of the k + 1 `fixed` texts.  A column whose
-    `inf` flag is set takes `json_float`'s text for an infinity."""
-    columns = [np.asarray(c) for c in columns]
-    chunks = _column_texts(columns)
-    tables = [None if c.dtype != bool and np.isfinite(c).all() else _INF_FIELD_TEXTS if i else _JSON_TEXTS
-              for c, i in zip(columns, inf)]
+def _rows_texts(fixed: Sequence[str], blocks: Iterable[Sequence], inf: Sequence[bool], pad: str) -> Iterator[str]:
+    """The JSON list at `pad` of one text per row of the column `blocks`,
+    each of k columns, `CHUNK_ROWS` rows per text: fixed[0], the row's k
+    values each followed by the next of the k + 1 `fixed` texts.  A column
+    whose `inf` flag is set takes `json_float`'s text for an infinity."""
+    chunks = _chunks(blocks)
     sep = ",\n  " + pad
 
-    def chunk_text(texts: list[list[str]]) -> list[str]:
+    def chunk_text(chunk: list[np.ndarray]) -> list[str]:
         parts = [repeat(fixed[0])]
-        for col, table, text in zip(texts, tables, fixed[1:]):
-            parts += [col if table is None else [table.get(t, t) for t in col], repeat(text)]
+        for column, is_inf, text in zip(chunk, inf, fixed[1:]):
+            texts = _texts(column)
+            if column.dtype == bool or not np.isfinite(column).all():
+                table = _INF_FIELD_TEXTS if is_inf else _JSON_TEXTS
+                texts = [table.get(t, t) for t in texts]
+            parts += [texts, repeat(text)]
         rows = parts[1] if fixed == ["", ""] else map("".join, zip(*parts))  # an array's row is its value's text
         return [sep.join(rows)]
 
     return _join("[]", map(chunk_text, chunks), pad)
 
 
+def _later(value: Callable, pad: str) -> Iterator[str]:
+    """The texts of `value()`, called when its first text is asked for."""
+    yield from _json_texts(value(), pad)
+
+
 def _json_texts(value, pad: str) -> Iterable[str]:
     """The texts of `value` as it sits at `pad` in an indent-2 file.  Every
-    table in it is checked now, before the first text is asked for."""
+    table in it has its first block checked now, before the first text is
+    asked for."""
     inner = pad + "  "
     if isinstance(value, Records):
         order = sorted(range(len(value.fields)), key=value.fields.__getitem__)
         heads = [("," if k else "{") + f"\n{inner}  {json.dumps(value.fields[i])}: " for k, i in enumerate(order)]
-        return _rows_texts(heads + [f"\n{inner}}}"], [value.columns[i] for i in order],
+        return _rows_texts(heads + [f"\n{inner}}}"], ([block[i] for i in order] for block in value.blocks),
                            [value.fields[i] in value.inf_fields for i in order], pad)
     if isinstance(value, np.ndarray) and value.ndim == 2:  # its rows pass the check, so each is made when written
         return _join("[]", (_json_texts(row, inner) for row in value), pad)
     if isinstance(value, np.ndarray):
-        return _rows_texts(["", ""], [value], [False], pad)
+        return _rows_texts(["", ""], [[value]], [False], pad)
     if isinstance(value, dict):
         return _join("{}", [chain([json.dumps(key) + ": "], _json_texts(value[key], inner)) for key in sorted(value)],
                      pad)
+    if callable(value):
+        return _later(value, pad)
     return [json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + pad)]
 
 
 def write_json(path, payload: dict) -> None:
     """Write `payload`, whose dicts have string keys, to `path` with sorted
     keys, indent 2 and a final newline: the bytes `json.dump` writes for it
-    with every ndarray `.tolist()`'d and every `Records` as its list of
-    dicts.  Every table is checked before the file opens."""
+    with every ndarray `.tolist()`'d, every `Records` as its list of dicts
+    and every callable as the value it returns.  A table passed whole, as
+    one block, is checked before the file opens."""
     texts = _json_texts(payload, "")
     with open(path, "w") as fh:
         fh.writelines(texts)

@@ -9,11 +9,12 @@ import functools
 import itertools
 import math
 import operator
+import types
 
 import numpy as np
 import pytest
 
-from qvlab import acceptance
+from qvlab import acceptance, func1d, qspace
 from qvlab.acceptance import CheckResult
 
 
@@ -59,3 +60,31 @@ def test_exhaustive_distance_matches_permutation_loop_bitwise():
             pb = pa[rng.permutation(q)] + rng.normal(0.0, 1e-9, (q, n))
         got = acceptance._exhaustive_distance(pa, pb)
         assert type(got) is float and got == permutation_loop_distance(pa, pb), (pa, pb)
+
+
+def nan_after_first(fn):
+    """`fn` whose result is NaN from its second call on."""
+    calls = []
+
+    def patched(*args, **kwargs):
+        value = fn(*args, **kwargs)
+        calls.append(None)
+        return value if len(calls) == 1 else value * np.nan
+
+    return patched
+
+
+@pytest.mark.parametrize(
+    "number, module, name",
+    [(3, func1d, "_audit_supremum"), (4, func1d, "matching_distance_sq"), (7, func1d, "_audit_supremum"),
+     (11, qspace, "metric_g"), (12, qspace, "metric_g")],
+)
+def test_a_nan_figure_fails_its_criterion(number, module, name, monkeypatch):
+    # max(0.0, nan), min(inf, nan) and `nan > bound` each let a NaN pass.
+    # Only the criterion's own calls see the NaN: the module it reads is a copy.
+    patched = types.SimpleNamespace(**vars(module))
+    setattr(patched, name, nan_after_first(getattr(module, name)))
+    monkeypatch.setattr(acceptance, module.__name__.rpartition(".")[2], patched)
+    _, _, check = acceptance.CRITERIA[number - 1]
+    passed, detail = check()
+    assert not passed, detail

@@ -1,5 +1,7 @@
 """Tests for the example constructors and their closed forms."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -338,6 +340,12 @@ class TestSinClosedForms:
             sin_dir_u(0.7, 0.2)
         with pytest.raises(DomainError):
             omega_sin(0.0)
+
+    @pytest.mark.parametrize("r", [math.pi, 4.0])
+    def test_omega_refused_from_pi_on(self, r):
+        # sin vanishes at pi: this gave 6.6e32 at pi and 26.9 at 4.0
+        with pytest.raises(DomainError, match=r"radius must lie in \(0, pi\)"):
+            omega_sin(r)
 
     @pytest.mark.parametrize(
         "call",

@@ -1,6 +1,7 @@
 """Tests for exact energies, interval minimizers, and the minimality audits."""
 
 import json
+import re
 import tracemalloc
 from unittest import mock
 
@@ -8,14 +9,16 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from qvlab import func1d
+from qvlab import cli, func1d
 
 from qvlab.constructions import cantor_level, CantorConstruction, make_diamond, make_double_line, make_losange, make_pluri_losange
 from qvlab.func1d import (
     MAX_FAMILY_ROWS,
+    AuditRecord,
     DomainError,
     EmptyIntervalError,
     FamilySizeError,
+    MinimalityReport,
     PiecewiseAffineQ,
     StepWeight,
     UndefinedExponentError,
@@ -138,6 +141,15 @@ class TestDirichletEnergy:
     def test_empty_interval(self):
         with pytest.raises(EmptyIntervalError):
             dirichlet_energy(double_line(), 0.5, 0.5)
+
+    def test_energy_between_refuses_reversed_ends(self):
+        # this gave -0.8; equal ends stay energy 0, as decay profiles need
+        u = make_diamond(0.0, 1.0)
+        with pytest.raises(EmptyIntervalError, match=r"reversed interval \[0.9, 0.1\]"):
+            energy_between(u, 0.9, 0.1)
+        with pytest.raises(EmptyIntervalError, match=r"reversed interval \[0.7, 0.6\]"):
+            energy_between(u, [0.1, 0.7], [0.2, 0.6])
+        assert energy_between(u, [0.5, 0.2], [0.5, 0.3]).tolist() == [0.0, pytest.approx(0.1)]
 
     def test_scaling_covariance(self):
         u = cantor_level(CantorConstruction(3, "diamond"))
@@ -592,13 +604,14 @@ class TestFamilyBlocks:
             assert func1d._audit_supremum(flat, mode, depth=4) == 0.0
 
     def test_energy_prefix_built_once_per_audit(self):
+        # A report evaluates its family when it is read, so each call reads one.
         u, intervals = audit_families()[0]
         prefix = PiecewiseAffineQ.energy_prefix
         with mock.patch.object(func1d, "BLOCK_ROWS", 2):
             for call in (
-                lambda: quasi_k_ratio(u, intervals),
-                lambda: omega_report(u, balls_from_intervals(intervals)),
-                lambda: almost_deficiency(u, 0.5, balls_from_intervals(intervals)),
+                lambda: quasi_k_ratio(u, intervals).figure,
+                lambda: omega_report(u, balls_from_intervals(intervals)).figure,
+                lambda: almost_deficiency(u, 0.5, balls_from_intervals(intervals)).figure,
                 lambda: func1d._audit_supremum(u, "quasi_k", depth=3),
             ):
                 with mock.patch.object(PiecewiseAffineQ, "energy_prefix", autospec=True, side_effect=prefix) as spy:
@@ -634,6 +647,91 @@ class TestFamilyBlocks:
             tracemalloc.stop()
         assert supremum <= 4.0 + 1e-9
         assert peak < 16 * 2**20
+
+
+def written(report, fmt, path):
+    """The bytes `report` writes as `fmt`."""
+    getattr(report, f"to_{fmt}")(path)
+    return path.read_bytes()
+
+
+class TestStreamedReport:
+    """An audit's report is written as it is evaluated, with the bytes of its whole columns."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("rows", [1, 2, 3])
+    @pytest.mark.parametrize("mode", ["quasi_k", "omega", "almost"])
+    def test_streamed_write_matches_the_whole_columns(self, mode, rows, fmt, tmp_path):
+        # Ties and infinite figures fall in different blocks at these sizes.
+        alpha = 0.5 if mode == "almost" else None
+        for k, (u, intervals) in enumerate(audit_families() + [(double_line(), np.empty((0, 2)))]):
+            family = mode_family(mode, intervals)
+            columns, supremum, witness = whole_family_audit(u, mode, family)
+            whole = MinimalityReport(mode, *columns, supremum, witness and AuditRecord(*witness), alpha)
+            want = written(whole, fmt, tmp_path / f"whole{k}.{fmt}")
+            with mock.patch.object(func1d, "BLOCK_ROWS", rows):
+                streamed = run_audit(u, mode, family)
+                assert written(streamed, fmt, tmp_path / f"streamed{k}.{fmt}") == want
+                assert (streamed.supremum, streamed.witness, streamed.record_count) == (supremum, whole.witness,
+                                                                                       columns[-1].size)
+                read_first = run_audit(u, mode, family)
+                assert read_first.figure.size == columns[-1].size
+                assert written(read_first, fmt, tmp_path / f"read{k}.{fmt}") == want
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_each_pass_evaluates_the_family_once(self, fmt, tmp_path):
+        # A write keeps no columns, so a column read after it evaluates again;
+        # a write after a read uses the columns read.
+        u, intervals = audit_families()[2]
+        path = tmp_path / f"report.{fmt}"
+        with mock.patch.object(func1d, "_evaluate", wraps=func1d._evaluate) as spy:
+            report = quasi_k_ratio(u, intervals)
+            assert spy.call_count == 0
+            written(report, fmt, path)
+            report.supremum, report.witness, report.record_count
+            assert spy.call_count == 1
+            report.figure, report.centers
+            assert spy.call_count == 2
+            spy.reset_mock()
+            report = quasi_k_ratio(u, intervals)
+            report.figure
+            written(report, fmt, path)
+            report.supremum, report.radii
+            assert spy.call_count == 1
+
+    @pytest.mark.parametrize(
+        "audit, family",
+        [(quasi_k_ratio, [(0.2, 0.4), (0.6, 0.3)]), (omega_report, [(0.5, 0.1), (0.5, np.nan)]),
+         (lambda u, balls: almost_deficiency(u, 0.5, balls), [(0.5, 0.1), (0.95, 0.1)])],
+        ids=["quasi", "omega", "almost"],
+    )
+    def test_an_invalid_family_raises_at_the_call(self, audit, family, tmp_path):
+        # The whole family is checked before a block is evaluated or a file opened.
+        path = tmp_path / "report.csv"
+        with mock.patch.object(func1d, "_evaluate", wraps=func1d._evaluate) as spy:
+            with pytest.raises(ValueError):
+                audit(double_line(), family).to_csv(path)
+        assert spy.call_count == 0
+        assert not path.exists()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_cli_audit_holds_no_report_column(self, fmt, tmp_path, capsys):
+        # numpy reports its buffers to tracemalloc.  Concatenating the five
+        # columns before the write peaked at 2.8 times their bytes; streamed,
+        # the peak is the family (two columns of the input rows) and one
+        # chunk's texts: 0.62 (CSV) and 0.78 (JSON) times them.
+        argv = ["audit", "cantor-diamond", "--level", "8", "--depth", "8", "--mode", "quasi", "--format", fmt,
+                "--out", str(tmp_path / f"audit.{fmt}")]
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        records = int(re.search(r"records=(\d+) ", capsys.readouterr().out).group(1))
+        column_bytes = len(AuditRecord._fields) * 8 * records
+        assert records == 304113
+        assert peak < column_bytes, (peak, column_bytes)
 
 
 class TestFamilySize:

@@ -4,6 +4,7 @@ import csv
 import json
 import tempfile
 import tracemalloc
+from itertools import chain
 from pathlib import Path
 from unittest import mock
 
@@ -45,24 +46,33 @@ def tables(draw):
     return float_columns, int_columns
 
 
-def both_bytes(float_columns, int_columns):
+def split(columns, cuts=()):
+    """`columns` as blocks cut at the rows `cuts`, empty blocks included; no
+    cut gives the whole table as one block."""
+    length = len(columns[0]) if columns else 0
+    edges = [0, *sorted(min(cut, length) for cut in cuts), length]
+    return [[c[lo:hi] for c in columns] for lo, hi in zip(edges, edges[1:])]
+
+
+def both_bytes(float_columns, int_columns, cuts=()):
     header = [f"c{i}" for i in range(len(float_columns) + len(int_columns))]
     with tempfile.TemporaryDirectory() as tmp:
         new, old = Path(tmp, "new.csv"), Path(tmp, "old.csv")
-        write_csv(new, header, float_columns + int_columns)
+        write_csv(new, header, split(float_columns + int_columns, cuts))
         per_row_csv(old, header, float_columns, int_columns)
         return new.read_bytes(), old.read_bytes()
 
 
 class TestWriteCsv:
     @settings(max_examples=200, deadline=None)
-    @given(table=tables(), chunk=st.integers(1, 5))
+    @given(table=tables(), chunk=st.integers(1, 5), cuts=st.lists(st.integers(0, 12), max_size=3))
     @example(table=([np.array([0.0, -0.0, 0.0, -0.0, 2.5, 2.5]), np.array([np.nan, np.nan, 1.0, -0.0, 1.0, 0.0])],
-                    [np.array([7, 7, -1, 7, 0, 0])]), chunk=5)
-    def test_matches_per_row_loop(self, table, chunk):
-        # A small chunk puts most drawn tables above one chunk.
+                    [np.array([7, 7, -1, 7, 0, 0])]), chunk=5, cuts=[2, 2])
+    def test_matches_per_row_loop(self, table, chunk, cuts):
+        # A small chunk puts most drawn tables above one chunk; the cuts split
+        # it into blocks, some empty, whose chunks end at their last row.
         with mock.patch.object(writers, "CHUNK_ROWS", chunk):
-            new, old = both_bytes(*table)
+            new, old = both_bytes(*table, cuts)
         assert new == old
 
     @pytest.mark.parametrize("length", [0, 1, 1025, writers.CHUNK_ROWS + 1])  # 1025: one partly filled chunk
@@ -76,7 +86,7 @@ class TestWriteCsv:
 
     def test_unequal_columns_rejected(self, tmp_path):
         with pytest.raises(ValueError):
-            write_csv(tmp_path / "x.csv", ["a", "b"], [np.zeros(3), np.zeros(2)])
+            write_csv(tmp_path / "x.csv", ["a", "b"], [[np.zeros(3), np.zeros(2)]])
         assert not (tmp_path / "x.csv").exists()
 
     def test_int_and_bool_columns_match_csv_writer(self, tmp_path):
@@ -86,7 +96,7 @@ class TestWriteCsv:
             writer = csv.writer(fh)
             writer.writerow(["a", "b", "c"])
             writer.writerows(zip(*(c.tolist() for c in columns)))
-        write_csv(tmp_path / "new.csv", ["a", "b", "c"], columns)
+        write_csv(tmp_path / "new.csv", ["a", "b", "c"], [columns])
         assert (tmp_path / "new.csv").read_bytes() == old.read_bytes()
 
 
@@ -165,17 +175,19 @@ class TestWriteReportJson:
         # The malformed table sorts last, so every table is checked before the file opens.
         path = tmp_path / "x.json"
         with pytest.raises(ValueError):
-            write_json(path, {"a": np.zeros(3), "b": Records(["a", "b"], [np.zeros(3), np.zeros(2)])})
+            write_json(path, {"a": np.zeros(3), "b": Records(["a", "b"], [[np.zeros(3), np.zeros(2)]])})
         assert not path.exists()
 
 
 def listed(value):
     """`value` as `json.dump` took it before `write_json` wrote tables itself:
-    arrays as lists and `Records` as a list of dicts."""
+    arrays as lists, `Records` as a list of dicts and a callable as its value."""
     if isinstance(value, dict):
         return {key: listed(v) for key, v in value.items()}
+    if callable(value):
+        return listed(value())
     if isinstance(value, Records):
-        rows = zip(*(np.asarray(c).tolist() for c in value.columns))
+        rows = chain.from_iterable(zip(*(np.asarray(c).tolist() for c in block)) for block in value.blocks)
         return [{f: json_float(v) if f in value.inf_fields else v for f, v in zip(value.fields, row)} for row in rows]
     return value.tolist() if isinstance(value, np.ndarray) else value
 
@@ -194,7 +206,8 @@ def records(draw):
     fields = draw(st.lists(st.text(max_size=3), unique=True, max_size=4))
     length = draw(st.integers(0, 12))
     columns = [np.array(draw(st.lists(any_floats, min_size=length, max_size=length)), dtype=float) for _ in fields]
-    return Records(fields, columns, draw(st.sets(st.sampled_from(fields)) if fields else st.just(set())))
+    blocks = split(columns, draw(st.lists(st.integers(0, 12), max_size=3)))
+    return Records(fields, blocks, draw(st.sets(st.sampled_from(fields)) if fields else st.just(set())))
 
 
 leaves = st.none() | st.text(max_size=5) | ints | any_floats | arrays() | records()
@@ -207,7 +220,8 @@ class TestWriteJson:
     @given(payload=payloads, chunk=st.integers(1, 5))
     @example(payload={"a": np.zeros((3, 0)), "b": np.zeros((0, 2)), "c": np.array([-0.0, np.nan, np.inf, -np.inf]),
                       "d": {"e": np.array([True, False]), "f": np.array([], dtype=np.int64), "g": {}},
-                      "h": Records(["%s", "x"], [np.array([1.5, np.inf]), np.array([-np.inf, np.nan])], {"x"})},
+                      "h": Records(["%s", "x"], [[np.array([1.5, np.inf]), np.array([-np.inf, np.nan])]], {"x"}),
+                      "i": lambda: {"j": np.array([np.inf]), "k": "text"}},
              chunk=1)
     def test_matches_json_dump_of_lists(self, payload, chunk):
         with tempfile.TemporaryDirectory() as tmp:
@@ -257,7 +271,7 @@ class TestRepeatedValues:
         float_columns, int_columns, flags = repeated_columns(length)
         with mock.patch.object(writers, "CHUNK_ROWS", chunk):
             new, old = both_bytes(float_columns, int_columns)
-            write_csv(tmp_path / "flags.csv", ["flag"], [flags])
+            write_csv(tmp_path / "flags.csv", ["flag"], [[flags]])
         assert new == old
         assert (tmp_path / "flags.csv").read_bytes() == "".join(f"{f}\r\n" for f in ["flag", *flags.tolist()]).encode()
 
@@ -265,7 +279,7 @@ class TestRepeatedValues:
     def test_json_matches_json_dump(self, chunk, length, tmp_path):
         (zeros, mixed), (extremes,), flags = repeated_columns(length)
         payload = {"zeros": zeros, "mixed": mixed, "extremes": extremes, "flags": flags,
-                   "records": Records(["a", "b", "c"], [mixed, zeros, extremes], {"a"}),
+                   "records": Records(["a", "b", "c"], split([mixed, zeros, extremes], [length // 2]), {"a"}),
                    "rows": np.column_stack((zeros, mixed))}
         with mock.patch.object(writers, "CHUNK_ROWS", chunk):
             write_json(tmp_path / "new.json", payload)
@@ -283,7 +297,7 @@ class TestRepeatedValues:
                              ids=["object", "str", "complex", "longdouble"])
     def test_other_dtypes_rejected_before_writing(self, column, tmp_path):
         # An object column's 1, 1.0 and True are equal, so formatting distinct values would merge their texts.
-        for write, path in ((lambda p: write_csv(p, ["a"], [column]), tmp_path / "x.csv"),
+        for write, path in ((lambda p: write_csv(p, ["a"], [[column]]), tmp_path / "x.csv"),
                             (lambda p: write_json(p, {"a": column}), tmp_path / "x.json")):
             with pytest.raises(ValueError, match="bools, integers or floats"):
                 write(path)
@@ -302,9 +316,9 @@ class TestWriterMemory:
             tracemalloc.start()
             try:
                 if fmt == "csv":
-                    write_csv(path, list("abcde"), columns)
+                    write_csv(path, list("abcde"), [columns])
                 else:
-                    write_json(path, {"table": Records(list("abcde"), columns)})
+                    write_json(path, {"table": Records(list("abcde"), [columns])})
                 peaks[chunks] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
