@@ -78,10 +78,7 @@ def check_metric_oracle() -> tuple[bool, str]:
         pb = rng.normal(0.0, 5.0, (q, n))
         got = qspace.metric_g(qspace.QPoint(pa), qspace.QPoint(pb))
         ref = _exhaustive_distance(pa, pb)
-        if ref > 0:
-            worst = max(worst, abs(got - ref) / ref)
-        else:
-            worst = max(worst, abs(got - ref))
+        worst = _worst(max, worst, abs(got - ref) / ref if ref > 0 else abs(got - ref))
     return worst <= 1e-12, f"worst relative error {worst:.3e} (tol 1e-12)"
 
 
@@ -102,7 +99,8 @@ def check_minimizer_exactness() -> tuple[bool, str]:
         integrated = func1d.dirichlet_energy(u_min, a, b)
         gsq = qspace.metric_g(va, vb) ** 2
         scale = max(closed, 1e-30)
-        worst_rel = max(worst_rel, abs(integrated - closed) / scale, abs(gsq / (b - a) - closed) / scale)
+        for error in (abs(integrated - closed) / scale, abs(gsq / (b - a) - closed) / scale):
+            worst_rel = _worst(max, worst_rel, error)
         # 100 random sorted piecewise-affine competitors with the same boundary
         xs = np.linspace(a, b, interior + 2)
         vals = rng.normal(0.0, 2.0, (100, q, interior))
@@ -170,7 +168,7 @@ def check_sin_inequality() -> tuple[bool, str]:
         limit = half - abs(x)
         for r in rs[rs < limit]:
             f = cons.sin_w_ratio(float(x), float(r)) * math.sin(r) ** 2 / r**2
-            if f > best:
+            if f > best or math.isnan(f):
                 best, arg = f, (float(x), float(r))
     near_edge = abs(half - abs(arg[0])) <= 1e-3
     passed = best <= 1.0 + 1e-12 and near_edge
@@ -244,7 +242,7 @@ def check_energy_decay() -> tuple[bool, str]:
     slopes = [
         func1d.energy_decay_exponent(u, float(rng.uniform(0.05, 0.95)), 0.04, scales) for _ in range(20)
     ]
-    low = min(slopes)
+    low = functools.reduce(functools.partial(_worst, min), slopes, math.inf)
     passed = low >= 1.0 / 8.0 - 0.01
     return passed, f"min slope over 20 random centers = {low:.4f} (>= 1/8 - 0.01 = {1/8 - 0.01:.4f})"
 
@@ -271,7 +269,7 @@ def check_squeeze_2d() -> tuple[bool, str]:
     worst = np.inf
     for _ in range(200):
         _, margin = disk2d.check_squeeze_2d(disk2d.minimize_disk(_random_trace(rng)))
-        worst = min(worst, margin)
+        worst = _worst(min, worst, margin)
     pure = disk2d.minimize_disk(disk2d.sorted_trace(np.cos, 512, 64))
     _, pure_margin = disk2d.check_squeeze_2d(pure)
     passed = worst >= 0.0 and abs(pure_margin) <= 1e-12

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import func1d
 from .func1d import PiecewiseAffineQ, _check_rows, branch_values
 
 __all__ = [
@@ -95,7 +96,8 @@ def scan(u: PiecewiseAffineQ, grid_size: int, tol: float | None = None) -> Branc
     flagged when the one-grid-step window around it provably contains
     full-multiplicity values, computed exactly from the piecewise-affine
     structure (the minimal consecutive branch gap is itself piecewise
-    affine).
+    affine).  sigma is filled `BLOCK_ROWS` grid points at a time, so the
+    (Q, grid) value table is never held whole.
     """
     if grid_size < 3:
         raise ValueError("grid_size must be at least 3")
@@ -107,8 +109,10 @@ def scan(u: PiecewiseAffineQ, grid_size: int, tol: float | None = None) -> Branc
     if not (0 <= tol < np.inf):
         raise ValueError(f"tol must be nonnegative and finite, got {tol!r}")
     grid = np.linspace(lo, hi, grid_size)
-    values = branch_values(u, grid)
-    sig = _sigma_of_columns(values, tol)
+    sig = np.empty(grid_size, dtype=int)
+    for start in range(0, grid_size, func1d.BLOCK_ROWS):
+        stop = start + func1d.BLOCK_ROWS
+        sig[start:stop] = _sigma_of_columns(branch_values(u, grid[start:stop]), tol)
 
     neighbour_diff = np.zeros(grid_size, dtype=bool)
     neighbour_diff[:-1] |= sig[:-1] != sig[1:]

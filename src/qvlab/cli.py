@@ -8,7 +8,9 @@ Identical invocations produce byte-identical output files; floats are
 serialized with their shortest round-trip representation and infinities as
 the strings "inf"/"-inf".  An audit's report is written as it is evaluated,
 block by block, and its summary line takes the record count and supremum
-from that write.
+from that write.  The quasi and almost audits read the standard family as
+it is made, a block at a time, so neither the family nor the report is held
+whole.
 """
 
 from __future__ import annotations
@@ -107,12 +109,11 @@ def _cmd_audit(args) -> int:
             balls.append(np.column_stack((centers, np.full(centers.size, r))))
         report = func1d.omega_report(u, np.concatenate(balls))
     else:
-        intervals = func1d.audit_intervals(u, depth=args.depth)
+        family = func1d._StandardFamily(u, args.depth)
         if args.mode == "quasi":
-            report = func1d.quasi_k_ratio(u, intervals)
+            report = func1d.quasi_k_ratio(u, family)
         else:
-            report = func1d.almost_deficiency(u, args.alpha, func1d.balls_from_intervals(intervals))
-        del intervals  # the report holds the family it evaluates: in almost mode the balls alone
+            report = func1d.almost_deficiency(u, args.alpha, family)
     if args.format == "csv":
         report.to_csv(args.out)
     else:

@@ -20,8 +20,12 @@ they come, and the record count, supremum and witness are reduced on the
 way, so a written report's columns are never held whole.  A library caller
 that reads a column gets the blocks concatenated.  The standard family is
 itself made of `BLOCK_ROWS`-row blocks whose ends never leave the domain:
-`audit_intervals` fills them into one array, and the criteria reduce them
-as they come, so those criteria never hold the family or a report.
+`audit_intervals` fills them into one array, while `_StandardFamily` stands
+for the family without building it.  An audit of a `_StandardFamily` skips
+the whole-family check, since its rows are valid by construction, and makes
+the blocks as its report evaluates them; the CLI's quasi and almost audits
+and the criteria that reduce over the standard family use it, so none of
+them holds the family, and a criterion holds no report either.
 `_check_rows` is the one size gate: the standard family, counted from the
 function's breakpoints and the depth, the CLI's omega family, counted from
 its radii and centers, and every sample grid (a circle trace's included)
@@ -494,7 +498,13 @@ def _supremum(blocks) -> tuple[float, Optional[AuditRecord]]:
 def _audit(u: PiecewiseAffineQ, mode: str, family, alpha: Optional[float] = None) -> MinimalityReport:
     """Read a family once and check it whole, finite ends first, then a < b,
     then the domain, so that the same error wins at any block size; the
-    report evaluates it a block at a time when it is written or read."""
+    report evaluates it a block at a time when it is written or read.  A
+    `_StandardFamily` is valid as it is made, so it is only matched to `u`,
+    and the report makes its blocks as it evaluates them."""
+    if isinstance(family, _StandardFamily):
+        if family.u is not u:
+            raise DomainError("a standard family is audited only with the function it was made for")
+        return MinimalityReport._of_family(mode, alpha, lambda: _evaluate(u, mode, family.blocks(mode), alpha))
     first, second = _pairs(family)
     a, b = _interval_ends(mode, first, second)
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
@@ -509,10 +519,7 @@ def _audit(u: PiecewiseAffineQ, mode: str, family, alpha: Optional[float] = None
 def _audit_supremum(u: PiecewiseAffineQ, mode: str, depth: int = 12, alpha: Optional[float] = None) -> float:
     """The supremum of an audit over the standard family of depth `depth`,
     reduced block by block: neither the family nor a report is held."""
-    blocks = _family_blocks(u, depth)
-    if mode != "quasi_k":
-        blocks = (_balls(a, b) for a, b in blocks)
-    return _supremum(_evaluate(u, mode, blocks, alpha))[0]
+    return _supremum(_evaluate(u, mode, _StandardFamily(u, depth).blocks(mode), alpha))[0]
 
 
 def quasi_k_ratio(u: PiecewiseAffineQ, intervals: Iterable[tuple[float, float]]) -> MinimalityReport:
@@ -633,6 +640,30 @@ def _family_blocks(u: PiecewiseAffineQ, depth: int):
                 # The last edge can round above hi: 0.1 * 3 / 3 > 0.1.
                 edges = np.minimum(lo + (hi - lo) * np.arange(start, min(start + BLOCK_ROWS, cells) + 1) / cells, hi)
                 yield edges[:-1], edges[1:]
+
+
+class _StandardFamily:
+    """The standard family of `u` at `depth`, counted but not built.
+
+    Making one runs the size gate, so a family over MAX_FAMILY_ROWS rows or
+    a negative depth is refused before anything is evaluated or written;
+    `len()` gives its row count.  Its rows are finite, satisfy a < b and lie
+    in the domain by construction, so an audit skips the whole-family check
+    and reads `_family_blocks` as they are made: as (a, b) intervals in
+    quasi_k mode and as (center, radius) balls in the ball modes, the
+    columns `balls_from_intervals` would give.
+    """
+
+    def __init__(self, u: PiecewiseAffineQ, depth: int):
+        self.u, self.depth = u, depth
+        self.rows = _check_family_size(u.breakpoints.size, depth)
+
+    def __len__(self) -> int:
+        return self.rows
+
+    def blocks(self, mode: str):
+        blocks = _family_blocks(self.u, self.depth)
+        return blocks if mode == "quasi_k" else (_balls(a, b) for a, b in blocks)
 
 
 def audit_intervals(u: PiecewiseAffineQ, depth: int = 12) -> np.ndarray:

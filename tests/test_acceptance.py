@@ -14,7 +14,7 @@ import types
 import numpy as np
 import pytest
 
-from qvlab import acceptance, func1d, qspace
+from qvlab import acceptance, constructions, disk2d, func1d, qspace
 from qvlab.acceptance import CheckResult
 
 
@@ -62,29 +62,35 @@ def test_exhaustive_distance_matches_permutation_loop_bitwise():
         assert type(got) is float and got == permutation_loop_distance(pa, pb), (pa, pb)
 
 
-def nan_after_first(fn):
-    """`fn` whose result is NaN from its second call on."""
+def nan_at_second_call(fn):
+    """`fn` whose second call returns NaN (for a tuple, as its last item):
+    a later finite result must not take the NaN's place."""
     calls = []
 
     def patched(*args, **kwargs):
         value = fn(*args, **kwargs)
         calls.append(None)
-        return value if len(calls) == 1 else value * np.nan
+        if len(calls) != 2:
+            return value
+        return (*value[:-1], value[-1] * np.nan) if isinstance(value, tuple) else value * np.nan
 
     return patched
 
 
 @pytest.mark.parametrize(
     "number, module, name",
-    [(3, func1d, "_audit_supremum"), (4, func1d, "matching_distance_sq"), (7, func1d, "_audit_supremum"),
-     (11, qspace, "metric_g"), (12, qspace, "metric_g")],
+    [(1, qspace, "metric_g"), (2, func1d, "dirichlet_energy"), (3, func1d, "_audit_supremum"),
+     (4, func1d, "matching_distance_sq"), (5, constructions, "sin_w_ratio"), (7, func1d, "_audit_supremum"),
+     (9, func1d, "energy_decay_exponent"), (10, disk2d, "check_squeeze_2d"), (11, qspace, "metric_g"),
+     (12, qspace, "metric_g")],
 )
 def test_a_nan_figure_fails_its_criterion(number, module, name, monkeypatch):
-    # max(0.0, nan), min(inf, nan) and `nan > bound` each let a NaN pass.
+    # max(0.0, nan), min(inf, nan), `nan > best` and `nan > bound` each let a NaN pass.
     # Only the criterion's own calls see the NaN: the module it reads is a copy.
     patched = types.SimpleNamespace(**vars(module))
-    setattr(patched, name, nan_after_first(getattr(module, name)))
-    monkeypatch.setattr(acceptance, module.__name__.rpartition(".")[2], patched)
+    setattr(patched, name, nan_at_second_call(getattr(module, name)))
+    binding = next(attr for attr, value in vars(acceptance).items() if value is module)
+    monkeypatch.setattr(acceptance, binding, patched)
     _, _, check = acceptance.CRITERIA[number - 1]
     passed, detail = check()
     assert not passed, detail

@@ -1,11 +1,12 @@
 """Tests for branch-set scanning, box dimension, and measure at scale."""
 
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from qvlab import cli
+from qvlab import cli, func1d
 from qvlab.branch import (
     UndefinedDimensionError,
     box_counts,
@@ -92,6 +93,17 @@ class TestScan:
         b = scan(shifted, 244)
         assert np.array_equal(a.sigma, b.sigma)
         assert np.array_equal(a.flags, b.flags)
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 4096])
+    def test_blocked_sigma_matches_the_whole_table(self, rows):
+        # sigma is filled BLOCK_ROWS grid points at a time; the whole (Q, grid) table gives the same.
+        u = cantor_level(CantorConstruction(4, "diamond"))
+        whole = 1 + (np.diff(func1d.branch_values(u, np.linspace(0.0, 1.0, 3**5 + 1)), axis=0) > 1e-9).sum(axis=0)
+        with mock.patch.object(func1d, "BLOCK_ROWS", rows):
+            sc = scan(u, 3**5 + 1, 1e-9)
+        assert sc.sigma.dtype == whole.dtype
+        assert np.array_equal(sc.sigma, whole)
+        assert np.array_equal(sc.flags, scan(u, 3**5 + 1, 1e-9).flags)
 
     def test_grid_size_guard(self):
         with pytest.raises(ValueError):

@@ -717,9 +717,10 @@ class TestStreamedReport:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_cli_audit_holds_no_report_column(self, fmt, tmp_path, capsys):
         # numpy reports its buffers to tracemalloc.  Concatenating the five
-        # columns before the write peaked at 2.8 times their bytes; streamed,
-        # the peak is the family (two columns of the input rows) and one
-        # chunk's texts: 0.62 (CSV) and 0.78 (JSON) times them.
+        # columns before the write peaked at 2.8 times their bytes; streamed
+        # from a built family, 0.64 (CSV) and 0.78 (JSON) times them; with
+        # the family made as it is read, one block and one chunk's texts:
+        # 0.25 and 0.39 times them.
         argv = ["audit", "cantor-diamond", "--level", "8", "--depth", "8", "--mode", "quasi", "--format", fmt,
                 "--out", str(tmp_path / f"audit.{fmt}")]
         tracemalloc.start()
@@ -732,6 +733,68 @@ class TestStreamedReport:
         column_bytes = len(AuditRecord._fields) * 8 * records
         assert records == 304113
         assert peak < column_bytes, (peak, column_bytes)
+
+
+def cli_audit_peak(tmp_path, mode, fmt, level, depth):
+    """The tracemalloc peak (numpy reports its buffers) of one CLI audit."""
+    argv = ["audit", "cantor-diamond", "--level", str(level), "--depth", str(depth), "--mode", mode,
+            "--format", fmt, "--out", str(tmp_path / f"audit-{depth}.{fmt}")]
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestStandardFamily:
+    """The CLI's standard family is made block by block as its audit reads it."""
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 4096])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("mode", ["quasi_k", "almost"])
+    def test_streamed_report_matches_the_built_family(self, mode, fmt, rows, tmp_path):
+        # Ties and infinite figures fall in different blocks at the small sizes.
+        for k, name in enumerate(["diamond", "losange"]):
+            u = cantor_level(CantorConstruction(2, name))
+            built = audit_intervals(u, depth=3)
+            if mode == "quasi_k":
+                want, got = quasi_k_ratio(u, built), quasi_k_ratio(u, func1d._StandardFamily(u, 3))
+            else:
+                want = almost_deficiency(u, 0.5, balls_from_intervals(built))
+                got = almost_deficiency(u, 0.5, func1d._StandardFamily(u, 3))
+            want_bytes = written(want, fmt, tmp_path / f"built{k}.{fmt}")
+            with mock.patch.object(func1d, "BLOCK_ROWS", rows):
+                assert written(got, fmt, tmp_path / f"streamed{k}.{fmt}") == want_bytes
+            assert (got.supremum, got.witness, got.record_count) == (want.supremum, want.witness,
+                                                                     want.record_count)
+
+    def test_made_with_the_size_gate(self):
+        u = make_diamond(0.0, 1.0, 0.0)
+        assert len(func1d._StandardFamily(u, 5)) == len(audit_intervals(u, 5))
+        with pytest.raises(FamilySizeError, match="would have 64701155 rows"):
+            func1d._StandardFamily(u, 16)
+        with pytest.raises(ValueError, match="depth must be nonnegative, got -1"):
+            func1d._StandardFamily(u, -1)
+
+    @pytest.mark.parametrize(
+        "audit", [quasi_k_ratio, omega_report, lambda u, family: almost_deficiency(u, 0.5, family)],
+        ids=["quasi", "omega", "almost"],
+    )
+    def test_a_family_of_another_function_is_refused(self, audit):
+        family = func1d._StandardFamily(make_losange(0.0, 1.0), 2)
+        with pytest.raises(DomainError, match="only with the function it was made for"):
+            audit(double_line(), family)
+
+    @pytest.mark.parametrize("mode, fmt", [("quasi", "csv"), ("almost", "json")])
+    def test_cli_audit_peak_does_not_grow_with_the_family(self, mode, fmt, tmp_path):
+        # At level 6 every family has full BLOCK_ROWS blocks of breakpoint
+        # pairs from depth 7 on; depth 10 adds 87,000 rows of cells.  Built
+        # whole, that family raised the peak 1.50 (quasi CSV) and 1.31
+        # (almost JSON) times; made as it is read, by 1.00.
+        shallow = cli_audit_peak(tmp_path, mode, fmt, 6, 7)
+        deep = cli_audit_peak(tmp_path, mode, fmt, 6, 10)
+        assert deep < 1.1 * shallow, (deep, shallow)
 
 
 class TestFamilySize:
