@@ -214,11 +214,12 @@ def check_branch_dimension() -> tuple[bool, str]:
     sc = branchmod.scan(approx, 3**10 + 1)
     slope = branchmod.box_dimension(sc, [3.0**-k for k in range(3, 10)])
     dim_ok = 0.60 <= slope <= 0.66
+    del approx, sc  # no scan outlives its figure, so no two level-10 scans are held at once
 
     measures = []
     for level in range(4, 11, 2):
-        s = branchmod.scan(cons.cantor_level(cons.CantorConstruction(level, "diamond")), 3**level + 1)
-        measures.append(branchmod.measure_at_scale(s, 3.0**-level))
+        u = cons.cantor_level(cons.CantorConstruction(level, "diamond"))
+        measures.append(branchmod.measure_at_scale(branchmod.scan(u, 3**level + 1), 3.0**-level))
     ternary_ok = bool(np.all(np.diff(measures) < 0)) and measures[-1] <= 0.1
 
     fat, _ = cons.cantor_limit("diamond", 10, schedule="fat")

@@ -642,21 +642,34 @@ def _family_blocks(u: PiecewiseAffineQ, depth: int):
                 yield edges[:-1], edges[1:]
 
 
+# In a scan of 300 domains far from 0, cells up to one ulp of the larger end
+# wide gave rows with a == b, and wider cells none.
+_MIN_CELL_ULPS = 4
+
+
 class _StandardFamily:
     """The standard family of `u` at `depth`, counted but not built.
 
     Making one runs the size gate, so a family over MAX_FAMILY_ROWS rows or
     a negative depth is refused before anything is evaluated or written;
-    `len()` gives its row count.  Its rows are finite, satisfy a < b and lie
-    in the domain by construction, so an audit skips the whole-family check
-    and reads `_family_blocks` as they are made: as (a, b) intervals in
-    quasi_k mode and as (center, radius) balls in the ball modes, the
-    columns `balls_from_intervals` would give.
+    `len()` gives its row count.  It also refuses, with DomainError, a
+    domain whose finest cell, (hi - lo) / 3**depth, is not wider than
+    `_MIN_CELL_ULPS` ulps of its larger end: rounded cell edges could meet
+    there.  Otherwise its rows are finite, satisfy a < b and lie in the domain by construction, so
+    an audit skips the whole-family check and reads `_family_blocks` as they
+    are made: as (a, b) intervals in quasi_k mode and as (center, radius)
+    balls in the ball modes, the columns `balls_from_intervals` would give.
     """
 
     def __init__(self, u: PiecewiseAffineQ, depth: int):
         self.u, self.depth = u, depth
         self.rows = _check_family_size(u.breakpoints.size, depth)
+        lo, hi = u.domain
+        if (hi - lo) / 3**depth <= _MIN_CELL_ULPS * np.spacing(max(abs(lo), abs(hi))):
+            raise DomainError(
+                f"the depth-{depth} family's finest cell, (hi - lo) / 3**{depth}, is within {_MIN_CELL_ULPS} ulps"
+                f" of the ends of the domain [{lo!r}, {hi!r}]"
+            )
 
     def __len__(self) -> int:
         return self.rows

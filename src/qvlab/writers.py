@@ -10,8 +10,9 @@ value's `repr` (for a float its shortest round trip: "inf", "-inf" and "nan"
 when not finite).  The reprs are most of a report's writing time, and a chunk
 of an audit column repeats its values, so each distinct value of a chunk is
 formatted once and its text shared by the rows that hold it.  A chunk's rows
-are then joined in one pass.  CSV lines end in "\r\n"; no value the package
-writes needs quoting.
+are then drawn from its texts as they are written, `PIECE_ROWS` rows joined
+per write, so a writer holds one chunk's texts and one piece of rows.  CSV
+lines end in "\r\n"; no value the package writes needs quoting.
 
 JSON files have sorted keys, an indent of 2 and a trailing newline: the bytes
 `json.dump` writes for the same payload with its arrays as lists.  In a
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 import json
 import math
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -41,8 +42,13 @@ __all__ = ["CHUNK_ROWS", "Records", "json_float", "write_csv", "write_json"]
 # 417,525 values of a level-7 depth-8 audit report, a repr is made for 75%
 # (quasi) and 64% (almost) at 1024 rows, 62% and 48% at 4096, 56% and 41% at
 # 8192.  At 8192 the chunk's texts raised the CLI audits' peak RSS by 7-12%;
-# at 4096 by under 2%.
+# at 4096 by under 2%.  Only the texts are held a chunk at a time: the rows
+# are joined and written `PIECE_ROWS` at a time.  Joined whole, a chunk's row
+# strings and their join were held beside its texts; at 512 rows per piece
+# the benchmark's level-7 audits peak 0.7 MB (quasi CSV) and 2.3 MB (almost
+# JSON) lower, and from 256 to 1024 rows the peaks move by under 0.3 MB.
 CHUNK_ROWS = 4096
+PIECE_ROWS = 512
 
 
 def _texts(chunk: np.ndarray) -> list[str]:
@@ -70,6 +76,13 @@ def _checked(block: Sequence) -> list[np.ndarray]:
     return columns
 
 
+def _pieces(rows: Iterable[str], sep: str) -> Iterator[str]:
+    """The texts of `rows`, `PIECE_ROWS` rows per text, each joined by `sep`."""
+    rows = iter(rows)
+    while piece := list(islice(rows, PIECE_ROWS)):
+        yield sep.join(piece)
+
+
 def _chunks(blocks: Iterable[Sequence]) -> Iterator[list[np.ndarray]]:
     """The columns of each of `blocks`, `CHUNK_ROWS` rows at a time.  Each
     block is checked when it comes, the first one before this returns, so a
@@ -92,7 +105,9 @@ def write_csv(path, header: Sequence[str], blocks: Iterable[Sequence]) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         for chunk in chunks:
-            fh.writelines(("\r\n".join(map(",".join, zip(*map(_texts, chunk)))), "\r\n"))
+            # The rows live in the loop's iterator alone, so the chunk's texts go with it.
+            for piece in _pieces(map(",".join, zip(*map(_texts, chunk))), "\r\n"):
+                fh.writelines((piece, "\r\n"))
 
 
 def json_float(x: float) -> float | str:
@@ -130,13 +145,13 @@ def _join(brackets: str, items: Iterable[Iterable[str]], pad: str) -> Iterator[s
 
 def _rows_texts(fixed: Sequence[str], blocks: Iterable[Sequence], inf: Sequence[bool], pad: str) -> Iterator[str]:
     """The JSON list at `pad` of one text per row of the column `blocks`,
-    each of k columns, `CHUNK_ROWS` rows per text: fixed[0], the row's k
+    each of k columns, `PIECE_ROWS` rows per text: fixed[0], the row's k
     values each followed by the next of the k + 1 `fixed` texts.  A column
     whose `inf` flag is set takes `json_float`'s text for an infinity."""
     chunks = _chunks(blocks)
     sep = ",\n  " + pad
 
-    def chunk_text(chunk: list[np.ndarray]) -> list[str]:
+    def chunk_pieces(chunk: list[np.ndarray]) -> Iterator[str]:
         parts = [repeat(fixed[0])]
         for column, is_inf, text in zip(chunk, inf, fixed[1:]):
             texts = _texts(column)
@@ -145,9 +160,10 @@ def _rows_texts(fixed: Sequence[str], blocks: Iterable[Sequence], inf: Sequence[
                 texts = [table.get(t, t) for t in texts]
             parts += [texts, repeat(text)]
         rows = parts[1] if fixed == ["", ""] else map("".join, zip(*parts))  # an array's row is its value's text
-        return [sep.join(rows)]
+        return _pieces(rows, sep)
 
-    return _join("[]", map(chunk_text, chunks), pad)
+    # A piece is one item of the list, so `_join` puts `sep` between pieces as between rows.
+    return _join("[]", ([piece] for chunk in chunks for piece in chunk_pieces(chunk)), pad)
 
 
 def _later(value: Callable, pad: str) -> Iterator[str]:

@@ -719,8 +719,9 @@ class TestStreamedReport:
         # numpy reports its buffers to tracemalloc.  Concatenating the five
         # columns before the write peaked at 2.8 times their bytes; streamed
         # from a built family, 0.64 (CSV) and 0.78 (JSON) times them; with
-        # the family made as it is read, one block and one chunk's texts:
-        # 0.25 and 0.39 times them.
+        # the family made as it is read, one block, one chunk's texts and
+        # its joined rows: 0.25 and 0.39 times them; with the rows written
+        # `writers.PIECE_ROWS` at a time, 0.20 and 0.20.
         argv = ["audit", "cantor-diamond", "--level", "8", "--depth", "8", "--mode", "quasi", "--format", fmt,
                 "--out", str(tmp_path / f"audit.{fmt}")]
         tracemalloc.start()
@@ -785,6 +786,17 @@ class TestStandardFamily:
         family = func1d._StandardFamily(make_losange(0.0, 1.0), 2)
         with pytest.raises(DomainError, match="only with the function it was made for"):
             audit(double_line(), family)
+
+    @pytest.mark.parametrize("mode, alpha", [("quasi_k", None), ("omega", None), ("almost", 0.5)])
+    def test_cells_below_the_rounding_of_the_domain_are_refused(self, mode, alpha):
+        # On [1e9, 1e9 + 1e-3] a depth-12 triadic cell is 0.016 ulps of 1e9,
+        # and the built family holds 753,764 rows with a >= b.  Made as it was
+        # read, quasi_k skipped them silently (supremum 2.0000000284) and the
+        # ball modes failed from inside the evaluation.
+        u = make_diamond(1e9, 1e9 + 1e-3, 0.0)
+        with pytest.raises(DomainError, match=r"depth-12 family.*\[1000000000\.0, 1000000000\.001\]$"):
+            func1d._audit_supremum(u, mode, 12, alpha)
+        func1d._StandardFamily(make_diamond(1e9, 1e9 + 1.0, 0.0), 12)  # cells of 16 ulps are kept
 
     @pytest.mark.parametrize("mode, fmt", [("quasi", "csv"), ("almost", "json")])
     def test_cli_audit_peak_does_not_grow_with_the_family(self, mode, fmt, tmp_path):
