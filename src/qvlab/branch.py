@@ -135,14 +135,15 @@ def box_counts(scan_result: BranchScan, scales) -> np.ndarray:
     if xs.size == 0:
         raise UndefinedDimensionError("no flagged points to count")
     lo = float(scan_result.grid[0])
+    span = float(xs.max()) - lo  # the largest box index is floor(span / eps)
     counts = []
     for eps in scales:
         if not (eps > 0 and np.isfinite(eps)):
             raise ValueError(f"box sizes must be positive and finite, got {float(eps)!r}")
-        boxes = np.floor((xs - lo) / eps)
-        if not boxes.max() < 2.0**63:
+        # span / 2**63 cannot overflow, and once it is below eps neither can span / eps.
+        if not (span / 2.0**63 < eps and span / eps < 2.0**63):
             raise ValueError(f"box size {float(eps)!r} is too small for this scan: its box indices overflow int64")
-        counts.append(np.unique(boxes.astype(np.int64)).size)
+        counts.append(np.unique(np.floor((xs - lo) / eps).astype(np.int64)).size)
     return np.array(counts)
 
 

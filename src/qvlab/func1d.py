@@ -42,7 +42,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 import numpy as np
 
 from .qspace import QPoint
-from .writers import Records, json_float, write_csv, write_json
+from .writers import Records, write_csv, write_json
 
 __all__ = [
     "PiecewiseAffineQ",
@@ -402,13 +402,9 @@ class MinimalityReport:
         write_csv(path, AuditRecord._fields, self._blocks())
 
     def to_json(self, path) -> None:
-        def witness():
-            w = self.witness
-            return None if w is None else {**w._asdict(), "figure_of_merit": json_float(w.figure_of_merit)}
-
-        records = Records(AuditRecord._fields, self._blocks(), inf_fields=("figure_of_merit",))
-        write_json(path, {"mode": self.mode, "alpha": self.alpha, "records": records,
-                          "supremum": lambda: json_float(self.supremum), "witness": witness})
+        records = Records(AuditRecord._fields, self._blocks())
+        write_json(path, {"mode": self.mode, "alpha": self.alpha, "records": records, "supremum": lambda: self.supremum,
+                          "witness": lambda: self.witness and self.witness._asdict()})
 
 
 def _listed(values) -> np.ndarray:

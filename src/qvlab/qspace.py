@@ -290,6 +290,8 @@ class ClusterSelection:
         centers = np.asarray(self.centers, dtype=float)
         if centers.ndim == 1:
             centers = centers.reshape(-1, 1)
+        if not np.isfinite(centers).all():
+            raise ValueError(f"centers must be finite, got {centers.tolist()!r}")
         centers = centers.copy()
         centers.flags.writeable = False
         object.__setattr__(self, "centers", centers)

@@ -15,28 +15,27 @@ per write, so a writer holds one chunk's texts and one piece of rows.  CSV
 lines end in "\r\n"; no value the package writes needs quoting.
 
 JSON files have sorted keys, an indent of 2 and a trailing newline: the bytes
-`json.dump` writes for the same payload with its arrays as lists.  In a
-payload, each ndarray (1-D, or 2-D as a list of rows) and each `Records`
-table is written from its columns; a callable is called for its value when
-the writer reaches it, so a value can be one that an earlier key's table
-computes as it is written; every other value goes through `json.dumps`.  A
-chunk holding a value whose repr is not its JSON text (a non-finite float, a
-bool) has its texts looked up in one table of json's texts.  Strict JSON has
-no Infinity literal, so fields that can be infinite go through `json_float`,
-which writes the strings "inf" and "-inf"; a `Records` table applies it to its
-`inf_fields`.
+`json.dump` writes for the same payload with its arrays as lists and each
+non-finite float as the string of its CSV text.  In a payload, each ndarray
+(1-D, or 2-D as a list of rows) and each `Records` table is written from its
+columns; a callable is called for its value when the writer reaches it, so a
+value can be one that an earlier key's table computes as it is written; a
+float is written from its repr; every other value goes through `json.dumps`.
+Strict JSON has no Infinity or NaN literal, so one table of JSON texts, used
+for a lone float and for each chunk holding a value whose repr is not its
+JSON text, writes a non-finite float as the string "inf", "-inf" or "nan" and
+a bool as true or false.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from itertools import chain, islice, repeat
-from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-__all__ = ["CHUNK_ROWS", "Records", "json_float", "write_csv", "write_json"]
+__all__ = ["CHUNK_ROWS", "Records", "write_csv", "write_json"]
 
 # Rows turned into text at a time.  Larger chunks repeat more values: of the
 # 417,525 values of a level-7 depth-8 audit report, a repr is made for 75%
@@ -110,26 +109,17 @@ def write_csv(path, header: Sequence[str], blocks: Iterable[Sequence]) -> None:
                 fh.writelines((piece, "\r\n"))
 
 
-def json_float(x: float) -> float | str:
-    """x as a float, or "inf"/"-inf" when it is infinite."""
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return float(x)
-
-
 class Records(NamedTuple):
     """A JSON list of objects with keys `fields`, one per row of the column
     `blocks`, each block a sequence of equal-length 1-D columns in the order
-    of `fields`; `json_float` applies to the fields in `inf_fields`."""
+    of `fields`.  Its values are written as an ndarray's are."""
 
     fields: Sequence[str]
     blocks: Iterable[Sequence]
-    inf_fields: Collection[str] = ()
 
 
-# json's text for each value whose repr is not its JSON text, plain and after `json_float`
-_JSON_TEXTS = {repr(v): json.dumps(v) for v in (math.inf, -math.inf, math.nan, True, False)}
-_INF_FIELD_TEXTS = {**_JSON_TEXTS, **{repr(v): json.dumps(json_float(v)) for v in (math.inf, -math.inf)}}
+# The JSON text of each value whose repr is not its JSON text: a non-finite float is the string of its repr.
+_JSON_TEXTS = {"inf": '"inf"', "-inf": '"-inf"', "nan": '"nan"', "True": "true", "False": "false"}
 
 
 def _join(brackets: str, items: Iterable[Iterable[str]], pad: str) -> Iterator[str]:
@@ -143,21 +133,19 @@ def _join(brackets: str, items: Iterable[Iterable[str]], pad: str) -> Iterator[s
     yield brackets if first else "\n" + pad + brackets[1]
 
 
-def _rows_texts(fixed: Sequence[str], blocks: Iterable[Sequence], inf: Sequence[bool], pad: str) -> Iterator[str]:
+def _rows_texts(fixed: Sequence[str], blocks: Iterable[Sequence], pad: str) -> Iterator[str]:
     """The JSON list at `pad` of one text per row of the column `blocks`,
     each of k columns, `PIECE_ROWS` rows per text: fixed[0], the row's k
-    values each followed by the next of the k + 1 `fixed` texts.  A column
-    whose `inf` flag is set takes `json_float`'s text for an infinity."""
+    values each followed by the next of the k + 1 `fixed` texts."""
     chunks = _chunks(blocks)
     sep = ",\n  " + pad
 
     def chunk_pieces(chunk: list[np.ndarray]) -> Iterator[str]:
         parts = [repeat(fixed[0])]
-        for column, is_inf, text in zip(chunk, inf, fixed[1:]):
+        for column, text in zip(chunk, fixed[1:]):
             texts = _texts(column)
             if column.dtype == bool or not np.isfinite(column).all():
-                table = _INF_FIELD_TEXTS if is_inf else _JSON_TEXTS
-                texts = [table.get(t, t) for t in texts]
+                texts = [_JSON_TEXTS.get(t, t) for t in texts]
             parts += [texts, repeat(text)]
         rows = parts[1] if fixed == ["", ""] else map("".join, zip(*parts))  # an array's row is its value's text
         return _pieces(rows, sep)
@@ -179,26 +167,29 @@ def _json_texts(value, pad: str) -> Iterable[str]:
     if isinstance(value, Records):
         order = sorted(range(len(value.fields)), key=value.fields.__getitem__)
         heads = [("," if k else "{") + f"\n{inner}  {json.dumps(value.fields[i])}: " for k, i in enumerate(order)]
-        return _rows_texts(heads + [f"\n{inner}}}"], ([block[i] for i in order] for block in value.blocks),
-                           [value.fields[i] in value.inf_fields for i in order], pad)
+        return _rows_texts(heads + [f"\n{inner}}}"], ([block[i] for i in order] for block in value.blocks), pad)
     if isinstance(value, np.ndarray) and value.ndim == 2:  # its rows pass the check, so each is made when written
         return _join("[]", (_json_texts(row, inner) for row in value), pad)
     if isinstance(value, np.ndarray):
-        return _rows_texts(["", ""], [[value]], [False], pad)
+        return _rows_texts(["", ""], [[value]], pad)
     if isinstance(value, dict):
         return _join("{}", [chain([json.dumps(key) + ": "], _json_texts(value[key], inner)) for key in sorted(value)],
                      pad)
     if callable(value):
         return _later(value, pad)
+    if isinstance(value, float):  # float.__repr__ gives an np.float64 its float text
+        text = float.__repr__(value)
+        return [_JSON_TEXTS.get(text, text)]
     return [json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + pad)]
 
 
 def write_json(path, payload: dict) -> None:
     """Write `payload`, whose dicts have string keys, to `path` with sorted
     keys, indent 2 and a final newline: the bytes `json.dump` writes for it
-    with every ndarray `.tolist()`'d, every `Records` as its list of dicts
-    and every callable as the value it returns.  A table passed whole, as
-    one block, is checked before the file opens."""
+    with every ndarray `.tolist()`'d, every `Records` as its list of dicts,
+    every callable as the value it returns and every non-finite float as the
+    string "inf", "-inf" or "nan".  A table passed whole, as one block, is
+    checked before the file opens."""
     texts = _json_texts(payload, "")
     with open(path, "w") as fh:
         fh.writelines(texts)

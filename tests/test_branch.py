@@ -182,10 +182,11 @@ class TestBoxDimension:
     def test_overflowing_box_size_rejected(self):
         approx, _ = cantor_limit("diamond", 3)
         sc = scan(approx, 101)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="box size 1e-200 is too small"):
-                box_counts(sc, [0.1, 1e-200])
+        for tiny in (1e-200, 1e-320):  # at 1e-320 the index itself overflows float64
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match=f"box size {tiny!r} is too small"):
+                    box_counts(sc, [0.1, tiny])
 
     def test_repeated_scale_is_not_two_scales(self):
         # a fit through two equal x values gave a slope with r_squared 1.0

@@ -487,6 +487,11 @@ class TestDeterminism:
             assert a.read_bytes() == b.read_bytes()
 
 
+def refuse_constant(name):
+    """Refuse the Infinity and NaN literals, which strict JSON does not have."""
+    raise ValueError(f"{name} is not strict JSON")
+
+
 class TestGoldenBytes:
     """sha256 of small outputs, each recorded before the code that writes it changed.
 
@@ -565,6 +570,8 @@ class TestGoldenBytes:
         out = tmp_path / name
         assert cli.main(argv + ["--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+        if out.suffix == ".json":
+            json.loads(out.read_text(), parse_constant=refuse_constant)
 
 
 class TestHelp:

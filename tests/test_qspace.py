@@ -400,6 +400,12 @@ class TestSelectClusters:
         with pytest.raises(ValueError, match="radius must be finite"):
             ClusterSelection(1, (2,), np.array([[0.0]]), radius=np.inf, s0=1.0, separation_k=2.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_nonfinite_center_rejected(self, bad):
+        # Its gaps to the other centers are NaN or inf, which the separation check cannot refuse.
+        with pytest.raises(ValueError, match="centers must be finite"):
+            ClusterSelection(2, (1, 1), np.array([[0.0], [bad]]), radius=1.0, s0=1.0, separation_k=2.0)
+
 
 def make_selection(centers, multiplicities, k=1.5):
     centers = np.asarray(centers, dtype=float)

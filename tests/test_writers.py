@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import tempfile
 import tracemalloc
 from itertools import chain
@@ -14,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from qvlab import cli, writers
 from qvlab.func1d import AuditRecord, MinimalityReport
-from qvlab.writers import Records, json_float, write_csv, write_json
+from qvlab.writers import Records, write_csv, write_json
 
 
 def per_row_csv(path, header, float_columns, int_columns):
@@ -100,24 +101,30 @@ class TestWriteCsv:
         assert (tmp_path / "new.csv").read_bytes() == old.read_bytes()
 
 
+def strict(value):
+    """`value` with each non-finite float in it, alone or in nested lists, as the string of its repr."""
+    if isinstance(value, list):
+        return list(map(strict, value))
+    return repr(float(value)) if isinstance(value, float) and not math.isfinite(value) else value
+
+
+def refuse_constant(name):
+    """Refuse the Infinity and NaN literals, which strict JSON does not have."""
+    raise ValueError(f"{name} is not strict JSON")
+
+
 def dict_path_json(path, report):
     """The report JSON path `MinimalityReport.to_json` used before
     `write_report_json`: one dict per record, then `json.dump`."""
 
     def record_dict(rec):
-        return {
-            "center": rec.center,
-            "radius": rec.radius,
-            "dir_u": rec.dir_u,
-            "dir_min": rec.dir_min,
-            "figure_of_merit": json_float(rec.figure_of_merit),
-        }
+        return {field: strict(v) for field, v in rec._asdict().items()}
 
     columns = (report.centers, report.radii, report.dir_u, report.dir_min, report.figure)
     payload = {
         "mode": report.mode,
-        "alpha": report.alpha,
-        "supremum": json_float(report.supremum),
+        "alpha": strict(report.alpha),
+        "supremum": strict(report.supremum),
         "witness": None if report.witness is None else record_dict(report.witness),
         "records": [record_dict(AuditRecord._make(row)) for row in zip(*(c.tolist() for c in columns))],
     }
@@ -181,15 +188,16 @@ class TestWriteReportJson:
 
 def listed(value):
     """`value` as `json.dump` took it before `write_json` wrote tables itself:
-    arrays as lists, `Records` as a list of dicts and a callable as its value."""
+    arrays as lists, `Records` as a list of dicts, a callable as its value and
+    each non-finite float as the string of its repr."""
     if isinstance(value, dict):
         return {key: listed(v) for key, v in value.items()}
     if callable(value):
         return listed(value())
     if isinstance(value, Records):
         rows = chain.from_iterable(zip(*(np.asarray(c).tolist() for c in block)) for block in value.blocks)
-        return [{f: json_float(v) if f in value.inf_fields else v for f, v in zip(value.fields, row)} for row in rows]
-    return value.tolist() if isinstance(value, np.ndarray) else value
+        return [{f: strict(v) for f, v in zip(value.fields, row)} for row in rows]
+    return strict(value.tolist() if isinstance(value, np.ndarray) else value)
 
 
 @st.composite
@@ -207,7 +215,7 @@ def records(draw):
     length = draw(st.integers(0, 12))
     columns = [np.array(draw(st.lists(any_floats, min_size=length, max_size=length)), dtype=float) for _ in fields]
     blocks = split(columns, draw(st.lists(st.integers(0, 12), max_size=3)))
-    return Records(fields, blocks, draw(st.sets(st.sampled_from(fields)) if fields else st.just(set())))
+    return Records(fields, blocks)
 
 
 leaves = st.none() | st.text(max_size=5) | ints | any_floats | arrays() | records()
@@ -220,7 +228,7 @@ class TestWriteJson:
     @given(payload=payloads, chunk=st.integers(1, 5))
     @example(payload={"a": np.zeros((3, 0)), "b": np.zeros((0, 2)), "c": np.array([-0.0, np.nan, np.inf, -np.inf]),
                       "d": {"e": np.array([True, False]), "f": np.array([], dtype=np.int64), "g": {}},
-                      "h": Records(["%s", "x"], [[np.array([1.5, np.inf]), np.array([-np.inf, np.nan])]], {"x"}),
+                      "h": Records(["%s", "x"], [[np.array([1.5, np.inf]), np.array([-np.inf, np.nan])]]),
                       "i": lambda: {"j": np.array([np.inf]), "k": "text"}},
              chunk=1)
     def test_matches_json_dump_of_lists(self, payload, chunk):
@@ -232,6 +240,7 @@ class TestWriteJson:
                 json.dump(listed(payload), fh, indent=2, sort_keys=True)
                 fh.write("\n")
             assert new.read_bytes() == old.read_bytes()
+            json.loads(new.read_text(), parse_constant=refuse_constant)
 
 
 class TestJsonMemory:
@@ -279,7 +288,7 @@ class TestRepeatedValues:
     def test_json_matches_json_dump(self, chunk, length, tmp_path):
         (zeros, mixed), (extremes,), flags = repeated_columns(length)
         payload = {"zeros": zeros, "mixed": mixed, "extremes": extremes, "flags": flags,
-                   "records": Records(["a", "b", "c"], split([mixed, zeros, extremes], [length // 2]), {"a"}),
+                   "records": Records(["a", "b", "c"], split([mixed, zeros, extremes], [length // 2])),
                    "rows": np.column_stack((zeros, mixed))}
         with mock.patch.object(writers, "CHUNK_ROWS", chunk):
             write_json(tmp_path / "new.json", payload)
