@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import func1d
+from . import _checks, func1d
 from .func1d import PiecewiseAffineQ, _check_rows, branch_values
 
 __all__ = [
@@ -99,15 +99,12 @@ def scan(u: PiecewiseAffineQ, grid_size: int, tol: float | None = None) -> Branc
     affine).  sigma is filled `BLOCK_ROWS` grid points at a time, so the
     (Q, grid) value table is never held whole.
     """
-    if grid_size < 3:
-        raise ValueError("grid_size must be at least 3")
-    _check_rows(grid_size, "the scan grid")
+    _check_rows(_checks.integer("grid_size", grid_size, 3, too_large=func1d.FamilySizeError), "the scan grid")
     lo, hi = u.domain
     if tol is None:
         spread = float(u.branches.max() - u.branches.min())
         tol = DEFAULT_TOL_FACTOR * (spread if spread > 0 else 1.0)
-    if not (0 <= tol < np.inf):
-        raise ValueError(f"tol must be nonnegative and finite, got {tol!r}")
+    _checks.real("tol", tol, 0, ends="[)")
     grid = np.linspace(lo, hi, grid_size)
     sig = np.empty(grid_size, dtype=int)
     for start in range(0, grid_size, func1d.BLOCK_ROWS):
@@ -138,8 +135,7 @@ def box_counts(scan_result: BranchScan, scales) -> np.ndarray:
     span = float(xs.max()) - lo  # the largest box index is floor(span / eps)
     counts = []
     for eps in scales:
-        if not (eps > 0 and np.isfinite(eps)):
-            raise ValueError(f"box sizes must be positive and finite, got {float(eps)!r}")
+        _checks.real("box sizes", float(eps))
         # span / 2**63 cannot overflow, and once it is below eps neither can span / eps.
         if not (span / 2.0**63 < eps and span / eps < 2.0**63):
             raise ValueError(f"box size {float(eps)!r} is too small for this scan: its box indices overflow int64")
@@ -163,8 +159,7 @@ class DimensionReport:
 def dimension_report(scan_result: BranchScan, scales) -> DimensionReport:
     """Box counts at each scale, the fitted slope and its r^2."""
     scales = np.asarray(list(scales), dtype=float)
-    if np.unique(scales).size < 2:
-        raise ValueError("need at least two distinct scales for a dimension fit")
+    _checks.distinct("scales", scales)
     counts = box_counts(scan_result, scales)
     logx = np.log(1.0 / scales)
     logy = np.log(counts)
@@ -186,8 +181,7 @@ def measure_at_scale(scan_result: BranchScan, eps: float) -> float:
     """
     grid = scan_result.grid
     spacing = float(grid[1] - grid[0])
-    if not (spacing <= eps < np.inf):
-        raise ValueError(f"eps must be finite and at least the grid spacing {spacing}, got {eps!r}")
+    _checks.real("eps", eps, spacing, ends="[)")
     xs = np.sort(scan_result.flagged_points())
     if xs.size == 0:
         return 0.0

@@ -21,7 +21,7 @@ import sys
 
 import numpy as np
 
-from . import acceptance, branch, constructions as cons, disk2d, func1d
+from . import _checks, acceptance, branch, constructions as cons, disk2d, func1d
 from .writers import write_csv, write_json
 
 __all__ = ["main", "console_main"]
@@ -55,8 +55,8 @@ NAMED_FUNCTIONS = (*_FIXED, *_LEVELED)
 
 def build_named_function(name: str, level: int | None = None, samples: int | None = None) -> func1d.PiecewiseAffineQ:
     """Construct one of the named example functions."""
-    if samples is not None and samples < 1:
-        raise UsageError(f"--samples must be at least 1, got {samples}")
+    if samples is not None:
+        _checks.integer("--samples", samples, 1, UsageError)
     if name in _FIXED:
         return _FIXED[name](samples)
     if level is None:
@@ -89,20 +89,13 @@ def _cmd_example(args) -> int:
 def _cmd_audit(args) -> int:
     u = build_named_function(args.name, args.level, args.samples)
     if args.mode == "omega":
-        if args.centers < 1:
-            raise UsageError(f"--centers must be at least 1, got {args.centers}")
+        _checks.integer("--centers", args.centers, 1, UsageError)
         lo, hi = u.domain
-        if args.radii:
-            radii = args.radii
-        else:
-            radii = [(hi - lo) * f for f in (0.02, 0.05, 0.1, 0.2)]
+        radii = args.radii or [(hi - lo) * f for f in (0.02, 0.05, 0.1, 0.2)]
         func1d._check_rows(len(radii) * args.centers)
         balls = []
         for r in radii:
-            if not r > 0:
-                raise UsageError(f"radius {r} must be positive")
-            if 2 * r >= hi - lo:
-                raise UsageError(f"radius {r} does not fit inside the domain")
+            _checks.real("radius", r, 0, (hi - lo) / 2, error=UsageError)
             centers = np.linspace(lo + r, hi - r, args.centers)
             if np.any(centers - r >= centers + r):
                 raise UsageError(f"radius {r} is too small to resolve: a ball around a center rounds to a point")

@@ -16,7 +16,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .func1d import DomainError, PiecewiseAffineQ, _check_rows
+from . import _checks
+from .func1d import DomainError, FamilySizeError, PiecewiseAffineQ, _check_rows
 
 __all__ = [
     "RemovedInterval",
@@ -55,8 +56,7 @@ def make_diamond(a: float, b: float, h: float = 0.0) -> PiecewiseAffineQ:
     The lower branch is flat then rises with slope one, the upper branch
     rises first then flattens; both endpoints are double points.
     """
-    if a >= b:
-        raise DomainError(f"need a < b, got [{a}, {b}]")
+    _checks.interval(a, b, DomainError)
     mid = 0.5 * (a + b)
     top = h + 0.5 * (b - a)
     bps = np.array([a, mid, b])
@@ -72,8 +72,7 @@ def make_losange(a: float, b: float) -> PiecewiseAffineQ:
     The upper branch is a tent with slopes +-1, the lower branch its mirror
     image; both endpoints carry the double value zero.
     """
-    if a >= b:
-        raise DomainError(f"need a < b, got [{a}, {b}]")
+    _checks.interval(a, b, DomainError)
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     bps = np.array([a, mid, b])
@@ -82,8 +81,7 @@ def make_losange(a: float, b: float) -> PiecewiseAffineQ:
 
 def make_double_line(a: float, b: float, offset: float = 0.0) -> PiecewiseAffineQ:
     """The double line x -> 2[[x + offset]] on [a, b]."""
-    if a >= b:
-        raise DomainError(f"need a < b, got [{a}, {b}]")
+    _checks.interval(a, b, DomainError)
     bps = np.array([a, b])
     row = bps + offset
     return PiecewiseAffineQ(bps, np.vstack((row, row)))
@@ -93,15 +91,16 @@ def make_pluri_losange(intervals, lo: float = 0.0, hi: float = 1.0) -> Piecewise
     """Losanges above the given disjoint subintervals of [lo, hi], the double
     value zero elsewhere.  Intervals may touch at an end but not overlap."""
     ivs = sorted((float(a), float(b)) for a, b in intervals)
+    for a, b in ivs:
+        if not (lo <= a < b <= hi):
+            raise DomainError(f"losange interval [{a}, {b}] leaves [{lo}, {hi}]")
     for (a0, b0), (a1, b1) in zip(ivs, ivs[1:]):
-        if a1 < b0:
+        if not b0 <= a1:
             raise DomainError(f"losange intervals [{a0}, {b0}] and [{a1}, {b1}] overlap")
     bps = [lo]
     lower = [0.0]
     upper = [0.0]
     for a, b in ivs:
-        if not (lo <= a < b <= hi):
-            raise DomainError(f"losange interval [{a}, {b}] leaves [{lo}, {hi}]")
         half = 0.5 * (b - a)
         for x, lo_v, up_v in ((a, 0.0, 0.0), (0.5 * (a + b), -half, half), (b, 0.0, 0.0)):
             if x > bps[-1]:
@@ -116,7 +115,7 @@ def make_pluri_losange(intervals, lo: float = 0.0, hi: float = 1.0) -> Piecewise
 
 
 def _check_level(level: int) -> None:
-    if not 1 <= level <= MAX_LEVEL:
+    if not 1 <= _checks.integer("level", level) <= MAX_LEVEL:
         raise ValueError(f"level must lie in [1, MAX_LEVEL = {MAX_LEVEL}], got {level!r}")
 
 
@@ -304,8 +303,7 @@ def cantor_limit(flavor: str, level_cap: int, schedule: str = "ternary") -> Cant
 
 def _check_sin_ball(x: float, r: float) -> None:
     """Refuse unless r > 0 and (x - r, x + r) lies inside (-pi/4, pi/4); NaN fails both."""
-    if not r > 0:
-        raise DomainError(f"radius must be positive, got {r!r}")
+    _checks.real("radius", r, error=DomainError)
     if not (-SIN_HALF_WIDTH < x - r and x + r < SIN_HALF_WIDTH):
         raise DomainError(f"ball ({x - r}, {x + r}) leaves (-pi/4, pi/4)")
 
@@ -340,8 +338,7 @@ def omega_sin(r: float) -> float:
     """Excess profile r^2 / sin^2(r) - 1 on its domain (0, pi); decreases to
     0 as r decreases to 0.  sin vanishes at pi, past which the formula is no
     excess profile, so a radius outside (0, pi) raises DomainError."""
-    if not 0 < r < math.pi:
-        raise DomainError(f"radius must lie in (0, pi), got {r!r}")
+    _checks.real("radius", r, 0, math.pi, error=DomainError)
     return (r / math.sin(r)) ** 2 - 1.0
 
 
@@ -349,9 +346,7 @@ def sin_sampled(n: int = 4097) -> PiecewiseAffineQ:
     """Sorted-branch sampling of {x, sin x} on n uniform breakpoints over
     [-pi/4, pi/4].  The branches touch exactly at the origin, which is the
     function's only branch point."""
-    if n < 2:
-        raise ValueError("need at least two samples")
-    _check_rows(n, "the sine sample grid")
+    _check_rows(_checks.integer("n", n, 2, too_large=FamilySizeError), "the sine sample grid")
     xs = np.linspace(-SIN_HALF_WIDTH, SIN_HALF_WIDTH, n)
     s = np.sin(xs)
     return PiecewiseAffineQ(xs, np.vstack((np.minimum(xs, s), np.maximum(xs, s))))

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .func1d import _check_rows
+from . import _checks
+from .func1d import FamilySizeError, _check_rows
 
 __all__ = [
     "CircleTraceQ",
@@ -84,12 +85,9 @@ def sorted_trace(values, sample_count: int, mode_cap: int, radius: float = 1.0) 
     retained modes are not aliased.  One rfft per branch gives both the
     coefficients and, cut at mode_cap and inverted, the truncation residual.
     """
-    if mode_cap < 0:
-        raise ValueError(f"mode_cap must be nonnegative, got {mode_cap!r}")
-    if sample_count < 2 * mode_cap + 1:
-        raise AliasingError(f"need at least {2 * mode_cap + 1} samples for {mode_cap} modes")
-    if not (np.isfinite(radius) and radius > 0):
-        raise ValueError("radius must be positive and finite")
+    mode_cap = _checks.integer("mode_cap", mode_cap, too_large=AliasingError)
+    _checks.integer(f"sample_count ({mode_cap} modes)", sample_count, 2 * mode_cap + 1, AliasingError, FamilySizeError)
+    _checks.real("radius", radius)
     _check_rows(sample_count, "the circle trace", "samples")
     angles = 2.0 * np.pi * np.arange(sample_count) / sample_count
     raw = np.asarray(_call_trace(values, angles) if callable(values) else values)
@@ -98,8 +96,7 @@ def sorted_trace(values, sample_count: int, mode_cap: int, radius: float = 1.0) 
     raw = np.atleast_2d(raw.astype(float, copy=False))
     if raw.ndim != 2 or raw.shape[1] != sample_count or len(raw) == 0:
         raise ValueError(f"a trace must have Q >= 1 branches of one value per angle, got shape {raw.shape}")
-    if not np.all(np.isfinite(raw)):
-        raise ValueError("trace samples must be finite")
+    _checks.finite("trace samples", raw)
     samples = np.sort(raw, axis=0)
     spectrum = np.fft.rfft(samples, axis=1) / sample_count
     kept = spectrum[:, : mode_cap + 1]
@@ -136,8 +133,7 @@ class DiskMinimizer:
 
     def subdisk_energy(self, scale: float) -> float:
         """Energy over the concentric subdisk of radius scale * r."""
-        if not 0 < scale <= 1:
-            raise ValueError("scale must lie in (0, 1]")
+        _checks.real("scale", scale, 0, 1, "(]")
         a, b = self.trace.cos_coeffs, self.trace.sin_coeffs
         k = np.arange(a.shape[1])
         power = (a**2 + b**2) * scale ** (2 * k)
@@ -157,8 +153,7 @@ def minimize_disk(trace: CircleTraceQ) -> DiskMinimizer:
     interior = float(np.pi * np.sum(k * power))
     with np.errstate(invalid="ignore"):  # inf * 0 when pi / r overflows, rejected below
         boundary = float(np.pi / trace.radius * np.sum(k**2 * power))
-    if not np.isfinite(boundary):
-        raise ValueError(f"radius {trace.radius!r} gives a non-finite boundary energy")
+    _checks.finite(f"the boundary energy at radius {trace.radius!r}", boundary)
     return DiskMinimizer(trace=trace, dir_interior=interior, dir_boundary=boundary)
 
 

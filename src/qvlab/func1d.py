@@ -41,6 +41,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
+from . import _checks
 from .qspace import QPoint
 from .writers import Records, write_csv, write_json
 
@@ -125,15 +126,13 @@ class PiecewiseAffineQ:
         br = np.asarray(self.branches, dtype=float)
         if br.ndim == 1:
             br = br.reshape(1, -1)
-        if bps.ndim != 1 or bps.size < 2:
-            raise ValueError("need at least two breakpoints")
-        if br.shape != (br.shape[0], bps.size):
-            raise ValueError("branches must have one column per breakpoint")
-        if not np.all(np.isfinite(bps)) or not np.all(np.isfinite(br)):
-            raise ValueError("breakpoints and branch values must be finite")
+        if bps.ndim != 1 or br.shape != (br.shape[0], bps.size):
+            raise ValueError("branches must have one column per breakpoint of a 1-D breakpoint array")
+        _checks.integer("the number of breakpoints", bps.size, 2)
+        _checks.finite("breakpoints and branch values", bps, br)
         if not np.all(np.diff(bps) > 0):
             raise ValueError("breakpoints must be strictly increasing")
-        if br.shape[0] > 1 and not np.all(np.diff(br, axis=0) >= 0):
+        if br.shape[0] != 1 and not np.all(np.diff(br, axis=0) >= 0):
             raise ValueError("branch values must be sorted at every breakpoint")
         bps = bps.copy()
         br = br.copy()
@@ -193,8 +192,7 @@ class StepWeight:
         values = np.asarray(self.values, dtype=float)
         if knots.ndim != 1 or values.ndim != 1 or knots.size != values.size + 1:
             raise ValueError("need k+1 knots for k weight values")
-        if not (np.all(np.isfinite(knots)) and np.all(np.isfinite(values))):
-            raise ValueError("weight knots and values must be finite")
+        _checks.finite("weight knots and values", knots, values)
         if not np.all(np.diff(knots) > 0):
             raise ValueError("weight knots must be strictly increasing")
         if not np.all(values > 0):
@@ -260,8 +258,8 @@ def dirichlet_energy(
     unweighted value is a difference of shared prefix sums, so it is
     additive over adjacent intervals to rounding.
     """
-    if a >= b:
-        raise EmptyIntervalError(f"empty interval [{a}, {b}]")
+    _checks.finite("interval ends", a, b, error=DomainError)
+    _checks.interval(a, b, EmptyIntervalError)
     if weight is None:
         return float(energy_between(u, a, b))
     _check_in_domain(u, [a, b])
@@ -295,10 +293,8 @@ def _sorted_boundary(boundary_a: QPoint, boundary_b: QPoint, a: float, b: float)
         raise UnsupportedCodimensionError("interval minimizers exist in closed form only for n = 1")
     if boundary_a.q_count != boundary_b.q_count:
         raise ValueError("boundary tuples must share Q")
-    if not (np.isfinite(a) and np.isfinite(b)):
-        raise DomainError(f"interval ends must be finite, got [{a}, {b}]")
-    if not a < b:
-        raise EmptyIntervalError(f"empty interval [{a}, {b}]")
+    _checks.finite("interval ends", a, b, error=DomainError)
+    _checks.interval(a, b, EmptyIntervalError)
     return boundary_a.sorted_values(), boundary_b.sorted_values()
 
 
@@ -503,8 +499,7 @@ def _audit(u: PiecewiseAffineQ, mode: str, family, alpha: Optional[float] = None
         return MinimalityReport._of_family(mode, alpha, lambda: _evaluate(u, mode, family.blocks(mode), alpha))
     first, second = _pairs(family)
     a, b = _interval_ends(mode, first, second)
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-        raise DomainError("interval ends must be finite")
+    _checks.finite("interval ends", a, b, error=DomainError)
     if np.any(a >= b):
         raise EmptyIntervalError("intervals must satisfy a < b")
     _check_in_domain(u, a)
@@ -555,8 +550,7 @@ def almost_deficiency(u: PiecewiseAffineQ, alpha: float, balls) -> MinimalityRep
     supremum over the family is the smallest constant c certified by the
     family.
     """
-    if not 0 < alpha < 1:
-        raise ValueError("alpha must lie in (0, 1)")
+    _checks.real("alpha", alpha, 0, 1)
     return _audit(u, "almost", balls, alpha)
 
 
@@ -569,20 +563,14 @@ def energy_decay_exponent(u: PiecewiseAffineQ, z: float, r0: float, scales) -> f
     scales = _listed(scales)
     if not np.all((scales > 0) & (scales <= 1)):
         raise ValueError("scales must lie in (0, 1]")
-    for name, value in (("center", z), ("r0", r0)):
-        if not np.isfinite(value):
-            raise DomainError(f"{name} must be finite, got {value!r}")
-    if not r0 > 0:
-        raise DomainError(f"r0 must be positive, got {r0!r}")
+    _checks.finite("center", z, error=DomainError)
+    _checks.real("r0", r0, error=DomainError)
     if not z - r0 < z + r0:
         raise DomainError(f"r0 = {r0!r} is too small: the ball about {z!r} rounds to a point")
-    base = dirichlet_energy(u, z - r0, z + r0)
-    if base <= 0.0:
-        raise UndefinedExponentError("zero energy at the base radius")
+    _checks.real("the energy at the base radius", dirichlet_energy(u, z - r0, z + r0), error=UndefinedExponentError)
     energies = energy_between(u, z - scales * r0, z + scales * r0)
     keep = energies > 0.0
-    if np.count_nonzero(keep) < 2:
-        raise UndefinedExponentError("not enough scales with positive energy for a fit")
+    _checks.distinct("scales with positive energy", scales[keep], UndefinedExponentError)
     slope = np.polyfit(np.log(scales[keep]), np.log(energies[keep]), 1)[0]
     return float(slope)
 
@@ -598,7 +586,7 @@ def _check_rows(rows: int, what: str = "the audit family", unit: str = "rows", e
     """The one size gate: refuse, before any of it exists, an array `what` of
     more than MAX_FAMILY_ROWS `unit`; `exact` is False when `rows` is a lower
     bound."""
-    if rows > MAX_FAMILY_ROWS:
+    if not rows <= MAX_FAMILY_ROWS:
         count = f"{rows}" if exact else f"more than {rows}"
         raise FamilySizeError(
             f"{what} would have {count} {unit}; at most MAX_FAMILY_ROWS = {MAX_FAMILY_ROWS} are allowed"
@@ -607,8 +595,7 @@ def _check_rows(rows: int, what: str = "the audit family", unit: str = "rows", e
 
 def _check_family_size(m: int, depth: int) -> int:
     """The rows of a standard family over m breakpoints, refused above MAX_FAMILY_ROWS."""
-    if depth < 0:
-        raise ValueError(f"depth must be nonnegative, got {depth!r}")
+    depth = _checks.integer("depth", depth, too_large=FamilySizeError)
     # Past depth 32 the family is far above the limit; its size is then
     # counted there, as a lower bound, to keep the integers small.
     rows = _family_rows(m, min(depth, 32))
@@ -654,14 +641,15 @@ class _StandardFamily:
     there.  Otherwise its rows are finite, satisfy a < b and lie in the domain by construction, so
     an audit skips the whole-family check and reads `_family_blocks` as they
     are made: as (a, b) intervals in quasi_k mode and as (center, radius)
-    balls in the ball modes, the columns `balls_from_intervals` would give.
+    balls in the ball modes, the columns `balls_from_intervals` would give,
+    except that a ball whose rounded ends leave the domain is shrunk to fit.
     """
 
     def __init__(self, u: PiecewiseAffineQ, depth: int):
         self.u, self.depth = u, depth
         self.rows = _check_family_size(u.breakpoints.size, depth)
         lo, hi = u.domain
-        if (hi - lo) / 3**depth <= _MIN_CELL_ULPS * np.spacing(max(abs(lo), abs(hi))):
+        if not (hi - lo) / 3**depth > _MIN_CELL_ULPS * np.spacing(max(abs(lo), abs(hi))):
             raise DomainError(
                 f"the depth-{depth} family's finest cell, (hi - lo) / 3**{depth}, is within {_MIN_CELL_ULPS} ulps"
                 f" of the ends of the domain [{lo!r}, {hi!r}]"
@@ -672,7 +660,15 @@ class _StandardFamily:
 
     def blocks(self, mode: str):
         blocks = _family_blocks(self.u, self.depth)
-        return blocks if mode == "quasi_k" else (_balls(a, b) for a, b in blocks)
+        return blocks if mode == "quasi_k" else (self._balls_inside(a, b) for a, b in blocks)
+
+    def _balls_inside(self, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The balls of the rows, clamped to the domain as cell edges are: c + r rounds past hi only if it is
+        past hi exactly, so a radius one ulp below the rounded room to the nearer end fits (c - r likewise)."""
+        c, r = _balls(a, b)
+        lo, hi = self.u.domain
+        out = (c - r < lo) | (c + r > hi)  # the ends `_interval_ends` gives a ball
+        return c, np.where(out, np.nextafter(np.minimum(hi - c, c - lo), 0.0), r) if out.any() else r
 
 
 def audit_intervals(u: PiecewiseAffineQ, depth: int = 12) -> np.ndarray:
@@ -701,6 +697,5 @@ def balls_from_intervals(intervals) -> np.ndarray:
 
 def rescale_domain(u: PiecewiseAffineQ, scale: float) -> PiecewiseAffineQ:
     """Stretch the domain by `scale` > 0, keeping branch values."""
-    if not (0 < scale < np.inf):
-        raise ValueError(f"scale must be positive and finite, got {scale!r}")
+    _checks.real("scale", scale)
     return PiecewiseAffineQ(u.breakpoints * scale, u.branches)

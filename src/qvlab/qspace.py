@@ -17,6 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _checks
+
 __all__ = [
     "QPoint",
     "ClusterSelection",
@@ -51,10 +53,9 @@ class QPoint:
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim == 1:
             pts = pts.reshape(-1, 1)
-        if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] < 1:
+        if pts.ndim != 2 or pts.size == 0:
             raise ValueError(f"expected a (Q, n) array of points, got shape {pts.shape}")
-        if not np.isfinite(pts).all():
-            raise ValueError("all coordinates must be finite")
+        _checks.finite("coordinates", pts)
         pts = pts.copy()
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
@@ -237,8 +238,7 @@ def support_with_multiplicity(a: QPoint, tol: float = 0.0) -> list[tuple[np.ndar
     representative is the lexicographically smallest member, and clusters are
     listed in lexicographic order of their representatives.
     """
-    if not (0 <= tol < np.inf):
-        raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
+    _checks.real("tol", tol, 0, ends="[)")
     pts = a.points
     return [(pts[leader].copy(), size) for leader, size in _single_linkage(pts, _spanning_tree(pts), tol)]
 
@@ -248,24 +248,15 @@ def sigma(a: QPoint, tol: float = 0.0) -> int:
     return len(support_with_multiplicity(a, tol))
 
 
-def _separation_sum(q: int, k: float, terms: int) -> float:
-    base = (2.0 * k) * (q - 1) ** 2
-    return float(sum(base**t for t in range(terms)))
-
-
 def c_of_q(q: int, k: float) -> float:
     """Geometric separation constant 1 + g + g^2 + ... + g^(Q-1), g = 2K(Q-1)^2."""
-    if q < 2:
-        raise ValueError("c_of_q requires Q >= 2")
-    if not (1 < k < np.inf):
-        raise ValueError(f"c_of_q requires a finite K > 1, got k={k!r}")
-    return _separation_sum(q, k, q)
+    q = _checks.integer("Q", q, 2)
+    base = (2.0 * _checks.real("K", k, 1)) * (q - 1) ** 2
+    return float(sum(base**t for t in range(q)))
 
 
 def c2_of_q(q: int, k: float) -> float:
-    """c_of_q scaled by (Q-1)^(-1/2); undefined for Q = 1."""
-    if q < 2:
-        raise ValueError("c2_of_q is undefined for Q < 2 (division by (Q-1)^(1/2))")
+    """c_of_q scaled by (Q-1)^(-1/2); undefined for Q = 1, where c_of_q refuses Q."""
     return c_of_q(q, k) / np.sqrt(q - 1.0)
 
 
@@ -290,24 +281,20 @@ class ClusterSelection:
         centers = np.asarray(self.centers, dtype=float)
         if centers.ndim == 1:
             centers = centers.reshape(-1, 1)
-        if not np.isfinite(centers).all():
-            raise ValueError(f"centers must be finite, got {centers.tolist()!r}")
+        _checks.finite("centers", centers)
         centers = centers.copy()
         centers.flags.writeable = False
         object.__setattr__(self, "centers", centers)
         j = self.cluster_count
         if j != len(self.multiplicities) or j != centers.shape[0]:
             raise ValueError("cluster_count does not match multiplicities/centers")
-        if any(k < 1 for k in self.multiplicities):
-            raise ValueError("multiplicities must be positive")
-        if not (0 < self.s0 <= self.radius < np.inf):
-            raise ValueError(f"radius must be finite with 0 < s0 <= radius, got {self.radius!r} for s0={self.s0!r}")
-        if not (1 < self.separation_k < np.inf):
-            raise ValueError(f"separation_k must be finite and exceed 1, got {self.separation_k!r}")
+        _checks.integer("the least multiplicity", min(self.multiplicities, default=1), 1)
+        _checks.real("radius", self.radius, _checks.real("s0", self.s0), ends="[)")
+        _checks.real("separation_k", self.separation_k, 1)
         q = self.q_count
-        if q >= 2 and self.radius > c_of_q(q, self.separation_k) * self.s0 * (1 + 1e-12):
-            raise ValueError("radius exceeds C(Q) * s0")
-        if self.min_center_gap() <= 2.0 * self.separation_k * self.radius:
+        if q >= 2:
+            _checks.real("radius", self.radius, self.s0, c_of_q(q, self.separation_k) * self.s0 * (1 + 1e-12), "[]")
+        if not self.min_center_gap() > 2.0 * self.separation_k * self.radius:
             raise ValueError("centers are not 2 K radius separated")
 
     @property
@@ -341,10 +328,8 @@ def select_clusters(a: QPoint, s0: float, separation_k: float) -> ClusterSelecti
       within s0 of the input is within r of the collapsed configuration),
     - in the single-cluster case, support diameter at most C(Q) s0 / (Q-1).
     """
-    if not (0 < s0 < np.inf):
-        raise ValueError(f"s0 must be positive and finite, got {s0!r}")
-    if not (1 < separation_k < np.inf):
-        raise ValueError(f"separation_k must be finite and exceed 1, got {separation_k!r}")
+    _checks.real("s0", s0)
+    _checks.real("separation_k", separation_k, 1)
     pts = a.points
     q = a.q_count
     tree = _spanning_tree(pts)
@@ -388,17 +373,12 @@ class RetractionParams:
     selection: ClusterSelection = field(repr=False)
 
     def __post_init__(self):
-        if not (0 < self.s1 < self.s2):
-            raise ValueError("parameters must satisfy 0 < s1 < s2")
-        if not np.isfinite(self.s2):
-            raise ValueError("s2 must be finite (selection needs at least two centers)")
+        _checks.real("s2", self.s2, _checks.real("s1", self.s1))
 
     @classmethod
     def from_selection(cls, selection: ClusterSelection, s1: float) -> "RetractionParams":
-        gap = selection.min_center_gap()
-        if not np.isfinite(gap):
-            raise ValueError("semi-retraction needs at least two cluster centers")
-        return cls(s1=s1, s2=0.5 * gap, selection=selection)
+        """The parameters at `s1` with s2 half the minimum center gap: inf, and refused, for one center."""
+        return cls(s1=s1, s2=0.5 * selection.min_center_gap(), selection=selection)
 
 
 def semi_retraction(q: QPoint, params: RetractionParams) -> QPoint:

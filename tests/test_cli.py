@@ -99,7 +99,7 @@ class TestAudit:
         out = tmp_path / "omega.csv"
         code = cli.main(["audit", "sin", "--mode", "omega", "--radii", radius, "--out", str(out)])
         assert code == 2
-        assert f"radius {float(radius)} must be positive" in capsys.readouterr().err
+        assert f"radius must lie in (0, {np.pi / 4}), got {float(radius)}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("centers", ["0", "-1"])
@@ -108,7 +108,7 @@ class TestAudit:
         out = tmp_path / "omega.csv"
         code = cli.main(["audit", "sin", "--mode", "omega", "--centers", centers, "--out", str(out)])
         assert code == 2
-        assert f"--centers must be at least 1, got {centers}" in capsys.readouterr().err
+        assert f"--centers must be an integer of at least 1, got {centers}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_unresolvable_omega_radius_is_usage_error(self, tmp_path, capsys):
@@ -126,7 +126,7 @@ class TestAudit:
             ["audit", "cantor-diamond", "--level", "2", "--mode", mode, "--depth", "-1", "--out", str(out)]
         )
         assert code == 2
-        assert "depth must be nonnegative, got -1" in capsys.readouterr().err
+        assert "depth must be an integer of at least 0, got -1" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("mode", ["quasi", "almost"])
@@ -224,7 +224,7 @@ class TestCountBeforeAllocating:
         out = tmp_path / "out.csv"
         code = cli.main([command[0], "diamond", *command[1:], "--samples", samples, "--out", str(out)])
         assert code == 2
-        assert f"--samples must be at least 1, got {samples}" in capsys.readouterr().err
+        assert f"--samples must be an integer of at least 1, got {samples}" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -233,7 +233,7 @@ class TestBranchAndDecay:
         "scales, message",
         [
             ("0.1,0.1", "need at least two distinct scales"),
-            ("0.1,inf", "box sizes must be positive and finite"),
+            ("0.1,inf", "box sizes must lie in (0, inf), got inf"),
             # box indices past int64 used to give a cast warning and dimension=0.0
             ("1e-300,1e-200", "box size 1e-300 is too small for this scan"),
         ],
@@ -282,7 +282,7 @@ class TestBranchAndDecay:
     def test_branch_nan_tol_is_usage_error(self, tmp_path, capsys):
         code = cli.main(["branch", "sin", "--grid", "101", "--tol", "nan", "--out", str(tmp_path / "b.csv")])
         assert code == 2
-        assert "tol must be nonnegative" in capsys.readouterr().err
+        assert "tol must lie in [0, inf), got nan" in capsys.readouterr().err
 
     def test_branch_csv(self, tmp_path):
         out = tmp_path / "branch.csv"
@@ -297,7 +297,7 @@ class TestBranchAndDecay:
         out = tmp_path / "b.csv"
         code = cli.main(["branch", "diamond", "--grid", "11", "--tol", "inf", "--out", str(out)])
         assert code == 2
-        assert "tol must be nonnegative and finite, got inf" in capsys.readouterr().err
+        assert "tol must lie in [0, inf), got inf" in capsys.readouterr().err
         assert not out.exists()
 
     def test_decay_csv_and_slope(self, tmp_path, capsys):
@@ -308,6 +308,21 @@ class TestBranchAndDecay:
         assert code == 0
         assert "slope=" in capsys.readouterr().out
         assert out.read_text().splitlines()[0] == "scale,radius,energy"
+
+    @pytest.mark.parametrize("flags", [[], ["-W", "error"]], ids=["default", "warnings-as-errors"])
+    def test_decay_with_one_distinct_scale_is_refused_up_front(self, tmp_path, flags):
+        # np.polyfit got one abscissa twice: a RuntimeWarning and six LAPACK "DLASCL" lines
+        # on stderr, then "SVD did not converge" (under -W error, a traceback and exit 1)
+        out = tmp_path / "d.json"
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        args = ["decay", "cantor-diamond", "--level", "3", "--center", "0.4", "--r0", "0.05", "--scales", "1,1",
+                "--out", str(out), "--format", "json"]
+        proc = subprocess.run([sys.executable, *flags, "-m", "qvlab.cli", *args], capture_output=True, text=True,
+                              env=env, timeout=60)
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == ["error: need at least two distinct scales with positive energy"]
+        assert not out.exists()
 
     def test_decay_nan_scale_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "decay.csv"
@@ -320,17 +335,18 @@ class TestBranchAndDecay:
 
     @pytest.mark.parametrize("center, r0, name", [("nan", "0.25", "center"), ("0.5", "nan", "r0")])
     def test_decay_nan_center_or_r0_is_usage_error(self, tmp_path, capsys, center, r0, name):
+        message = {"center": "center must be finite, got nan", "r0": "r0 must lie in (0, inf), got nan"}[name]
         out = tmp_path / "decay.csv"
         code = cli.main(
             ["decay", "double-line", "--center", center, "--r0", r0, "--scales", "1,0.5", "--out", str(out)]
         )
         assert code == 2
-        assert f"{name} must be finite, got nan" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(
         "r0, message",
-        [("-0.1", "r0 must be positive, got -0.1"), ("1e-320", "r0 = 1e-320 is too small")],
+        [("-0.1", "r0 must lie in (0, inf), got -0.1"), ("1e-320", "r0 = 1e-320 is too small")],
         ids=["negative", "subnormal"],
     )
     def test_decay_r0_without_a_ball_is_usage_error(self, tmp_path, capsys, r0, message):
@@ -368,14 +384,14 @@ class TestDisk:
              "--out", str(out), "--format", "json"]
         )
         assert code == 2
-        assert "radius 1e-320 gives a non-finite boundary energy" in capsys.readouterr().err
+        assert "the boundary energy at radius 1e-320 must be finite" in capsys.readouterr().err
         assert not out.exists()
 
     def test_negative_modes_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "disk.csv"
         code = cli.main(["disk", "--trace", "constant", "--samples", "64", "--modes", "-1", "--out", str(out)])
         assert code == 2
-        assert "mode_cap must be nonnegative, got -1" in capsys.readouterr().err
+        assert "mode_cap must be an integer of at least 0, got -1" in capsys.readouterr().err
         assert not out.exists()
 
     def test_csv_output(self, tmp_path):

@@ -107,7 +107,7 @@ class TestSortedTrace:
         assert tr.truncation_residual < 1e-12
 
     def test_negative_mode_cap_rejected(self):
-        with pytest.raises(ValueError, match="mode_cap must be nonnegative, got -1"):
+        with pytest.raises(ValueError, match="mode_cap must be an integer of at least 0, got -1"):
             sorted_trace(lambda t: [1.0], 64, -1)
 
     @pytest.mark.parametrize("radius", [0.0, np.inf, np.nan])
@@ -220,7 +220,7 @@ class TestDiskMinimizer:
     def test_subnormal_radius_rejected(self, values):
         # pi / 1e-320 overflows; times a zero power it was NaN, else inf
         trace = sorted_trace(values, 64, 8, radius=1e-320)
-        with pytest.raises(ValueError, match="radius 1e-320 gives a non-finite boundary energy"):
+        with pytest.raises(ValueError, match="the boundary energy at radius 1e-320 must be finite"):
             minimize_disk(trace)
 
     def test_constant_trace_zero_energy(self):

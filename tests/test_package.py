@@ -1,7 +1,7 @@
 """The package's layout: each public name is declared once, in its module's
 `__all__`, every file the package writes goes through `qvlab.writers`, only
-the CLI and the audit report use those writers, and importing the package
-loads no scipy module."""
+the CLI and the audit report use those writers, importing the package
+loads no scipy module, and no guard lets NaN through a bare comparison."""
 
 import ast
 import inspect
@@ -10,6 +10,8 @@ import subprocess
 import sys
 import types
 from pathlib import Path
+
+import pytest
 
 import qvlab
 from qvlab import branch, constructions, disk2d, func1d, qspace
@@ -104,3 +106,60 @@ def test_import_loads_no_scipy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+ORDERINGS = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
+
+
+def holds_bare_ordering(node):
+    """Whether an expression holds a `<`, `<=`, `>` or `>=` outside every
+    `not (...)`.  NaN fails each of them, so `if x < 0: raise` lets NaN
+    through and `if not x >= 0: raise` refuses it.  A comparison inside a
+    call is that call's argument (an array mask for `np.any`, a generator
+    for `any`), not the guard's own test, and is not looked into."""
+    if isinstance(node, ast.Call) or (isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not)):
+        return False
+    if isinstance(node, ast.Compare) and any(isinstance(op, ORDERINGS) for op in node.ops):
+        return True
+    return any(holds_bare_ordering(child) for child in ast.iter_child_nodes(node))
+
+
+def bare_guards(source):
+    """(line, test) of each `if` in `source` whose body raises and whose test
+    holds a bare ordering comparison."""
+    return [
+        (node.lineno, ast.unparse(node.test))
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.If)
+        and any(isinstance(statement, ast.Raise) for statement in node.body)
+        and holds_bare_ordering(node.test)
+    ]
+
+
+def test_no_guard_lets_nan_through():
+    # a boundary check is a `qvlab._checks` validator or a test written to fail on NaN
+    package = Path(qvlab.__file__).parent
+    found = {path.name: bare_guards(path.read_text()) for path in sorted(package.glob("*.py"))}
+    assert {name: guards for name, guards in found.items() if guards} == {}
+
+
+@pytest.mark.parametrize(
+    "source, flagged",
+    [
+        ("if x < 0:\n    raise ValueError(x)", True),
+        ("if n <= 1 or a >= b:\n    raise ValueError", True),
+        ("if q >= 2 and not r <= c:\n    raise ValueError", True),
+        ("if x:\n    pass\nelif x > 1:\n    raise ValueError", True),
+        ("if not x >= 0:\n    raise ValueError(x)", False),
+        ("if not (0 < x < 1):\n    raise ValueError(x)", False),
+        ("_checks.real('x', x)", False),
+        ("if x < 0:\n    x = 0", False),
+        ("if x == 0 or s != t:\n    raise ValueError", False),
+        ("if np.any(a >= b):\n    raise ValueError", False),
+    ],
+    ids=["bare", "bare-in-or", "bare-beside-not", "elif", "not", "not-chained", "validator", "no-raise", "equality",
+         "in-a-call"],
+)
+def test_the_guard_lint_on_snippets(source, flagged):
+    # a negative control: the lint above cannot pass by matching nothing
+    assert bool(bare_guards(source)) == flagged
