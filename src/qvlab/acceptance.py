@@ -4,9 +4,11 @@ Each criterion is a self-contained function with fixed seeds and pinned
 tolerances returning (passed, detail).  A criterion's number and name are
 declared once, in `CRITERIA`, and `run_all` builds each CheckResult from
 that entry; it prints one PASS/FAIL line per criterion on stdout and its
-wall time on stderr.  The pytest suite asserts the same results, and the
-command-line `verify-all` subcommand drives them with exit code 0 only if
-every check passes.  The audit criteria 3, 4 and 7
+wall time on stderr, in criterion order.  The criteria share no state, so
+`run_all` runs them in one process per usable CPU: workers forked after
+import, each with a fixed share.  The pytest suite asserts the same results,
+and the command-line `verify-all` subcommand drives them with exit code 0
+only if every check passes.  The audit criteria 3, 4 and 7
 reduce over the standard family a block at a time and never hold it whole.
 """
 
@@ -15,8 +17,11 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import os
+import pickle
 import sys
 import time
+import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -406,14 +411,114 @@ CRITERIA: list[tuple[int, str, Callable[[], tuple[bool, str]]]] = [
 ]
 
 
-def run_all() -> list[CheckResult]:
-    """Run every criterion in order: its result line goes to stdout and its
-    wall time to stderr."""
-    results = []
-    for number, name, fn in CRITERIA:
-        start = time.perf_counter()
+def _run(fn) -> tuple[bool, str, float] | Exception:
+    """One criterion's (passed, detail, wall seconds), or the exception it raised."""
+    start = time.perf_counter()
+    try:
         passed, detail = fn()
-        seconds = time.perf_counter() - start
+    except Exception as exc:
+        return exc
+    return passed, detail, time.perf_counter() - start
+
+
+def _run_share(criteria, share) -> dict:
+    """The outcomes, by index, of the criteria in `share`, up to the first that raises."""
+    outcomes = {}
+    for index in share:
+        outcomes[index] = _run(criteria[index][2])
+        if isinstance(outcomes[index], Exception):
+            break
+    return outcomes
+
+
+def _fork_share(criteria, share):
+    """Fork a worker that runs `share` and pickles its outcomes into a pipe.
+
+    Returns (pid, the pipe's read end), or None if the fork fails.  The
+    worker prints nothing and leaves by `os._exit`; if it cannot send its
+    outcomes (an exception that does not pickle), it sends none.
+    """
+    read_end, write_end = os.pipe()
+    try:
+        with warnings.catch_warnings():
+            # Python 3.12+ warns on a fork with threads alive, and numpy's BLAS
+            # has threads; its builds re-create them in the child.
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        return None
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_end)
+            data = memoryview(pickle.dumps(_run_share(criteria, share)))
+            while data:
+                data = data[os.write(write_end, data) :]
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_end)
+    return pid, open(read_end, "rb")
+
+
+def _run_shares(criteria) -> dict:
+    """Run the criteria side by side, one process per usable CPU, and return
+    the outcomes by index that came back.
+
+    Worker w (the parent is worker 0) runs the indices i with i % workers
+    == w.  Every worker is reaped before this returns or raises.  With one
+    CPU or one criterion, or where the affinity mask cannot be read (no
+    `os.sched_getaffinity`, as on macOS and Windows), it runs nothing.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(cpus, len(criteria))
+    if workers < 2:
+        return {}
+    # A worker that wrote anything (a warning, say) would write its copy of what is pending too.
+    sys.stdout.flush()
+    sys.stderr.flush()
+    children = []
+    try:
+        for worker in range(1, workers):
+            child = _fork_share(criteria, range(worker, len(criteria), workers))
+            if child is not None:
+                children.append(child)
+        outcomes = _run_share(criteria, range(0, len(criteria), workers))
+        for _, pipe in children:
+            data = pipe.read()
+            outcomes.update(pickle.loads(data) if data else {})
+        return outcomes
+    except BaseException:
+        import signal
+
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            os.waitpid(pid, 0)
+
+
+def run_all() -> list[CheckResult]:
+    """Run every criterion; its result line goes to stdout and its own wall
+    time to stderr, in criterion order.
+
+    The criteria run side by side in `_run_shares`; a criterion whose outcome
+    did not come back (its fork failed, or its worker died) runs here.  An
+    exception a criterion raised is raised here, after the lines of the
+    criteria before it and with none after it.
+    """
+    criteria = CRITERIA
+    outcomes = _run_shares(criteria)
+    results = []
+    for index, (number, name, fn) in enumerate(criteria):
+        outcome = outcomes[index] if index in outcomes else _run(fn)
+        if isinstance(outcome, Exception):
+            raise outcome
+        passed, detail, seconds = outcome
         results.append(CheckResult(number, name, passed, detail))
         print(results[-1].line())
         print(f"[time] {number} {name} {seconds:.3f} s", file=sys.stderr)

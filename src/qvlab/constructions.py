@@ -57,6 +57,7 @@ def make_diamond(a: float, b: float, h: float = 0.0) -> PiecewiseAffineQ:
     rises first then flattens; both endpoints are double points.
     """
     _checks.interval(a, b, DomainError)
+    _checks.finite("h", h)
     mid = 0.5 * (a + b)
     top = h + 0.5 * (b - a)
     bps = np.array([a, mid, b])
@@ -82,6 +83,7 @@ def make_losange(a: float, b: float) -> PiecewiseAffineQ:
 def make_double_line(a: float, b: float, offset: float = 0.0) -> PiecewiseAffineQ:
     """The double line x -> 2[[x + offset]] on [a, b]."""
     _checks.interval(a, b, DomainError)
+    _checks.finite("offset", offset)
     bps = np.array([a, b])
     row = bps + offset
     return PiecewiseAffineQ(bps, np.vstack((row, row)))

@@ -129,6 +129,7 @@ class PiecewiseAffineQ:
         if bps.ndim != 1 or br.shape != (br.shape[0], bps.size):
             raise ValueError("branches must have one column per breakpoint of a 1-D breakpoint array")
         _checks.integer("the number of breakpoints", bps.size, 2)
+        _checks.integer("the number of branches", br.shape[0], 1)
         _checks.finite("breakpoints and branch values", bps, br)
         if not np.all(np.diff(bps) > 0):
             raise ValueError("breakpoints must be strictly increasing")

@@ -10,7 +10,14 @@ import pytest
 
 from qvlab import _checks, func1d
 from qvlab.branch import scan
-from qvlab.constructions import CantorConstruction, cantor_level, make_diamond, make_losange, sin_sampled
+from qvlab.constructions import (
+    CantorConstruction,
+    cantor_level,
+    make_diamond,
+    make_double_line,
+    make_losange,
+    sin_sampled,
+)
 from qvlab.disk2d import AliasingError, minimize_disk, sorted_trace
 from qvlab.func1d import DomainError, FamilySizeError, almost_deficiency, audit_intervals
 from qvlab.qspace import ClusterSelection, QPoint, RetractionParams, c2_of_q, c_of_q, select_clusters
@@ -66,6 +73,15 @@ CASES = {
     "make_diamond-a-nan": (lambda: make_diamond(NAN, 1.0), DomainError, "a < b"),
     "make_diamond-b-inf": (lambda: make_diamond(0.0, INF), DomainError, "a < b"),
     "make_losange-a--inf": (lambda: make_losange(-INF, 1.0), DomainError, "a < b"),
+    # "breakpoints and branch values must be finite" named neither parameter
+    "make_diamond-h-nan": (lambda: make_diamond(0.0, 1.0, NAN), ValueError, "h must be finite, got nan"),
+    "make_diamond-h-inf": (lambda: make_diamond(0.0, 1.0, -INF), ValueError, "h must be finite, got -inf"),
+    "make_double_line-offset-nan": (lambda: make_double_line(0.0, 1.0, NAN), ValueError, "offset must be finite"),
+    "make_double_line-offset-inf": (lambda: make_double_line(0.0, 1.0, INF), ValueError, "offset must be finite"),
+    # numpy's "zero-size array to reduction operation maximum" from the overflow totals
+    "PiecewiseAffineQ-no-branches": (
+        lambda: func1d.PiecewiseAffineQ([0.0, 1.0], np.empty((0, 2))), ValueError, "the number of branches"
+    ),
     "sin_sampled-n-2.5": (lambda: sin_sampled(2.5), ValueError, "n"),
     "sin_sampled-n-nan": (lambda: sin_sampled(NAN), ValueError, "n"),
     "sin_sampled-n-inf": (lambda: sin_sampled(INF), FamilySizeError, "n"),

@@ -644,6 +644,55 @@ class TestVerifyAll:
         for line, (number, name, _) in zip(times, stubs):
             assert re.fullmatch(rf"\[time\] {number} {name} \d+\.\d{{3}} s", line)
 
+    @pytest.mark.parametrize("index", [0, 1, 5])
+    def test_an_error_in_any_share_exits_2(self, monkeypatch, capsys, index):
+        from qvlab import acceptance
+
+        def broken():
+            raise ValueError("stub broke")
+
+        stubs = [(n, f"stub-{n}", lambda: (True, "fine")) for n in range(1, 13)]
+        stubs[index] = (index + 1, "stub-raises", broken)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(acceptance, "CRITERIA", stubs)
+        assert cli.main(["verify-all"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == [CheckResult(n, name, True, "fine").line() for n, name, _ in stubs[:index]]
+        assert captured.err.splitlines()[-1] == "error: stub broke"
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_a_pending_partial_line_is_written_once(self):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        env.pop("PYTHONUNBUFFERED", None)  # so that stdout to a pipe is buffered
+        # Criterion 2 runs in a worker and warns: the worker writes its stderr buffer.
+        code = (
+            "import os, sys, warnings\n"
+            "from qvlab import acceptance, cli\n"
+            "os.sched_getaffinity = lambda pid: {0, 1, 2}\n"
+            "acceptance.CRITERIA = [(n, f'stub-{n}', lambda: (True, 'fine')) for n in range(1, 13)]\n"
+            "acceptance.CRITERIA[1] = (2, 'stub-2', lambda: (warnings.warn('stub warns'), (True, 'fine'))[1])\n"
+            "print('x', end='')\n"
+            "print('y', end='', file=sys.stderr)\n"
+            "sys.exit(cli.main(['verify-all']))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.count("x") == 1 and proc.stdout.startswith("x[PASS]  1 stub-1: fine\n")
+        assert proc.stdout.endswith("\n12 of 12 checks passed\n")
+        assert proc.stderr.count("y") == 1 and proc.stderr.startswith("y")
+        assert "UserWarning: stub warns" in proc.stderr
+
+    def test_real_run_prints_the_reference_lines(self, capsys):
+        # perfbench/reference.json pins the verify-all stdout the benchmark checks; it is only read here
+        reference = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+        lines = json.loads(reference.read_text())["verify-all"]["lines"]
+        assert cli.main(["verify-all"]) == 0
+        assert capsys.readouterr().out.splitlines()[: len(lines)] == lines
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
     def test_no_command_is_usage_error(self):
         assert cli.main([]) == 2
 

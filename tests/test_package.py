@@ -1,7 +1,7 @@
 """The package's layout: each public name is declared once, in its module's
 `__all__`, every file the package writes goes through `qvlab.writers`, only
 the CLI and the audit report use those writers, importing the package
-loads no scipy module, and no guard lets NaN through a bare comparison."""
+loads no scipy, `multiprocessing` or `concurrent` module, and no guard lets NaN through a bare comparison."""
 
 import ast
 import inspect
@@ -99,10 +99,12 @@ def test_only_the_cli_and_the_audit_report_use_the_writers():
 
 
 def test_import_loads_no_scipy():
-    # numpy is the only runtime dependency; scipy is for the tests alone
+    # numpy is the only runtime dependency; scipy is for the tests alone.  verify-all
+    # forks its workers with `os`, so no process-pool machinery is imported either.
     src = str(Path(qvlab.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = "import sys, qvlab, qvlab.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    roots = ("scipy", "multiprocessing", "concurrent")
+    code = f"import sys, qvlab, qvlab.cli; print(sorted(m for m in sys.modules if m.split('.')[0] in {roots}))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
