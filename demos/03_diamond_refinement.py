@@ -18,7 +18,7 @@ def main():
         report = quasi_k_ratio(u, family)
         w = report.witness
         print(
-            f"  {level}        {report.figure.size:7d}          {report.supremum:.9f}"
+            f"  {level}        {report.record_count:7d}          {report.supremum:.9f}"
             f"        ({w.center - w.radius:.4f}, {w.center + w.radius:.4f})"
         )
     print("\nthe factor stays at 2 here and below 4 always (slopes are 0/1 mixtures)")

@@ -6,11 +6,11 @@ configuration errors.  Only verify-all exits 1: an audit that finds an
 infinite factor and a disk that prints squeeze=VIOLATED still exit 0.
 Identical invocations produce byte-identical output files; floats are
 serialized with their shortest round-trip representation and infinities as
-the strings "inf"/"-inf".  An audit's report is written as it is evaluated,
-block by block, and its summary line takes the record count and supremum
-from that write.  The quasi and almost audits read the standard family as
-it is made, a block at a time, so neither the family nor the report is held
-whole.
+the strings "inf"/"-inf".  An audit's report holds no column: it is written
+as it is evaluated, block by block, and its summary line takes the record
+count and supremum from that write, so the family is evaluated once.  The
+quasi and almost audits read the standard family as it is made, a block at
+a time, so neither the family nor the report is held whole.
 """
 
 from __future__ import annotations

@@ -14,11 +14,13 @@ one energy prefix per evaluation, G^2 from `matching_distance_sq`, and the mode'
 figure and skip rule.  `_supremum`, the one reduction, keeps the largest
 figure and its witness record across blocks, for a report and for the
 acceptance criteria that reduce over the standard family
-(`_audit_supremum`).  An audit returns a report that holds its checked
-family and is written as it is evaluated: the writers take the blocks as
-they come, and the record count, supremum and witness are reduced on the
-way, so a written report's columns are never held whole.  A library caller
-that reads a column gets the blocks concatenated.  The standard family is
+(`_audit_supremum`).  An audit returns a report,
+`MinimalityReport(mode, alpha, evaluate)`, that holds no column, only a way
+to evaluate its checked family: the writers take the blocks as they come,
+and the record count, supremum and witness are reduced on the way (before
+any write, in one pass that writes nothing), so a report's columns are never
+held whole.  A library caller that reads a column evaluates the family again
+and gets its blocks concatenated.  The standard family is
 itself made of `BLOCK_ROWS`-row blocks whose ends never leave the domain:
 `audit_intervals` fills them into one array, while `_StandardFamily` stands
 for the family without building it.  An audit of a `_StandardFamily` skips
@@ -332,60 +334,44 @@ class MinimalityReport:
     ratio (quasi_k, omega) or deficiency (almost) per record.  Records are
     columnar because audit families run to millions of intervals.
 
-    A report built from its columns holds them.  A report an audit returns
-    holds its checked family and evaluates it when it is written or read: a
-    write takes `_evaluate`'s blocks as they come and keeps only their
-    record count, supremum and witness, so the report's columns are never
-    held whole; reading a column (or, before a write, the supremum or the
-    witness) concatenates the blocks once and keeps them, and a later write
-    uses them.
+    A report is a stream: `evaluate()` returns a fresh iterator of
+    `_evaluate`-shaped blocks, (centers, radii, dir_u, dir_min, figure)
+    each, and the report holds no column.  A write takes the blocks as they
+    come and keeps only their record count, supremum and witness; before
+    any write, reading one of these three evaluates the family once to
+    reduce it.  Every read of a column (`figure`, `centers`, ...)
+    evaluates the family again and concatenates its blocks; the column
+    names stay until the traced counters that read them move into the
+    package (ROADMAP item 3).
     """
 
-    def __init__(self, mode: str, centers: np.ndarray, radii: np.ndarray, dir_u: np.ndarray, dir_min: np.ndarray,
-                 figure: np.ndarray, supremum: float, witness: Optional[AuditRecord], alpha: Optional[float] = None):
+    def __init__(self, mode: str, alpha: Optional[float], evaluate: Callable[[], Iterator[tuple]]):
         self.mode, self.alpha = mode, alpha
-        self._evaluate = None
-        self._columns = (centers, radii, dir_u, dir_min, figure)
-        self._reduced = (supremum, witness, len(figure))
-
-    @classmethod
-    def _of_family(cls, mode: str, alpha: Optional[float], evaluate: Callable[[], Iterator[tuple]]):
-        """The report of a checked family, whose blocks `evaluate()` makes when asked."""
-        report = cls.__new__(cls)
-        report.mode, report.alpha = mode, alpha
-        report._evaluate, report._columns, report._reduced = evaluate, None, None
-        return report
-
-    def _whole(self) -> tuple[np.ndarray, ...]:
-        """The columns, concatenated from the blocks and reduced the first time they are asked for."""
-        if self._columns is None:
-            self._columns = tuple(np.concatenate(column) for column in zip(*self._evaluate()))
-            self._reduced = (*_supremum([self._columns]), self._columns[-1].size)
-        return self._columns
+        self._evaluate, self._reduced = evaluate, None
 
     def _summary(self) -> tuple:
-        """(supremum, witness, record count): from the last write, or from the columns."""
+        """(supremum, witness, record count): from the last write, or from one pass that writes nothing."""
         if self._reduced is None:
-            self._whole()
+            for _ in self._blocks():
+                pass
         return self._reduced
 
-    centers = property(lambda self: self._whole()[0])
-    radii = property(lambda self: self._whole()[1])
-    dir_u = property(lambda self: self._whole()[2])
-    dir_min = property(lambda self: self._whole()[3])
-    figure = property(lambda self: self._whole()[4])
+    def _column(self, index: int) -> np.ndarray:
+        return np.concatenate([block[index] for block in self._evaluate()])
+
+    centers = property(lambda self: self._column(0))
+    radii = property(lambda self: self._column(1))
+    dir_u = property(lambda self: self._column(2))
+    dir_min = property(lambda self: self._column(3))
+    figure = property(lambda self: self._column(4))
     supremum = property(lambda self: self._summary()[0])
     witness = property(lambda self: self._summary()[1])
     record_count = property(lambda self: self._summary()[2], doc="The number of records.")
 
     def _blocks(self) -> Iterator[tuple]:
-        """The blocks to write: the columns whole once they are held, else
-        `_evaluate`'s blocks as they come, whose record count, supremum and
-        witness are kept once the last one is written.  The supremum is
+        """`evaluate()`'s blocks as they come; once the last one is taken,
+        their record count, supremum and witness are kept.  The supremum is
         `_supremum` of the blocks' own (supremum, witness) records."""
-        if self._columns is not None:
-            yield self._columns
-            return
         count, witnesses = 0, []
         for block in self._evaluate():
             count += block[-1].size
@@ -497,7 +483,7 @@ def _audit(u: PiecewiseAffineQ, mode: str, family, alpha: Optional[float] = None
     if isinstance(family, _StandardFamily):
         if family.u is not u:
             raise DomainError("a standard family is audited only with the function it was made for")
-        return MinimalityReport._of_family(mode, alpha, lambda: _evaluate(u, mode, family.blocks(mode), alpha))
+        return MinimalityReport(mode, alpha, lambda: _evaluate(u, mode, family.blocks(mode), alpha))
     first, second = _pairs(family)
     a, b = _interval_ends(mode, first, second)
     _checks.finite("interval ends", a, b, error=DomainError)
@@ -505,7 +491,7 @@ def _audit(u: PiecewiseAffineQ, mode: str, family, alpha: Optional[float] = None
         raise EmptyIntervalError("intervals must satisfy a < b")
     _check_in_domain(u, a)
     _check_in_domain(u, b)
-    return MinimalityReport._of_family(mode, alpha, lambda: _evaluate(u, mode, _slices(first, second), alpha))
+    return MinimalityReport(mode, alpha, lambda: _evaluate(u, mode, _slices(first, second), alpha))
 
 
 def _audit_supremum(u: PiecewiseAffineQ, mode: str, depth: int = 12, alpha: Optional[float] = None) -> float:
@@ -539,7 +525,7 @@ def omega_profile(u: PiecewiseAffineQ, radii, centers) -> dict[float, float]:
     out: dict[float, float] = {}
     for r in radii:
         report = omega_report(u, np.column_stack((xs, np.full(xs.size, r))))
-        if report.figure.size:
+        if report.record_count:
             out[float(r)] = report.supremum
     return out
 

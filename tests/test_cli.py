@@ -1,18 +1,24 @@
 """Tests for the command-line driver: formats, exit codes, determinism."""
 
+import contextlib
+import csv
 import hashlib
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qvlab import cli
 from qvlab.acceptance import CheckResult
+from qvlab.func1d import AuditRecord
 
 
 class TestExample:
@@ -166,6 +172,61 @@ class TestAudit:
         assert rows == [
             ["0.2", "0.2"], ["0.5", "0.2"], ["0.8", "0.2"], ["0.1", "0.1"], ["0.5", "0.1"], ["0.9", "0.1"]
         ]
+
+
+# Values the audit's numeric flags must refuse or survive, beside small valid ones.
+EDGE_VALUES = st.sampled_from(["0", "-1", "nan", "inf", "-inf", "1e-320", "1e308", str(10**12)])
+
+
+@st.composite
+def audit_argvs(draw):
+    """`audit` argv, without --out, with each numeric value small and valid
+    (three draws in four) or an edge value, so that every mode also runs."""
+    def mixed(valid):
+        return st.one_of(valid, valid, valid, EDGE_VALUES)
+
+    def flag(name, valid):
+        return f"--{name}={draw(mixed(valid))}"
+
+    radii = ",".join(draw(st.lists(mixed(st.floats(1e-3, 0.5).map(repr)), min_size=1, max_size=3)))
+    return [
+        "audit", draw(st.sampled_from(["cantor-diamond", "cantor-losange", "fat-cantor-losange"])),
+        f"--mode={draw(st.sampled_from(['quasi', 'omega', 'almost']))}",
+        f"--format={draw(st.sampled_from(['csv', 'json']))}",
+        flag("level", st.integers(1, 3).map(str)),
+        flag("depth", st.integers(0, 5).map(str)),
+        flag("alpha", st.floats(0.0, 1.0, exclude_min=True, exclude_max=True).map(repr)),
+        f"--radii={radii}",
+        flag("centers", st.integers(1, 30).map(str)),
+    ]
+
+
+class TestAuditBoundary:
+    """Any mix of valid and edge values: exit 0 with a well-formed file that
+    holds the summary's record count, or exit 2 with no file."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(argv=audit_argvs())
+    def test_audit_exits_0_with_its_file_or_2_without_one(self, argv):
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp, "audit.out")
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+                try:
+                    code = cli.main([*argv, f"--out={out}"])
+                except SystemExit as exc:
+                    code = exc.code
+            assert code in (0, 2)
+            if code == 2:
+                assert not out.exists()
+                return
+            records = int(re.search(r" records=(\d+) ", stdout.getvalue()).group(1))
+            if "--format=json" in argv:
+                assert len(json.loads(out.read_text(), parse_constant=refuse_constant)["records"]) == records
+            else:
+                header, *rows = csv.reader(out.open(newline=""))
+                assert header == list(AuditRecord._fields)
+                assert [len(list(map(float, row))) for row in rows] == [len(header)] * records
 
 
 class TestLevelBound:

@@ -18,7 +18,6 @@ from qvlab.func1d import (
     DomainError,
     EmptyIntervalError,
     FamilySizeError,
-    MinimalityReport,
     PiecewiseAffineQ,
     StepWeight,
     UndefinedExponentError,
@@ -40,6 +39,7 @@ from qvlab.func1d import (
     rescale_domain,
 )
 from qvlab.qspace import QPoint, metric_g
+from qvlab.writers import Records, write_csv, write_json
 
 
 def double_line():
@@ -568,13 +568,15 @@ class TestFamilyBlocks:
         for u, intervals in audit_families():
             family = mode_family(mode, intervals)
             want_columns, want_sup, want_witness = whole_family_audit(u, mode, family)
+            # A report evaluates its family when it is read, so it is read inside the patch.
             with mock.patch.object(func1d, "BLOCK_ROWS", rows):
                 report = run_audit(u, mode, family)
-            got_columns = (report.centers, report.radii, report.dir_u, report.dir_min, report.figure)
+                got_columns = (report.centers, report.radii, report.dir_u, report.dir_min, report.figure)
+                got_sup, got_witness = report.supremum, report.witness
             for got, want in zip(got_columns, want_columns):
                 assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-            assert report.supremum == want_sup
-            assert (report.witness and tuple(report.witness)) == want_witness
+            assert got_sup == want_sup
+            assert (got_witness and tuple(got_witness)) == want_witness
 
     @pytest.mark.parametrize("rows", [1, 2, 3, 5])
     @pytest.mark.parametrize("mode", ["quasi_k", "omega", "almost"])
@@ -676,6 +678,16 @@ def written(report, fmt, path):
     return path.read_bytes()
 
 
+def written_whole(mode, alpha, columns, supremum, witness, fmt, path):
+    """The bytes of whole columns written as `fmt` through `writers`, in a report's layout."""
+    if fmt == "csv":
+        write_csv(path, AuditRecord._fields, [columns])
+    else:
+        write_json(path, {"mode": mode, "alpha": alpha, "records": Records(AuditRecord._fields, [columns]),
+                          "supremum": supremum, "witness": witness and witness._asdict()})
+    return path.read_bytes()
+
+
 class TestStreamedReport:
     """An audit's report is written as it is evaluated, with the bytes of its whole columns."""
 
@@ -688,12 +700,12 @@ class TestStreamedReport:
         for k, (u, intervals) in enumerate(audit_families() + [(double_line(), np.empty((0, 2)))]):
             family = mode_family(mode, intervals)
             columns, supremum, witness = whole_family_audit(u, mode, family)
-            whole = MinimalityReport(mode, *columns, supremum, witness and AuditRecord(*witness), alpha)
-            want = written(whole, fmt, tmp_path / f"whole{k}.{fmt}")
+            witness = witness and AuditRecord(*witness)
+            want = written_whole(mode, alpha, columns, supremum, witness, fmt, tmp_path / f"whole{k}.{fmt}")
             with mock.patch.object(func1d, "BLOCK_ROWS", rows):
                 streamed = run_audit(u, mode, family)
                 assert written(streamed, fmt, tmp_path / f"streamed{k}.{fmt}") == want
-                assert (streamed.supremum, streamed.witness, streamed.record_count) == (supremum, whole.witness,
+                assert (streamed.supremum, streamed.witness, streamed.record_count) == (supremum, witness,
                                                                                        columns[-1].size)
                 read_first = run_audit(u, mode, family)
                 assert read_first.figure.size == columns[-1].size
@@ -701,24 +713,29 @@ class TestStreamedReport:
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_each_pass_evaluates_the_family_once(self, fmt, tmp_path):
-        # A write keeps no columns, so a column read after it evaluates again;
-        # a write after a read uses the columns read.
+        # A report keeps no column: a write evaluates once, and so does each
+        # column read; the summary comes from the last write, or before any
+        # write from one pass of its own.
         u, intervals = audit_families()[2]
         path = tmp_path / f"report.{fmt}"
         with mock.patch.object(func1d, "_evaluate", wraps=func1d._evaluate) as spy:
             report = quasi_k_ratio(u, intervals)
             assert spy.call_count == 0
             written(report, fmt, path)
+            assert spy.call_count == 1
             report.supremum, report.witness, report.record_count
             assert spy.call_count == 1
             report.figure, report.centers
-            assert spy.call_count == 2
+            assert spy.call_count == 3
             spy.reset_mock()
             report = quasi_k_ratio(u, intervals)
-            report.figure
-            written(report, fmt, path)
-            report.supremum, report.radii
+            report.supremum, report.witness, report.record_count
             assert spy.call_count == 1
+            report.radii
+            assert spy.call_count == 2
+            written(report, fmt, path)
+            report.supremum, report.witness, report.record_count
+            assert spy.call_count == 3
 
     @pytest.mark.parametrize(
         "audit, family",

@@ -7,6 +7,7 @@ import tempfile
 import tracemalloc
 from itertools import chain
 from pathlib import Path
+from typing import NamedTuple, Optional
 from unittest import mock
 
 import numpy as np
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qvlab import cli, writers
-from qvlab.func1d import AuditRecord, MinimalityReport
+from qvlab.func1d import AuditRecord
 from qvlab.writers import Records, write_csv, write_json
 
 
@@ -113,6 +114,23 @@ def refuse_constant(name):
     raise ValueError(f"{name} is not strict JSON")
 
 
+class Report(NamedTuple):
+    """A report's whole columns and summary, drawn independently of each other."""
+
+    mode: str
+    alpha: Optional[float]
+    columns: list
+    supremum: float
+    witness: Optional[AuditRecord]
+
+
+def report_json(path, report):
+    """`report` written through `write_json` in the layout of `MinimalityReport.to_json`."""
+    write_json(path, {"mode": report.mode, "alpha": report.alpha,
+                      "records": Records(AuditRecord._fields, [report.columns]), "supremum": report.supremum,
+                      "witness": report.witness and report.witness._asdict()})
+
+
 def dict_path_json(path, report):
     """The report JSON path `MinimalityReport.to_json` used before
     `write_report_json`: one dict per record, then `json.dump`."""
@@ -120,13 +138,12 @@ def dict_path_json(path, report):
     def record_dict(rec):
         return {field: strict(v) for field, v in rec._asdict().items()}
 
-    columns = (report.centers, report.radii, report.dir_u, report.dir_min, report.figure)
     payload = {
         "mode": report.mode,
         "alpha": strict(report.alpha),
         "supremum": strict(report.supremum),
         "witness": None if report.witness is None else record_dict(report.witness),
-        "records": [record_dict(AuditRecord._make(row)) for row in zip(*(c.tolist() for c in columns))],
+        "records": [record_dict(AuditRecord._make(row)) for row in zip(*(c.tolist() for c in report.columns))],
     }
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -139,19 +156,19 @@ def reports(draw, lengths):
     columns = [np.array(draw(st.lists(any_floats, min_size=length, max_size=length)), dtype=float)
                for _ in AuditRecord._fields]
     witness = draw(st.none() | st.tuples(*[any_floats] * len(AuditRecord._fields)).map(AuditRecord._make))
-    return MinimalityReport(
-        draw(st.sampled_from(["quasi_k", "omega", "almost"])),
-        *columns,
+    return Report(
+        mode=draw(st.sampled_from(["quasi_k", "omega", "almost"])),
+        alpha=draw(st.none() | any_floats),
+        columns=columns,
         supremum=draw(any_floats),
         witness=witness,
-        alpha=draw(st.none() | any_floats),
     )
 
 
 def both_json_bytes(report):
     with tempfile.TemporaryDirectory() as tmp:
         new, old = Path(tmp, "new.json"), Path(tmp, "old.json")
-        report.to_json(new)
+        report_json(new, report)
         dict_path_json(old, report)
         return new.read_bytes(), old.read_bytes()
 
@@ -174,7 +191,7 @@ class TestWriteReportJson:
         for k, c in enumerate(columns):
             c[k::7] = [np.inf, -np.inf, np.nan, -0.0, 5e-324][k]
         witness = None if length == 0 else AuditRecord(*(float(c[-1]) for c in columns))
-        report = MinimalityReport("almost", *columns, supremum=np.inf, witness=witness, alpha=0.5)
+        report = Report("almost", 0.5, columns, supremum=np.inf, witness=witness)
         new, old = both_json_bytes(report)
         assert new == old
 
