@@ -3,8 +3,12 @@ parameter, raises its caller's class (ValueError by default) and returns it."""
 
 import math
 import operator
+import warnings
 
 import numpy as np
+
+# numpy 1.25 moved RankWarning to numpy.exceptions, and numpy 2 removed the old name.
+_RankWarning = getattr(np, "exceptions", np).RankWarning
 
 
 def real(name: str, value, lo=0, hi=math.inf, ends: str = "()", error=ValueError):
@@ -44,3 +48,15 @@ def distinct(name: str, values, error=ValueError) -> None:
     """At least two distinct values; NaNs count as one."""
     if not np.unique(values).size >= 2:
         raise error(f"need at least two distinct {name}")
+
+
+def line_fit(name: str, x, y, error=ValueError) -> np.ndarray:
+    """np.polyfit(x, y, 1), refused where numpy finds the x values too close
+    together to fit a line (it warns and fits rounding noise), as for two
+    scales one ulp apart."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", _RankWarning)
+        try:
+            return np.polyfit(x, y, 1)
+        except _RankWarning:
+            raise error(f"the {name} are too close together to fit a slope") from None

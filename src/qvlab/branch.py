@@ -163,7 +163,7 @@ def dimension_report(scan_result: BranchScan, scales) -> DimensionReport:
     counts = box_counts(scan_result, scales)
     logx = np.log(1.0 / scales)
     logy = np.log(counts)
-    slope, intercept = np.polyfit(logx, logy, 1)
+    slope, intercept = _checks.line_fit("scales", logx, logy)
     fitted = slope * logx + intercept
     ss_res = float(np.sum((logy - fitted) ** 2))
     ss_tot = float(np.sum((logy - logy.mean()) ** 2))

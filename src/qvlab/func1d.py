@@ -10,11 +10,21 @@ an empirical energy-decay exponent and the three minimality audits, which
 are one comparison with three figures of merit.  Each audit reads its family
 once and checks it whole (finite ends, then a < b, then the domain), then
 `_evaluate`, the one block evaluator, takes it `BLOCK_ROWS` rows at a time:
-one energy prefix per evaluation, G^2 from `matching_distance_sq`, and the mode's
-figure and skip rule.  `_supremum`, the one reduction, keeps the largest
-figure and its witness record across blocks, for a report and for the
-acceptance criteria that reduce over the standard family
-(`_audit_supremum`).  An audit returns a report,
+one energy prefix per evaluation, the branch values and prefix at the
+block's ends, G^2 and Dir(u) from them, and the mode's figure and skip rule.
+Each distinct end is interpolated once: a standard-family block carries the
+points its rows' ends come from (the breakpoints for a block of breakpoint
+pairs, the rows + 1 edges for a block of cells), and each row takes its
+values by index.  The ball modes keep each row's own ends c - r and c + r:
+on the losange refinements (levels 1-8, depth 12) c - r differs from the
+cell's a in 26-36% of rows and c + r from its b in 22-26%.  An evaluated
+block holds its figures and the inputs they came from; the record columns
+(centers, radii, Dir_min) are made only where rows are written or a witness
+is taken.  `_supremum`, the one reduction, keeps the largest figure and its
+witness record across blocks (a NaN figure is the supremum, and its first
+row the witness), for a report and for the acceptance criteria that reduce
+over the standard family (`_audit_supremum`), which reduce from the figures
+alone.  An audit returns a report,
 `MinimalityReport(mode, alpha, evaluate)`, that holds no column, only a way
 to evaluate its checked family: the writers take the blocks as they come,
 and the record count, supremum and witness are reduced on the way (before
@@ -79,8 +89,12 @@ __all__ = [
 # flat while the memory of a block grows with it.  From 8192 rows up, a
 # Q = 2 block's (Q, rows) temporaries pass glibc's 128 KiB mmap threshold;
 # once its dynamic thresholds settle on them, the freed heap top is trimmed
-# after each block and faulted back in by the next (acceptance criterion 4:
-# about 76,000 minor page faults at 8192 rows, 35 at 4096).
+# after each block and faulted back in by the next.  Each block allocates
+# afresh, so count minor faults whenever this or a block's tables change.
+# With a cell block's (Q, rows + 1) branch values and rows + 1 prefix values,
+# a second in-process run of acceptance criteria 3, 4 and 7 took 0 minor
+# faults each at 4096 rows, and 18,695-31,929, 6,818 and 68,027 at 8192
+# (with per-row ends: 0 each, and 56,042-56,084, 75,129 and 59,230).
 BLOCK_ROWS = 4096
 
 # The largest standard family an audit builds: level 11 of a Cantor
@@ -143,14 +157,17 @@ class PiecewiseAffineQ:
         br.flags.writeable = False
         object.__setattr__(self, "breakpoints", bps)
         object.__setattr__(self, "branches", br)
-        # These bound every interval length, Dir(u) and G^2 of an audit, so
-        # that no figure of merit is inf/inf or inf * 0, and every a + b of
-        # two domain points, so that no ball center overflows.
+        # These bound every interval length, Dir(u), (b - a) Dir(u) and G^2
+        # of an audit, so that no figure of merit is inf/inf or inf * 0 and
+        # a figure overflows only by its division, and every a + b of two
+        # domain points, so that no ball center overflows.
         with np.errstate(over="ignore", invalid="ignore"):
+            energy = self.energy_prefix()[-1]
             totals = {
                 "domain length": bps[-1] - bps[0],
                 "branch spread Q (max - min)^2": br.shape[0] * np.ptp(br) ** 2,
-                "Dirichlet energy": self.energy_prefix()[-1],
+                "Dirichlet energy": energy,
+                "domain length times Dirichlet energy": (bps[-1] - bps[0]) * energy,
                 "doubled domain end": 2.0 * max(abs(bps[0]), abs(bps[-1])),
             }
         for name, total in totals.items():
@@ -216,7 +233,8 @@ def _check_in_domain(u: PiecewiseAffineQ, x) -> None:
     """Refuse unless lo <= x <= hi holds for every value; NaN fails it."""
     lo, hi = u.domain
     x = np.asarray(x, dtype=float)
-    if not np.all((x >= lo) & (x <= hi)):
+    # min and max are NaN where x holds a NaN, so NaN fails the comparison.
+    if x.size and not (x.min() >= lo and x.max() <= hi):
         raise DomainError(f"point outside domain [{lo}, {hi}]")
 
 
@@ -284,9 +302,25 @@ def matching_distance_sq(u: PiecewiseAffineQ, a, b) -> np.ndarray:
     values, which is optimal in one dimension, is a direct column
     difference.
     """
-    va = branch_values(u, a)
-    vb = branch_values(u, b)
-    return ((vb - va) ** 2).sum(axis=0)
+    return _end_gaps(u, (a, b), 0, 1)[-1]
+
+
+def _difference(f, points, ia, ib) -> np.ndarray:
+    """f(b) - f(a) over a block's rows, with f taken once per distinct end:
+    a = points[ia] and b = points[ib], where `points` is the array of ends
+    that the rows share (a cell block's edges, the breakpoints), or a pair
+    (a, b) of per-row ends with ia, ib = 0, 1."""
+    if isinstance(points, tuple):
+        at_a = f(points[ia])
+        return f(points[ib]) - at_a
+    values = f(points)
+    return values[..., ib] - values[..., ia]
+
+
+def _end_gaps(u: PiecewiseAffineQ, points, ia, ib) -> tuple:
+    """(a, b, G^2(u(a), u(b))) of a block's rows, a = points[ia] and
+    b = points[ib], from one `branch_values` call per distinct end."""
+    return points[ia], points[ib], (_difference(lambda x: branch_values(u, x), points, ia, ib) ** 2).sum(axis=0)
 
 
 def _sorted_boundary(boundary_a: QPoint, boundary_b: QPoint, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
@@ -327,6 +361,30 @@ class AuditRecord(NamedTuple):
     figure_of_merit: float
 
 
+class _Block(NamedTuple):
+    """One evaluated block of an audit: its figures and the columns they were
+    computed from.  In quasi_k mode `first` and `second` are the ends a and b
+    and `last` is G^2; in the ball modes they are the centers and radii and
+    `last` is Dir_min, so the columns are already the records'.  `records`
+    makes the record columns only where rows are written or a witness is
+    taken."""
+
+    first: np.ndarray
+    second: np.ndarray
+    dir_u: np.ndarray
+    last: np.ndarray
+    figure: np.ndarray
+    quasi: bool = False
+
+    def records(self, rows=slice(None)) -> tuple:
+        """The (centers, radii, dir_u, dir_min, figure) columns of `rows`."""
+        columns = tuple(column[rows] for column in self[:5])
+        if not self.quasi:
+            return columns
+        a, b, dir_u, gsq, figure = columns
+        return *_balls(a, b), dir_u, np.where(gsq > 0.0, gsq / (b - a), 0.0), figure
+
+
 class MinimalityReport:
     """Per-ball audit records plus the supremum and its witness.
 
@@ -335,14 +393,14 @@ class MinimalityReport:
     columnar because audit families run to millions of intervals.
 
     A report is a stream: `evaluate()` returns a fresh iterator of
-    `_evaluate`-shaped blocks, (centers, radii, dir_u, dir_min, figure)
-    each, and the report holds no column.  A write takes the blocks as they
-    come and keeps only their record count, supremum and witness; before
-    any write, reading one of these three evaluates the family once to
-    reduce it.  Every read of a column (`figure`, `centers`, ...)
-    evaluates the family again and concatenates its blocks; the column
-    names stay until the traced counters that read them move into the
-    package (ROADMAP item 3).
+    `_evaluate`'s blocks, whose records are (centers, radii, dir_u,
+    dir_min, figure), and the report holds no column.  A write takes the
+    blocks as they come and keeps only their record count, supremum and
+    witness; before any write, reading one of these three evaluates the
+    family once to reduce it.  Every read of a column (`figure`,
+    `centers`, ...) evaluates the family again and concatenates its blocks;
+    the column names stay until the traced counters that read them move
+    into the package (ROADMAP item 3).
     """
 
     def __init__(self, mode: str, alpha: Optional[float], evaluate: Callable[[], Iterator[tuple]]):
@@ -357,7 +415,7 @@ class MinimalityReport:
         return self._reduced
 
     def _column(self, index: int) -> np.ndarray:
-        return np.concatenate([block[index] for block in self._evaluate()])
+        return np.concatenate([block.records()[index] for block in self._evaluate()])
 
     centers = property(lambda self: self._column(0))
     radii = property(lambda self: self._column(1))
@@ -369,17 +427,18 @@ class MinimalityReport:
     record_count = property(lambda self: self._summary()[2], doc="The number of records.")
 
     def _blocks(self) -> Iterator[tuple]:
-        """`evaluate()`'s blocks as they come; once the last one is taken,
-        their record count, supremum and witness are kept.  The supremum is
-        `_supremum` of the blocks' own (supremum, witness) records."""
+        """The records of `evaluate()`'s blocks as they come; once the last
+        one is taken, their record count, supremum and witness are kept.  The
+        supremum is `_supremum` of the blocks' own (supremum, witness)
+        records."""
         count, witnesses = 0, []
         for block in self._evaluate():
-            count += block[-1].size
+            count += block.figure.size
             witness = _supremum([block])[1]
             if witness is not None:
                 witnesses.append(witness)
-            yield block
-        self._reduced = (*_supremum([np.array(witnesses).reshape(-1, len(AuditRecord._fields)).T]), count)
+            yield block.records()
+        self._reduced = (*_supremum([_Block(*np.array(witnesses).reshape(-1, len(AuditRecord._fields)).T)]), count)
 
     def to_csv(self, path) -> None:
         write_csv(path, AuditRecord._fields, self._blocks())
@@ -416,61 +475,82 @@ def _interval_ends(mode: str, first: np.ndarray, second: np.ndarray) -> tuple[np
 
 
 def _slices(first: np.ndarray, second: np.ndarray):
-    """The columns of a family, BLOCK_ROWS rows at a time; an empty family is one empty block."""
+    """The columns of a family as `_evaluate`'s blocks of per-row pairs,
+    BLOCK_ROWS rows at a time; an empty family is one empty block."""
     for start in range(0, max(first.size, 1), BLOCK_ROWS):
-        yield first[start : start + BLOCK_ROWS], second[start : start + BLOCK_ROWS]
+        yield (first[start : start + BLOCK_ROWS], second[start : start + BLOCK_ROWS]), 0, 1
 
 
-def _evaluate(u: PiecewiseAffineQ, mode: str, blocks, alpha: Optional[float] = None):
-    """The one audit evaluator: per block of a checked family, the kept
-    (centers, radii, dir_u, dir_min, figure) columns.
+def _evaluate(u: PiecewiseAffineQ, mode: str, blocks, alpha: Optional[float] = None) -> Iterator[_Block]:
+    """The one audit evaluator: per block of a checked family, the `_Block`
+    of its kept rows.
 
-    Dir(u) is a difference of one energy prefix, built once per call, and
-    G^2(u(a), u(b)) is `matching_distance_sq`.  quasi_k skips the intervals
-    with zero energy between identical boundary tuples and omega the balls
-    with Dir(u) = Dir_min = 0: they carry no information.
+    A block is (points, ia, ib): the family's two columns are points[ia] and
+    points[ib], so the rows of a standard-family block share their ends
+    (`_family_blocks`), and `_slices` gives per-row pairs.  In quasi_k mode
+    the columns are the ends a and b, and the branch values and energy
+    prefix of each distinct end are taken once; in the ball modes the ends
+    are each row's own c - r and c + r.  Dir(u) is a difference of one
+    energy prefix, built once per call, and G^2(u(a), u(b)) comes from
+    `_end_gaps`.  quasi_k skips the intervals with zero energy between
+    identical boundary tuples and omega the balls with Dir(u) = Dir_min = 0:
+    they carry no information.  A ratio past the float range, over a
+    subnormal G^2 or Dir_min, is +inf.
     """
     bps, prefix = u.breakpoints, u.energy_prefix()
-    for first, second in blocks:
-        a, b = _interval_ends(mode, first, second)
-        gsq = matching_distance_sq(u, a, b)
-        dir_u = np.interp(b, bps, prefix) - np.interp(a, bps, prefix)
+    for points, ia, ib in blocks:
+        if mode != "quasi_k":
+            centers, radii = points[ia], points[ib]
+            points, ia, ib = _interval_ends(mode, centers, radii), 0, 1
+        a, b, gsq = _end_gaps(u, points, ia, ib)
+        dir_u = _difference(lambda x: np.interp(x, bps, prefix), points, ia, ib)
         if mode == "quasi_k":
-            keep = ~((gsq == 0.0) & (dir_u == 0.0))
-            a, b, dir_u, gsq = a[keep], b[keep], dir_u[keep], gsq[keep]
-            with np.errstate(divide="ignore"):
-                ratio = np.where(gsq > 0.0, (b - a) * dir_u / np.where(gsq > 0.0, gsq, 1.0), np.inf)
-            yield *_balls(a, b), dir_u, np.where(gsq > 0.0, gsq / (b - a), 0.0), ratio
+            a, b, dir_u, gsq = _kept((gsq != 0.0) | (dir_u != 0.0), a, b, dir_u, gsq)
+            positive = gsq > 0.0
+            with np.errstate(divide="ignore", over="ignore"):
+                ratio = np.where(positive, (b - a) * dir_u / np.where(positive, gsq, 1.0), np.inf)
+            yield _Block(a, b, dir_u, gsq, ratio, quasi=True)
         elif mode == "omega":
-            dir_min = gsq / (2.0 * second)
-            keep = ~((dir_min == 0.0) & (dir_u == 0.0))
-            dir_u, dir_min = dir_u[keep], dir_min[keep]
-            with np.errstate(divide="ignore"):
-                omega = np.where(dir_min > 0.0, dir_u / np.where(dir_min > 0.0, dir_min, 1.0) - 1.0, np.inf)
-            yield first[keep], second[keep], dir_u, dir_min, omega
+            dir_min = gsq / (2.0 * radii)
+            centers, radii, dir_u, dir_min = _kept((dir_min != 0.0) | (dir_u != 0.0), centers, radii, dir_u, dir_min)
+            positive = dir_min > 0.0
+            with np.errstate(divide="ignore", over="ignore"):
+                omega = np.where(positive, dir_u / np.where(positive, dir_min, 1.0) - 1.0, np.inf)
+            yield _Block(centers, radii, dir_u, dir_min, omega)
         else:
-            dir_min = gsq / (2.0 * second)
-            yield first, second, dir_u, dir_min, np.maximum(0.0, dir_u - dir_min) * second ** (1.0 - alpha)
+            dir_min = gsq / (2.0 * radii)
+            yield _Block(centers, radii, dir_u, dir_min, np.maximum(0.0, dir_u - dir_min) * radii ** (1.0 - alpha))
 
 
-def _supremum(blocks) -> tuple[float, Optional[AuditRecord]]:
+def _kept(keep: np.ndarray, *columns: np.ndarray) -> tuple:
+    """The rows of the columns where `keep` holds: the columns themselves where it holds on every row."""
+    return columns if keep.all() else tuple(column[keep] for column in columns)
+
+
+def _supremum(blocks: Iterable[_Block]) -> tuple[float, Optional[AuditRecord]]:
     """The one audit reduction: the supremum of the figures of `_evaluate`'s
     blocks and the record that attains it.  Ties go to the smallest (a, b),
     a = center - radius and b = center + radius, across blocks too; no
-    record gives (0.0, None)."""
+    record gives (0.0, None).  A NaN figure is the supremum, and its first
+    row the witness.  Only a block whose largest figure can win makes
+    records, and only for the rows that attain it."""
     best, witness = None, None
     for block in blocks:
-        centers, radii, *_, figure = block
+        figure = block.figure
         if figure.size == 0:
             continue
         top = figure.max()
-        hits = np.flatnonzero(figure == top)
-        a, b = centers[hits] - radii[hits], centers[hits] + radii[hits]
+        if np.isnan(top):
+            return np.nan, AuditRecord(*(float(column[0]) for column in block.records(np.isnan(figure))))
+        if best is not None and top < best[0]:
+            continue
+        records = block.records(figure == top)
+        a, b = records[0] - records[1], records[0] + records[1]
         k = np.lexsort((b, a))[0]
         # The larger figure wins, then the smaller a, then the smaller b.
         key = (top, -a[k], -b[k])
         if best is None or key > best:
-            best, witness = key, AuditRecord(*(float(column[hits[k]]) for column in block))
+            best, witness = key, AuditRecord(*(float(column[k]) for column in records))
     return (0.0, None) if best is None else (float(best[0]), witness)
 
 
@@ -558,8 +638,9 @@ def energy_decay_exponent(u: PiecewiseAffineQ, z: float, r0: float, scales) -> f
     energies = energy_between(u, z - scales * r0, z + scales * r0)
     keep = energies > 0.0
     _checks.distinct("scales with positive energy", scales[keep], UndefinedExponentError)
-    slope = np.polyfit(np.log(scales[keep]), np.log(energies[keep]), 1)[0]
-    return float(slope)
+    fit = _checks.line_fit("scales with positive energy", np.log(scales[keep]), np.log(energies[keep]),
+                           UndefinedExponentError)
+    return float(fit[0])
 
 
 def _family_rows(m: int, depth: int) -> int:
@@ -591,9 +672,11 @@ def _check_family_size(m: int, depth: int) -> int:
 
 
 def _family_blocks(u: PiecewiseAffineQ, depth: int):
-    """The standard family of depth `depth` as (a, b) columns of at most
-    BLOCK_ROWS rows: the breakpoint pairs (i, j), i < j, in row-major order,
-    then each dyadic and each triadic level of the domain's refinement."""
+    """The standard family of depth `depth` as `_evaluate`'s blocks
+    (points, ia, ib) of at most BLOCK_ROWS intervals (points[ia],
+    points[ib]): the breakpoint pairs (i, j), i < j, in row-major order, whose
+    points are the breakpoints, then each dyadic and each triadic level of the
+    domain's refinement, whose cells share the rows + 1 edges of a block."""
     bps = u.breakpoints
     _check_family_size(bps.size, depth)
     # Row i of the pairs starts at flat position starts[i]; starts[-1] is the pair count.
@@ -601,7 +684,7 @@ def _family_blocks(u: PiecewiseAffineQ, depth: int):
     for start in range(0, int(starts[-1]), BLOCK_ROWS):
         k = np.arange(start, min(start + BLOCK_ROWS, int(starts[-1])))
         i = np.searchsorted(starts, k, side="right") - 1
-        yield bps[i], bps[k - starts[i] + i + 1]
+        yield bps, i, k - starts[i] + i + 1
     lo, hi = u.domain
     for base in (2, 3):
         for d in range(depth + 1):
@@ -609,7 +692,7 @@ def _family_blocks(u: PiecewiseAffineQ, depth: int):
             for start in range(0, cells, BLOCK_ROWS):
                 # The last edge can round above hi: 0.1 * 3 / 3 > 0.1.
                 edges = np.minimum(lo + (hi - lo) * np.arange(start, min(start + BLOCK_ROWS, cells) + 1) / cells, hi)
-                yield edges[:-1], edges[1:]
+                yield edges, slice(None, -1), slice(1, None)
 
 
 # In a scan of 300 domains far from 0, cells up to one ulp of the larger end
@@ -647,7 +730,9 @@ class _StandardFamily:
 
     def blocks(self, mode: str):
         blocks = _family_blocks(self.u, self.depth)
-        return blocks if mode == "quasi_k" else (self._balls_inside(a, b) for a, b in blocks)
+        if mode == "quasi_k":
+            return blocks
+        return ((self._balls_inside(points[ia], points[ib]), 0, 1) for points, ia, ib in blocks)
 
     def _balls_inside(self, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The balls of the rows, clamped to the domain as cell edges are: c + r rounds past hi only if it is
@@ -670,9 +755,10 @@ def audit_intervals(u: PiecewiseAffineQ, depth: int = 12) -> np.ndarray:
     """
     family = np.empty((_check_family_size(u.breakpoints.size, depth), 2))
     start = 0
-    for a, b in _family_blocks(u, depth):
+    for points, ia, ib in _family_blocks(u, depth):
+        a = points[ia]
         family[start : start + a.size, 0] = a
-        family[start : start + a.size, 1] = b
+        family[start : start + a.size, 1] = points[ib]
         start += a.size
     return family
 

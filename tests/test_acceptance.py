@@ -84,7 +84,7 @@ def nan_at_second_call(fn):
 @pytest.mark.parametrize(
     "number, module, name",
     [(1, qspace, "metric_g"), (2, func1d, "dirichlet_energy"), (3, func1d, "_audit_supremum"),
-     (4, func1d, "matching_distance_sq"), (5, constructions, "sin_w_ratio"), (7, func1d, "_audit_supremum"),
+     (4, func1d, "_end_gaps"), (5, constructions, "sin_w_ratio"), (7, func1d, "_audit_supremum"),
      (9, func1d, "energy_decay_exponent"), (10, disk2d, "check_squeeze_2d"), (11, qspace, "metric_g"),
      (12, qspace, "metric_g")],
 )
@@ -98,6 +98,21 @@ def test_a_nan_figure_fails_its_criterion(number, module, name, monkeypatch):
     _, _, check = acceptance.CRITERIA[number - 1]
     passed, detail = check()
     assert not passed, detail
+
+
+@pytest.mark.parametrize("number", [3, 7])
+def test_a_nan_block_figure_fails_its_criterion(number, monkeypatch):
+    # The criterion's own reduction meets the NaN: it raised IndexError there.
+    evaluate = func1d._evaluate
+
+    def nan_in_second_block(*args, **kwargs):
+        for k, block in enumerate(evaluate(*args, **kwargs)):
+            yield block._replace(figure=block.figure * np.nan) if k == 1 else block
+
+    monkeypatch.setattr(func1d, "_evaluate", nan_in_second_block)
+    _, _, check = acceptance.CRITERIA[number - 1]
+    passed, detail = check()
+    assert not passed and "= nan" in detail, detail
 
 
 def stub(passed, detail="fine"):

@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -174,21 +175,28 @@ class TestAudit:
         ]
 
 
-# Values the audit's numeric flags must refuse or survive, beside small valid ones.
+# Values the numeric flags must refuse or survive, beside small valid ones.
 EDGE_VALUES = st.sampled_from(["0", "-1", "nan", "inf", "-inf", "1e-320", "1e308", str(10**12)])
+
+
+def mixed(valid):
+    """A small valid value in three draws of four, else an edge value."""
+    return st.one_of(valid, valid, valid, EDGE_VALUES)
+
+
+def float_list(draw, valid, max_size):
+    """A comma-separated --radii or --scales value: 1 to max_size mixed entries, a repeated one among them at times."""
+    entries = draw(st.lists(mixed(valid.map(repr)), min_size=1, max_size=max_size))
+    return ",".join(entries + entries[:1] * draw(st.integers(0, 1)))
 
 
 @st.composite
 def audit_argvs(draw):
     """`audit` argv, without --out, with each numeric value small and valid
-    (three draws in four) or an edge value, so that every mode also runs."""
-    def mixed(valid):
-        return st.one_of(valid, valid, valid, EDGE_VALUES)
-
+    or an edge value, so that every mode also runs."""
     def flag(name, valid):
         return f"--{name}={draw(mixed(valid))}"
 
-    radii = ",".join(draw(st.lists(mixed(st.floats(1e-3, 0.5).map(repr)), min_size=1, max_size=3)))
     return [
         "audit", draw(st.sampled_from(["cantor-diamond", "cantor-losange", "fat-cantor-losange"])),
         f"--mode={draw(st.sampled_from(['quasi', 'omega', 'almost']))}",
@@ -196,9 +204,73 @@ def audit_argvs(draw):
         flag("level", st.integers(1, 3).map(str)),
         flag("depth", st.integers(0, 5).map(str)),
         flag("alpha", st.floats(0.0, 1.0, exclude_min=True, exclude_max=True).map(repr)),
-        f"--radii={radii}",
+        f"--radii={float_list(draw, st.floats(1e-3, 0.5), 3)}",
         flag("centers", st.integers(1, 30).map(str)),
     ]
+
+
+def edged_flags(draw, valid):
+    """--name=value for each (name, strategy) of `valid`: at most two flags
+    take an edge value and the others a small valid one.  A list flag's
+    value has 2-4 entries, one repeated at times, and one entry of it is the
+    edge value."""
+    edged = draw(st.sets(st.sampled_from(sorted(valid)), max_size=2))
+    argv = []
+    for name, strategy in valid.items():
+        if name != "scales":
+            argv.append(f"--{name}={draw(EDGE_VALUES if name in edged else strategy.map(str))}")
+            continue
+        entries = draw(st.lists(strategy.map(repr), min_size=2, max_size=4))
+        if name in edged:
+            entries[draw(st.integers(0, len(entries) - 1))] = draw(EDGE_VALUES)
+        argv.append(f"--scales={','.join(entries + entries[:1] * draw(st.integers(0, 1)))}")
+    return argv
+
+
+@st.composite
+def decay_argvs(draw):
+    """`decay` argv, without --out, over --level, --center, --r0 and --scales."""
+    return [
+        "decay", draw(st.sampled_from(["cantor-diamond", "cantor-losange", "fat-cantor-losange", "double-line"])),
+        f"--format={draw(st.sampled_from(['csv', 'json']))}",
+        *edged_flags(draw, {"level": st.integers(1, 3), "center": st.floats(0.25, 0.75),
+                            "r0": st.floats(1e-3, 0.25), "scales": st.floats(1e-3, 1.0)}),
+    ]
+
+
+@st.composite
+def branch_argvs(draw):
+    """`branch` argv, without --out, over --level, --grid (a few thousand
+    points at most), --tol and --scales."""
+    return [
+        "branch", draw(st.sampled_from(["cantor-diamond", "cantor-losange", "fat-cantor-diamond", "sin"])),
+        f"--format={draw(st.sampled_from(['csv', 'json']))}",
+        *edged_flags(draw, {"level": st.integers(1, 3), "grid": st.integers(3, 3000),
+                            "tol": st.floats(0.0, 0.1), "scales": st.floats(1e-3, 0.5)}),
+    ]
+
+
+def run_drawn(argv, out):
+    """cli.main on `argv` writing to `out`: (exit code, stdout).  A
+    RuntimeWarning is raised as an error, so it escapes as a failure."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()), warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            code = cli.main([*argv, f"--out={out}"])
+        except SystemExit as exc:
+            code = exc.code
+    return code, stdout.getvalue()
+
+
+def read_back(argv, out):
+    """The rows of a written CSV file, each parsed as floats, under its
+    header; or a JSON file loaded with no Infinity or NaN constant."""
+    if "--format=json" in argv:
+        return json.loads(out.read_text(), parse_constant=refuse_constant)
+    header, *rows = csv.reader(out.open(newline=""))
+    assert {len(row) for row in rows} <= {len(header)}
+    return header, [list(map(float, row)) for row in rows]
 
 
 class TestAuditBoundary:
@@ -210,23 +282,53 @@ class TestAuditBoundary:
     def test_audit_exits_0_with_its_file_or_2_without_one(self, argv):
         with tempfile.TemporaryDirectory() as tmp:
             out = Path(tmp, "audit.out")
-            stdout = io.StringIO()
-            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
-                try:
-                    code = cli.main([*argv, f"--out={out}"])
-                except SystemExit as exc:
-                    code = exc.code
+            code, stdout = run_drawn(argv, out)
             assert code in (0, 2)
             if code == 2:
                 assert not out.exists()
                 return
-            records = int(re.search(r" records=(\d+) ", stdout.getvalue()).group(1))
+            records = int(re.search(r" records=(\d+) ", stdout).group(1))
             if "--format=json" in argv:
-                assert len(json.loads(out.read_text(), parse_constant=refuse_constant)["records"]) == records
+                assert len(read_back(argv, out)["records"]) == records
             else:
-                header, *rows = csv.reader(out.open(newline=""))
+                header, rows = read_back(argv, out)
                 assert header == list(AuditRecord._fields)
-                assert [len(list(map(float, row))) for row in rows] == [len(header)] * records
+                assert len(rows) == records
+
+
+class TestDecayAndBranchBoundary:
+    """`decay` and `branch` under any mix of valid and edge values: exit 0
+    with a file that reads back, or exit 2 with no file."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(argv=decay_argvs())
+    def test_decay_exits_0_with_its_file_or_2_without_one(self, argv):
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp, "decay.out")
+            code, stdout = run_drawn(argv, out)
+            assert code in (0, 2)
+            if code == 2:
+                assert not out.exists()
+                return
+            assert "slope=" in stdout
+            written = read_back(argv, out)
+            if "--format=json" not in argv:
+                assert written[0] == ["scale", "radius", "energy"]
+
+    @settings(max_examples=200, deadline=None)
+    @given(argv=branch_argvs())
+    def test_branch_exits_0_with_its_file_or_2_without_one(self, argv):
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp, "branch.out")
+            code, stdout = run_drawn(argv, out)
+            assert code in (0, 2)
+            if code == 2:
+                assert not out.exists()
+                return
+            assert "dimension=" in stdout
+            written = read_back(argv, out)
+            if "--format=json" not in argv:
+                assert written[0] == ["x", "sigma", "flagged"]
 
 
 class TestLevelBound:
@@ -309,6 +411,22 @@ class TestBranchAndDecay:
         captured = capsys.readouterr()
         assert message in captured.err
         assert "dimension=" not in captured.out
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, message",
+        [(["decay", "cantor-diamond", "--level", "1", "--center", "0.5", "--r0", "0.25",
+           "--scales", "0.001,0.0010000000000000002"], "the scales with positive energy are too close together"),
+         (["branch", "cantor-diamond", "--level", "3", "--grid", "1001", "--scales", "0.1,0.10000000000000002"],
+          "the scales are too close together")],
+        ids=["decay", "branch"],
+    )
+    def test_scales_one_ulp_apart_are_usage_error(self, tmp_path, capsys, command, message):
+        # np.polyfit warned "Polyfit may be poorly conditioned" (a RuntimeWarning) and the
+        # run exited 0 with slope=0.5501716659440048 (decay) or dimension=0.45154499349597166 (branch)
+        out = tmp_path / "out.csv"
+        assert cli.main([*command, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_branch_json(self, tmp_path):

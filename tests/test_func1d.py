@@ -1,6 +1,7 @@
 """Tests for exact energies, interval minimizers, and the minimality audits."""
 
 import json
+import math
 import re
 import tracemalloc
 from unittest import mock
@@ -80,14 +81,23 @@ class TestEvaluation:
             ([-1e308, 0.0, 1e308], [[0.0, 0.0, 1.0]], "domain length"),
             # a ball center 0.5 * (a + b) was inf, with "overflow encountered in add"
             ([1e308, 1.7e308], [[0.0, 1.0]], "doubled domain end"),
+            # (b - a) Dir(u) over the whole domain is 1e410, so a quasi figure's numerator overflowed
+            ([0.0, 1e-10, 1e200], [[0.0, 1e100, 1e100]], "domain length times Dirichlet energy"),
         ],
-        ids=["spread", "energy", "length", "center"],
+        ids=["spread", "energy", "length", "center", "length-times-energy"],
     )
     def test_overflowing_function_refused(self, breakpoints, branches, total):
         # Each was accepted: its quasi audit met inf/inf or inf * 0 = NaN
         # figures (an IndexError from the witness search), or its energy was inf.
         with pytest.raises(ValueError, match=f"the {total} .*of the function overflows"):
             PiecewiseAffineQ(breakpoints, branches)
+
+    @pytest.mark.parametrize("mode", ["quasi_k", "omega"])
+    def test_a_ratio_over_a_subnormal_gap_is_inf(self, mode):
+        # G^2 over [0, 1] is 1e-320 and Dir(u) is 4: the ratio overflowed with a RuntimeWarning.
+        u = PiecewiseAffineQ([0.0, 0.5, 1.0], [[0.0, 1.0, 1e-160]])
+        report = run_audit(u, mode, [(0.0, 1.0)] if mode == "quasi_k" else [(0.5, 0.5)])
+        assert report.supremum == np.inf and report.record_count == 1
 
     def test_rescale_to_an_overflowing_energy_refused(self):
         # the subnormal domain used to get energy inf
@@ -468,6 +478,12 @@ class TestAuditBoundary:
         assert balls_from_intervals([]).shape == (0, 2)
 
 
+def block_ends(block):
+    """The two columns of one of `_evaluate`'s blocks (points, ia, ib)."""
+    points, ia, ib = block
+    return points[ia], points[ib]
+
+
 def whole_family(u, depth):
     """The standard family built in one piece: every breakpoint pair, then
     each dyadic and each triadic level of the domain."""
@@ -481,17 +497,25 @@ def whole_family(u, depth):
     return np.concatenate(parts)
 
 
+def separate_ends(u, a, b):
+    """Dir(u) and G^2 of the intervals (a_i, b_i), with the branch values and
+    energy prefix of each row's a and b interpolated on their own."""
+    bps, prefix = u.breakpoints, u.energy_prefix()
+    va = np.stack([np.interp(a, bps, row) for row in u.branches])
+    vb = np.stack([np.interp(b, bps, row) for row in u.branches])
+    return np.interp(b, bps, prefix) - np.interp(a, bps, prefix), ((vb - va) ** 2).sum(axis=0)
+
+
 def whole_family_audit(u, mode, family, alpha=0.5):
     """Each audit's formulas in one pass over the whole family: the columns,
     then the supremum and the witness (ties go to the smallest (a, b))."""
     first, second = np.asarray(family, dtype=float).T
     a, b = (first, second) if mode == "quasi_k" else (first - second, first + second)
-    dir_u = energy_between(u, a, b)
-    gsq = matching_distance_sq(u, a, b)
+    dir_u, gsq = separate_ends(u, a, b)
     if mode == "quasi_k":
         keep = ~((gsq == 0.0) & (dir_u == 0.0))
         a, b, dir_u, gsq = a[keep], b[keep], dir_u[keep], gsq[keep]
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", over="ignore"):  # a ratio past the float range is inf
             figure = np.where(gsq > 0.0, (b - a) * dir_u / np.where(gsq > 0.0, gsq, 1.0), np.inf)
         columns = (0.5 * (a + b), 0.5 * (b - a), dir_u, np.where(gsq > 0.0, gsq / (b - a), 0.0), figure)
     else:
@@ -500,7 +524,7 @@ def whole_family_audit(u, mode, family, alpha=0.5):
         if mode == "omega":
             keep = ~((dir_min == 0.0) & (dir_u == 0.0))
             x, r, dir_u, dir_min = x[keep], r[keep], dir_u[keep], dir_min[keep]
-            with np.errstate(divide="ignore"):
+            with np.errstate(divide="ignore", over="ignore"):
                 figure = np.where(dir_min > 0.0, dir_u / np.where(dir_min > 0.0, dir_min, 1.0) - 1.0, np.inf)
         else:
             figure = np.maximum(0.0, dir_u - dir_min) * r ** (1.0 - alpha)
@@ -545,6 +569,100 @@ def audit_families():
     ]
 
 
+def bits(values):
+    """The bit patterns of float values, so that 0.0 and -0.0 differ and NaN equals itself."""
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+@st.composite
+def audited_functions(draw):
+    """A Q-branch function, Q <= 3, on 2-12 breakpoints over a domain near 0,
+    far from 0 or narrow, with branch values that often repeat, so that rows
+    tie, are skipped as 0/0 or have infinite figures.  Breakpoints are at
+    least 1e-3 of the domain apart."""
+    lo, hi = draw(st.sampled_from([(0.0, 1.0), (-0.3, 0.2), (1e5, 1e5 + 7.3), (0.25, 0.25 + 1e-6),
+                                   (-1e5 - 1e-3, -1e5)]))
+    steps = draw(st.lists(st.integers(1, 999), max_size=10, unique=True))
+    jitter = draw(st.floats(0.0, 0.5))
+    bps = np.concatenate(([lo], lo + (hi - lo) * (np.sort(steps) + jitter) / 1000.0, [hi]))
+    q = draw(st.integers(1, 3))
+    value = st.sampled_from([-1.0, 0.0, 0.5, 2.0]) | st.floats(-10.0, 10.0)
+    values = draw(st.lists(value, min_size=q * bps.size, max_size=q * bps.size))
+    return PiecewiseAffineQ(bps, np.sort(np.reshape(values, (q, bps.size)), axis=0))
+
+
+class TestSharedEnds:
+    """The standard family's rows share their ends: each distinct end is
+    evaluated once, with the bits of evaluating every row's a and b alone."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(u=audited_functions(), depth=st.integers(0, 6), mode=st.sampled_from(["quasi_k", "omega", "almost"]),
+           rows=st.sampled_from([1, 3, 7, 4096]), stand_in=st.booleans())
+    def test_shared_ends_match_separate_ends_bit_for_bit(self, u, depth, mode, rows, stand_in):
+        with mock.patch.object(func1d, "BLOCK_ROWS", rows):
+            family = func1d._StandardFamily(u, depth)
+            columns = np.column_stack([np.concatenate(c) for c in zip(*map(block_ends, family.blocks(mode)))])
+            want, want_sup, want_witness = whole_family_audit(u, mode, columns)
+            report = run_audit(u, mode, family if stand_in else columns)
+            got = (report.centers, report.radii, report.dir_u, report.dir_min, report.figure)
+            for got_column, want_column in zip(got, want):
+                assert np.array_equal(bits(got_column), bits(want_column))
+            assert report.record_count == want[-1].size
+            assert bits(report.supremum) == bits(want_sup)
+            assert (report.witness is None) == (want_witness is None)
+            if want_witness is not None:
+                assert np.array_equal(bits(tuple(report.witness)), bits(want_witness))
+            oracle = func1d._supremum([func1d._Block(*want)])[0]
+            assert bits(func1d._audit_supremum(u, mode, depth, 0.5)) == bits(oracle)
+
+    @pytest.mark.parametrize("rows", [7, 64, 4096])
+    def test_each_distinct_end_is_evaluated_once(self, rows):
+        # A pair block evaluates the m breakpoints, a cell block its rows + 1
+        # edges; evaluating each row's a and b alone took 2 x rows points.
+        u = cantor_level(CantorConstruction(2, "diamond"))
+        depth, m = 4, u.breakpoints.size
+        with mock.patch.object(func1d, "BLOCK_ROWS", rows):
+            with mock.patch.object(func1d, "branch_values", wraps=func1d.branch_values) as spy:
+                report = quasi_k_ratio(u, func1d._StandardFamily(u, depth))
+                report.record_count
+        received = sum(np.size(call.args[1]) for call in spy.call_args_list)
+        pairs, cells = m * (m - 1) // 2, [base**d for base in (2, 3) for d in range(depth + 1)]
+        assert received == -(-pairs // rows) * m + sum(n + -(-n // rows) for n in cells)
+
+
+def nan_block(figure, quasi=False):
+    """A block of len(figure) rows, (0.5 k, 0.5 k + 1) in quasi_k form, or balls (k + 0.5, 0.5)."""
+    k = np.arange(len(figure), dtype=float)
+    if quasi:
+        return func1d._Block(0.5 * k, 0.5 * k + 1.0, np.ones(k.size), np.ones(k.size), np.array(figure), quasi=True)
+    return func1d._Block(k + 0.5, np.full(k.size, 0.5), np.ones(k.size), np.full(k.size, 2.0), np.array(figure))
+
+
+class TestNanSupremum:
+    """A NaN figure is the supremum, and its first row the witness."""
+
+    def test_a_nan_figure_is_the_supremum(self):
+        # figure.max() was NaN, `figure == top` selected no row, and the reduction raised IndexError.
+        supremum, witness = func1d._supremum([nan_block([1.0, np.nan])])
+        assert math.isnan(supremum)
+        assert witness[:4] == (1.5, 0.5, 1.0, 2.0) and math.isnan(witness.figure_of_merit)
+
+    def test_the_first_nan_row_wins_across_blocks(self):
+        blocks = [nan_block([np.inf, 3.0]), nan_block([2.0, np.nan, np.nan]), nan_block([np.nan, np.inf])]
+        supremum, witness = func1d._supremum(blocks)
+        assert math.isnan(supremum) and witness[:2] == (1.5, 0.5)
+        supremum, witness = func1d._supremum([nan_block([np.inf, np.nan, 4.0], quasi=True)])
+        assert math.isnan(supremum) and witness[:4] == (1.0, 0.5, 1.0, 1.0)
+
+    def test_a_report_with_a_nan_figure(self, tmp_path):
+        blocks = [nan_block([1.0, 5.0]), nan_block([np.nan, 7.0]), nan_block([np.nan])]
+        report = func1d.MinimalityReport("almost", 0.5, lambda: iter(blocks))
+        assert repr(report.supremum) == "nan" and report.witness[:2] == (0.5, 0.5)
+        report.to_csv(tmp_path / "report.csv")
+        assert (tmp_path / "report.csv").read_text().splitlines()[3] == "0.5,0.5,1.0,2.0,nan"
+        assert repr(report.supremum) == "nan" and report.record_count == 5
+
+
 class TestFamilyBlocks:
     """One block evaluator: block sizes change no column, supremum or witness."""
 
@@ -554,7 +672,7 @@ class TestFamilyBlocks:
             for level in range(1, 6):
                 u = cantor_level(CantorConstruction(level, "diamond"))
                 for depth in range(7):
-                    blocks = list(func1d._family_blocks(u, depth))
+                    blocks = [block_ends(block) for block in func1d._family_blocks(u, depth)]
                     assert max(a.size for a, _ in blocks) <= rows
                     got = np.column_stack([np.concatenate(column) for column in zip(*blocks)])
                     want = whole_family(u, depth)
@@ -841,7 +959,8 @@ class TestStandardFamily:
         u = make_diamond(1e5, 1e5 + 7.3, 0.0)
         lo, hi = u.domain
         shrunk = 0
-        for (c, r), (a, b) in zip(func1d._StandardFamily(u, 12).blocks("omega"), func1d._family_blocks(u, 12)):
+        balls, cells = func1d._StandardFamily(u, 12).blocks("omega"), func1d._family_blocks(u, 12)
+        for (c, r), (a, b) in zip(map(block_ends, balls), map(block_ends, cells)):
             assert np.all((c - r >= lo) & (c + r <= hi) & (r > 0))
             shrunk += np.count_nonzero(r != 0.5 * (b - a))
         assert shrunk == 8
