@@ -11,7 +11,6 @@ from qvlab import (
     CantorConstruction,
     almost_deficiency,
     audit_intervals,
-    balls_from_intervals,
     cantor_level,
     make_losange,
     quasi_k_ratio,
@@ -29,8 +28,7 @@ def main():
     print("\nlosange refinement levels, alpha = 1/2, depth-9 interval family:")
     for level in range(1, 7):
         u = cantor_level(CantorConstruction(level, "losange"))
-        balls = balls_from_intervals(audit_intervals(u, depth=9))
-        rep = almost_deficiency(u, 0.5, balls)
+        rep = almost_deficiency(u, 0.5, audit_intervals(u, depth=9))
         print(f"  level {level}: smallest certified c = {rep.supremum:.9f}  (stays below 2)")
 
 

@@ -9,7 +9,7 @@ wall time on stderr, in criterion order.  The criteria share no state, so
 import, each with a fixed share.  The pytest suite asserts the same results,
 and the command-line `verify-all` subcommand drives them with exit code 0
 only if every check passes.  The audit criteria 3, 4 and 7
-reduce over the standard family a block at a time and never hold it whole.
+reduce over the blocks of `func1d.audit_intervals` and never hold it whole.
 """
 
 from __future__ import annotations
@@ -151,7 +151,7 @@ def check_endpoint_gap() -> tuple[bool, str]:
     worst = np.inf
     for level in range(1, 9):
         u = cons.cantor_level(cons.CantorConstruction(level, "diamond"))
-        for block in func1d._family_blocks(u, 12):
+        for block in func1d.audit_intervals(u, 12).blocks():
             a, b, gsq = func1d._end_gaps(u, *block)
             w = b - a
             worst = _worst(min, worst, float(np.min(gsq / (0.5 * w * w))))

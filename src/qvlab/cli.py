@@ -9,8 +9,8 @@ serialized with their shortest round-trip representation and infinities as
 the strings "inf"/"-inf".  An audit's report holds no column: it is written
 as it is evaluated, block by block, and its summary line takes the record
 count and supremum from that write, so the family is evaluated once.  The
-quasi and almost audits read the standard family as it is made, a block at
-a time, so neither the family nor the report is held whole.
+quasi and almost audits read `func1d.audit_intervals` as it is made, a block
+at a time, so neither the family nor the report is held whole.
 """
 
 from __future__ import annotations
@@ -102,7 +102,7 @@ def _cmd_audit(args) -> int:
             balls.append(np.column_stack((centers, np.full(centers.size, r))))
         report = func1d.omega_report(u, np.concatenate(balls))
     else:
-        family = func1d._StandardFamily(u, args.depth)
+        family = func1d.audit_intervals(u, args.depth)
         if args.mode == "quasi":
             report = func1d.quasi_k_ratio(u, family)
         else:

@@ -30,14 +30,15 @@ to evaluate its checked family: the writers take the blocks as they come,
 and the record count, supremum and witness are reduced on the way (before
 any write, in one pass that writes nothing), so a report's columns are never
 held whole.  A library caller that reads a column evaluates the family again
-and gets its blocks concatenated.  The standard family is
-itself made of `BLOCK_ROWS`-row blocks whose ends never leave the domain:
-`audit_intervals` fills them into one array, while `_StandardFamily` stands
-for the family without building it.  An audit of a `_StandardFamily` skips
-the whole-family check, since its rows are valid by construction, and makes
-the blocks as its report evaluates them; the CLI's quasi and almost audits
-and the criteria that reduce over the standard family use it, so none of
-them holds the family, and a criterion holds no report either.
+and gets its blocks concatenated.  The standard family has one constructor,
+`audit_intervals`, which counts it and runs its size gate once; no array of
+it is built.  Its `blocks` are made of `BLOCK_ROWS` rows as they are read,
+with ends that never leave the domain, as (a, b) intervals in quasi_k mode
+and as (center, radius) balls clamped to the domain in the ball modes.  An
+audit of it skips the whole-family check, since its rows are valid by
+construction, and makes the blocks as its report evaluates them; the CLI's
+quasi and almost audits and the criteria that reduce over it (3, 4 and 7)
+read it so, and none of them holds the family or a record column whole.
 `_check_rows` is the one size gate: the standard family, counted from the
 function's breakpoints and the depth, the CLI's omega family, counted from
 its radii and centers, and every sample grid (a circle trace's included)
@@ -80,7 +81,6 @@ __all__ = [
     "almost_deficiency",
     "energy_decay_exponent",
     "audit_intervals",
-    "balls_from_intervals",
     "rescale_domain",
 ]
 
@@ -487,7 +487,7 @@ def _evaluate(u: PiecewiseAffineQ, mode: str, blocks, alpha: Optional[float] = N
 
     A block is (points, ia, ib): the family's two columns are points[ia] and
     points[ib], so the rows of a standard-family block share their ends
-    (`_family_blocks`), and `_slices` gives per-row pairs.  In quasi_k mode
+    (`audit_intervals`), and `_slices` gives per-row pairs.  In quasi_k mode
     the columns are the ends a and b, and the branch values and energy
     prefix of each distinct end are taken once; in the ball modes the ends
     are each row's own c - r and c + r.  Dir(u) is a difference of one
@@ -557,12 +557,11 @@ def _supremum(blocks: Iterable[_Block]) -> tuple[float, Optional[AuditRecord]]:
 def _audit(u: PiecewiseAffineQ, mode: str, family, alpha: Optional[float] = None) -> MinimalityReport:
     """Read a family once and check it whole, finite ends first, then a < b,
     then the domain, so that the same error wins at any block size; the
-    report evaluates it a block at a time when it is written or read.  A
-    `_StandardFamily` is valid as it is made, so it is only matched to `u`,
-    and the report makes its blocks as it evaluates them."""
+    report evaluates it a block at a time when it is written or read.  The
+    standard family is valid as it is made, so it is only matched to `u` and
+    the mode, and the report makes its blocks as it evaluates them."""
     if isinstance(family, _StandardFamily):
-        if family.u is not u:
-            raise DomainError("a standard family is audited only with the function it was made for")
+        family.check(u, mode)
         return MinimalityReport(mode, alpha, lambda: _evaluate(u, mode, family.blocks(mode), alpha))
     first, second = _pairs(family)
     a, b = _interval_ends(mode, first, second)
@@ -576,8 +575,9 @@ def _audit(u: PiecewiseAffineQ, mode: str, family, alpha: Optional[float] = None
 
 def _audit_supremum(u: PiecewiseAffineQ, mode: str, depth: int = 12, alpha: Optional[float] = None) -> float:
     """The supremum of an audit over the standard family of depth `depth`,
-    reduced block by block: neither the family nor a report is held."""
-    return _supremum(_evaluate(u, mode, _StandardFamily(u, depth).blocks(mode), alpha))[0]
+    reduced block by block from the figures alone: neither the family nor a
+    record column is held."""
+    return _supremum(_audit(u, mode, audit_intervals(u, depth), alpha)._evaluate())[0]
 
 
 def quasi_k_ratio(u: PiecewiseAffineQ, intervals: Iterable[tuple[float, float]]) -> MinimalityReport:
@@ -671,49 +671,17 @@ def _check_family_size(m: int, depth: int) -> int:
     return rows
 
 
-def _family_blocks(u: PiecewiseAffineQ, depth: int):
-    """The standard family of depth `depth` as `_evaluate`'s blocks
-    (points, ia, ib) of at most BLOCK_ROWS intervals (points[ia],
-    points[ib]): the breakpoint pairs (i, j), i < j, in row-major order, whose
-    points are the breakpoints, then each dyadic and each triadic level of the
-    domain's refinement, whose cells share the rows + 1 edges of a block."""
-    bps = u.breakpoints
-    _check_family_size(bps.size, depth)
-    # Row i of the pairs starts at flat position starts[i]; starts[-1] is the pair count.
-    starts = np.concatenate(([0], np.cumsum(np.arange(bps.size - 1, 0, -1))))
-    for start in range(0, int(starts[-1]), BLOCK_ROWS):
-        k = np.arange(start, min(start + BLOCK_ROWS, int(starts[-1])))
-        i = np.searchsorted(starts, k, side="right") - 1
-        yield bps, i, k - starts[i] + i + 1
-    lo, hi = u.domain
-    for base in (2, 3):
-        for d in range(depth + 1):
-            cells = base**d
-            for start in range(0, cells, BLOCK_ROWS):
-                # The last edge can round above hi: 0.1 * 3 / 3 > 0.1.
-                edges = np.minimum(lo + (hi - lo) * np.arange(start, min(start + BLOCK_ROWS, cells) + 1) / cells, hi)
-                yield edges, slice(None, -1), slice(1, None)
-
-
 # In a scan of 300 domains far from 0, cells up to one ulp of the larger end
-# wide gave rows with a == b, and wider cells none.
+# wide gave rows with a == b, and wider cells none; breakpoints this close
+# can give a ball of radius 0 (`_StandardFamily.check`).
 _MIN_CELL_ULPS = 4
 
 
 class _StandardFamily:
-    """The standard family of `u` at `depth`, counted but not built.
-
-    Making one runs the size gate, so a family over MAX_FAMILY_ROWS rows or
-    a negative depth is refused before anything is evaluated or written;
-    `len()` gives its row count.  It also refuses, with DomainError, a
-    domain whose finest cell, (hi - lo) / 3**depth, is not wider than
-    `_MIN_CELL_ULPS` ulps of its larger end: rounded cell edges could meet
-    there.  Otherwise its rows are finite, satisfy a < b and lie in the domain by construction, so
-    an audit skips the whole-family check and reads `_family_blocks` as they
-    are made: as (a, b) intervals in quasi_k mode and as (center, radius)
-    balls in the ball modes, the columns `balls_from_intervals` would give,
-    except that a ball whose rounded ends leave the domain is shrunk to fit.
-    """
+    """The standard family of `u` at `depth`, counted but not built (see
+    `audit_intervals`, its one constructor).  Its rows are finite, satisfy
+    a < b and lie in the domain by construction, so an audit skips the
+    whole-family check and reads `blocks` as they are made."""
 
     def __init__(self, u: PiecewiseAffineQ, depth: int):
         self.u, self.depth = u, depth
@@ -728,11 +696,45 @@ class _StandardFamily:
     def __len__(self) -> int:
         return self.rows
 
-    def blocks(self, mode: str):
-        blocks = _family_blocks(self.u, self.depth)
-        if mode == "quasi_k":
-            return blocks
-        return ((self._balls_inside(points[ia], points[ib]), 0, 1) for points, ia, ib in blocks)
+    def check(self, u: PiecewiseAffineQ, mode: str) -> None:
+        """Refuse an audit with a function other than the family's own, and in
+        a ball mode one of a function with adjacent breakpoints within
+        `_MIN_CELL_ULPS` ulps of the larger, whose ball could round to radius 0
+        (Dir_min = 0 / 0): wider gaps make every pair wider, and rounding
+        moves a center by at most 1.5 of its pair's ulps."""
+        if self.u is not u:
+            raise DomainError("a standard family is audited only with the function it was made for")
+        bps = u.breakpoints
+        close = np.flatnonzero(np.diff(bps) <= _MIN_CELL_ULPS * np.spacing(np.maximum(abs(bps[:-1]), abs(bps[1:]))))
+        if mode != "quasi_k" and close.size:
+            a, b = float(bps[close[0]]), float(bps[close[0] + 1])
+            raise EmptyIntervalError(f"breakpoints {a!r} and {b!r} are within {_MIN_CELL_ULPS} ulps: the ball of"
+                                     " their pair could round to radius 0")
+
+    def blocks(self, mode: str = "quasi_k") -> Iterator[tuple]:
+        """`_evaluate`'s blocks of at most BLOCK_ROWS rows: the breakpoint pairs
+        (i, j), i < j, in row-major order, whose points are the breakpoints,
+        then each dyadic and triadic level, a block of whose cells shares its
+        rows + 1 edges.  A quasi_k block is (points, ia, ib), the intervals
+        (points[ia], points[ib]); a ball-mode block is its clamped balls."""
+        def as_mode(points, ia, ib):
+            return (points, ia, ib) if mode == "quasi_k" else (self._balls_inside(points[ia], points[ib]), 0, 1)
+
+        bps = self.u.breakpoints
+        # Row i of the pairs starts at flat position starts[i]; starts[-1] is the pair count.
+        starts = np.concatenate(([0], np.cumsum(np.arange(bps.size - 1, 0, -1))))
+        for start in range(0, int(starts[-1]), BLOCK_ROWS):
+            k = np.arange(start, min(start + BLOCK_ROWS, int(starts[-1])))
+            i = np.searchsorted(starts, k, side="right") - 1
+            yield as_mode(bps, i, k - starts[i] + i + 1)
+        lo, hi = self.u.domain
+        for base in (2, 3):
+            for d in range(self.depth + 1):
+                cells = base**d
+                for start in range(0, cells, BLOCK_ROWS):
+                    # The last edge can round above hi: 0.1 * 3 / 3 > 0.1.
+                    edges = np.minimum(lo + (hi - lo) * np.arange(start, min(start + BLOCK_ROWS, cells) + 1) / cells, hi)
+                    yield as_mode(edges, slice(None, -1), slice(1, None))
 
     def _balls_inside(self, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The balls of the rows, clamped to the domain as cell edges are: c + r rounds past hi only if it is
@@ -743,29 +745,22 @@ class _StandardFamily:
         return c, np.where(out, np.nextafter(np.minimum(hi - c, c - lo), 0.0), r) if out.any() else r
 
 
-def audit_intervals(u: PiecewiseAffineQ, depth: int = 12) -> np.ndarray:
-    """Standard interval family for the audits, as an (m, 2) array.
+def audit_intervals(u: PiecewiseAffineQ, depth: int = 12) -> _StandardFamily:
+    """The standard audit family, counted (`len()` is its row count) and made
+    a block at a time as an audit of `u` reads it, never as one array.
 
     All breakpoint pairs, plus the cells of dyadic and triadic refinements
     of the domain down to `depth`.  Extrema of the audited figures for the
     shipped constructions occur at construction-aligned intervals, and the
-    triadic cells align with the ternary refinements.  A family of more
-    than MAX_FAMILY_ROWS rows raises FamilySizeError before it is built;
-    the blocks fill the array in place, so the family is held once.
+    triadic cells align with the ternary refinements.  quasi_k_ratio reads
+    its rows as (a, b) intervals; omega_report and almost_deficiency read
+    them as (center, radius) balls, shrinking one whose rounded ends leave
+    the domain, and refuse a function with two breakpoints within 4 ulps
+    (EmptyIntervalError).  A family of more than MAX_FAMILY_ROWS rows
+    (FamilySizeError), or a domain whose finest cell, (hi - lo) / 3**depth,
+    is within 4 ulps of its ends (DomainError), is refused here.
     """
-    family = np.empty((_check_family_size(u.breakpoints.size, depth), 2))
-    start = 0
-    for points, ia, ib in _family_blocks(u, depth):
-        a = points[ia]
-        family[start : start + a.size, 0] = a
-        family[start : start + a.size, 1] = points[ib]
-        start += a.size
-    return family
-
-
-def balls_from_intervals(intervals) -> np.ndarray:
-    """The (center, radius) rows of a family of (a, b) intervals."""
-    return np.column_stack(_balls(*_pairs(intervals)))
+    return _StandardFamily(u, depth)
 
 
 def rescale_domain(u: PiecewiseAffineQ, scale: float) -> PiecewiseAffineQ:

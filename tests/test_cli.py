@@ -250,6 +250,26 @@ def branch_argvs(draw):
     ]
 
 
+@st.composite
+def example_argvs(draw):
+    """`example` argv, without --out, over --level and --samples (a few thousand at most)."""
+    return [
+        "example", draw(st.sampled_from(cli.NAMED_FUNCTIONS)), f"--format={draw(st.sampled_from(['csv', 'json']))}",
+        *edged_flags(draw, {"level": st.integers(1, 3), "samples": st.integers(1, 3000)}),
+    ]
+
+
+@st.composite
+def disk_argvs(draw):
+    """`disk` argv, without --out, over --samples (a few thousand at most), --modes and --radius."""
+    return [
+        "disk", f"--trace={draw(st.sampled_from(sorted(cli._TRACES)))}",
+        f"--format={draw(st.sampled_from(['csv', 'json']))}",
+        *edged_flags(draw, {"samples": st.integers(1, 3000), "modes": st.integers(0, 64),
+                            "radius": st.floats(1e-3, 1e3)}),
+    ]
+
+
 def run_drawn(argv, out):
     """cli.main on `argv` writing to `out`: (exit code, stdout).  A
     RuntimeWarning is raised as an error, so it escapes as a failure."""
@@ -329,6 +349,44 @@ class TestDecayAndBranchBoundary:
             written = read_back(argv, out)
             if "--format=json" not in argv:
                 assert written[0] == ["x", "sigma", "flagged"]
+
+
+class TestExampleAndDiskBoundary:
+    """`example` and `disk` under any mix of valid and edge values: exit 0
+    with a file that reads back, or exit 2 with no file."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(argv=example_argvs())
+    def test_example_exits_0_with_its_file_or_2_without_one(self, argv):
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp, "example.out")
+            code, _ = run_drawn(argv, out)
+            assert code in (0, 2)
+            if code == 2:
+                assert not out.exists()
+                return
+            written = read_back(argv, out)
+            if "--format=json" in argv:
+                assert len(written["branches"]) >= 1 and {len(b) for b in written["branches"]} == {len(written["x"])}
+            else:
+                assert written[0][0] == "x" and written[1]
+
+    @settings(max_examples=200, deadline=None)
+    @given(argv=disk_argvs())
+    def test_disk_exits_0_with_its_file_or_2_without_one(self, argv):
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp, "disk.out")
+            code, stdout = run_drawn(argv, out)
+            assert code in (0, 2)
+            if code == 2:
+                assert not out.exists()
+                return
+            assert "squeeze=" in stdout
+            written = read_back(argv, out)
+            if "--format=json" in argv:
+                assert len(written["samples"]) == written["q_count"]
+            else:
+                assert written[0][0] == "angle" and written[1]
 
 
 class TestLevelBound:

@@ -25,7 +25,6 @@ from qvlab.func1d import (
     UnsupportedCodimensionError,
     almost_deficiency,
     audit_intervals,
-    balls_from_intervals,
     branch_values,
     dirichlet_energy,
     energy_between,
@@ -408,7 +407,7 @@ class TestAlmostDeficiency:
     @pytest.mark.parametrize("level", [1, 2, 3])
     def test_losange_levels_bounded_by_two(self, level):
         u = cantor_level(CantorConstruction(level, "losange"))
-        fam = audit_intervals(u, depth=8)
+        fam = whole_family(u, depth=8)
         balls = np.column_stack((0.5 * (fam[:, 0] + fam[:, 1]), 0.5 * (fam[:, 1] - fam[:, 0])))
         assert almost_deficiency(u, 0.5, balls).supremum <= 2.0
 
@@ -472,11 +471,6 @@ class TestAuditBoundary:
         with pytest.raises(ValueError, match="depth must be an integer of at least 0, got -1"):
             audit_intervals(double_line(), depth=-1)
 
-    def test_balls_from_intervals(self):
-        balls = balls_from_intervals([(0.0, 1.0), (0.25, 0.5)])
-        assert balls.tolist() == [[0.5, 0.5], [0.375, 0.125]]
-        assert balls_from_intervals([]).shape == (0, 2)
-
 
 def block_ends(block):
     """The two columns of one of `_evaluate`'s blocks (points, ia, ib)."""
@@ -484,9 +478,15 @@ def block_ends(block):
     return points[ia], points[ib]
 
 
+def block_columns(blocks):
+    """The (rows, 2) array of `_evaluate`'s blocks, concatenated."""
+    return np.column_stack([np.concatenate(column) for column in zip(*map(block_ends, blocks))])
+
+
 def whole_family(u, depth):
     """The standard family built in one piece: every breakpoint pair, then
-    each dyadic and each triadic level of the domain."""
+    each dyadic and each triadic level of the domain (whose last edge is not
+    clamped to the domain, unlike the family's)."""
     lo, hi = u.domain
     i, j = np.triu_indices(u.breakpoints.size, k=1)
     parts = [np.column_stack((u.breakpoints[i], u.breakpoints[j]))]
@@ -537,9 +537,15 @@ def whole_family_audit(u, mode, family, alpha=0.5):
     return columns, supremum, tuple(float(c[k]) for c in columns)
 
 
+def balls_of(intervals):
+    """The (center, radius) rows of a family of (a, b) intervals, unclamped."""
+    a, b = np.asarray(intervals, dtype=float).reshape(-1, 2).T
+    return np.column_stack((0.5 * (a + b), 0.5 * (b - a)))
+
+
 def mode_family(mode, intervals):
     """quasi_k reads intervals, omega and almost read balls."""
-    return intervals if mode == "quasi_k" else balls_from_intervals(intervals)
+    return intervals if mode == "quasi_k" else balls_of(intervals)
 
 
 def run_audit(u, mode, family):
@@ -564,8 +570,8 @@ def audit_families():
     return [
         (pluri, pluri_family),
         (double_line(), ties),
-        (diamond, audit_intervals(diamond, depth=3)),
-        (losange, audit_intervals(losange, depth=3)),
+        (diamond, whole_family(diamond, depth=3)),
+        (losange, whole_family(losange, depth=3)),
     ]
 
 
@@ -591,19 +597,41 @@ def audited_functions(draw):
     return PiecewiseAffineQ(bps, np.sort(np.reshape(values, (q, bps.size)), axis=0))
 
 
+@st.composite
+def crowded_functions(draw):
+    """A one-branch function whose breakpoints step 1-12 doubles at a time
+    from a start at 0, near 1, at a binade edge or subnormal (mirrored at
+    times), with a far end at times; its value is constant over the steps,
+    so that the energy stays finite."""
+    x = draw(st.sampled_from([0.0, 1.0, -1.0, 1.0 - 2**-53, 2.0**-1022, 1e-310, -5e-324, 1e5]))
+    bps = [x]
+    for step in draw(st.lists(st.integers(1, 12), min_size=1, max_size=5)):
+        for _ in range(step):
+            x = np.nextafter(x, np.inf)
+        bps.append(x)
+    values = [0.0] * len(bps)
+    far = draw(st.sampled_from([None, 1.0, 2.0**-40]))
+    if far is not None:
+        bps.append(x + far * max(1.0, abs(x)))
+        values.append(draw(st.sampled_from([0.0, 1.0, -3.0])))
+    if draw(st.booleans()):
+        bps, values = [-b for b in reversed(bps)], values[::-1]
+    return PiecewiseAffineQ(bps, [values])
+
+
 class TestSharedEnds:
     """The standard family's rows share their ends: each distinct end is
     evaluated once, with the bits of evaluating every row's a and b alone."""
 
     @settings(max_examples=150, deadline=None)
     @given(u=audited_functions(), depth=st.integers(0, 6), mode=st.sampled_from(["quasi_k", "omega", "almost"]),
-           rows=st.sampled_from([1, 3, 7, 4096]), stand_in=st.booleans())
-    def test_shared_ends_match_separate_ends_bit_for_bit(self, u, depth, mode, rows, stand_in):
+           rows=st.sampled_from([1, 3, 7, 4096]), streamed=st.booleans())
+    def test_shared_ends_match_separate_ends_bit_for_bit(self, u, depth, mode, rows, streamed):
         with mock.patch.object(func1d, "BLOCK_ROWS", rows):
-            family = func1d._StandardFamily(u, depth)
-            columns = np.column_stack([np.concatenate(c) for c in zip(*map(block_ends, family.blocks(mode)))])
+            family = audit_intervals(u, depth)
+            columns = block_columns(family.blocks(mode))
             want, want_sup, want_witness = whole_family_audit(u, mode, columns)
-            report = run_audit(u, mode, family if stand_in else columns)
+            report = run_audit(u, mode, family if streamed else columns)
             got = (report.centers, report.radii, report.dir_u, report.dir_min, report.figure)
             for got_column, want_column in zip(got, want):
                 assert np.array_equal(bits(got_column), bits(want_column))
@@ -623,7 +651,7 @@ class TestSharedEnds:
         depth, m = 4, u.breakpoints.size
         with mock.patch.object(func1d, "BLOCK_ROWS", rows):
             with mock.patch.object(func1d, "branch_values", wraps=func1d.branch_values) as spy:
-                report = quasi_k_ratio(u, func1d._StandardFamily(u, depth))
+                report = quasi_k_ratio(u, audit_intervals(u, depth))
                 report.record_count
         received = sum(np.size(call.args[1]) for call in spy.call_args_list)
         pairs, cells = m * (m - 1) // 2, [base**d for base in (2, 3) for d in range(depth + 1)]
@@ -672,13 +700,11 @@ class TestFamilyBlocks:
             for level in range(1, 6):
                 u = cantor_level(CantorConstruction(level, "diamond"))
                 for depth in range(7):
-                    blocks = [block_ends(block) for block in func1d._family_blocks(u, depth)]
-                    assert max(a.size for a, _ in blocks) <= rows
-                    got = np.column_stack([np.concatenate(column) for column in zip(*blocks)])
+                    family = audit_intervals(u, depth)
+                    assert max(block_ends(block)[0].size for block in family.blocks()) <= rows
                     want = whole_family(u, depth)
-                    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-                    assert np.array_equal(audit_intervals(u, depth).view(np.uint64), want.view(np.uint64))
-                    assert len(want) == func1d._family_rows(u.breakpoints.size, depth)
+                    assert np.array_equal(block_columns(family.blocks()).view(np.uint64), want.view(np.uint64))
+                    assert len(want) == len(family) == func1d._family_rows(u.breakpoints.size, depth)
 
     @pytest.mark.parametrize("rows", [1, 2, 3, 5, 7])
     @pytest.mark.parametrize("mode", ["quasi_k", "omega", "almost"])
@@ -729,8 +755,8 @@ class TestFamilyBlocks:
     def test_supremum_reduction_matches_report(self, level, rows):
         diamond = cantor_level(CantorConstruction(level, "diamond"))
         losange = cantor_level(CantorConstruction(level, "losange"))
-        quasi = quasi_k_ratio(diamond, audit_intervals(diamond, depth=5)).supremum
-        almost = almost_deficiency(losange, 0.5, balls_from_intervals(audit_intervals(losange, depth=5))).supremum
+        quasi = quasi_k_ratio(diamond, whole_family(diamond, depth=5)).supremum
+        almost = almost_deficiency(losange, 0.5, balls_of(whole_family(losange, depth=5))).supremum
         with mock.patch.object(func1d, "BLOCK_ROWS", rows):
             assert func1d._audit_supremum(diamond, "quasi_k", depth=5) == quasi
             assert func1d._audit_supremum(losange, "almost", depth=5, alpha=0.5) == almost
@@ -739,7 +765,7 @@ class TestFamilyBlocks:
     def test_supremum_of_a_family_with_no_kept_record_is_zero(self, mode):
         # A constant function makes every row 0/0, so quasi_k and omega keep none.
         flat = PiecewiseAffineQ([0.0, 0.5, 1.0], [[1.0, 1.0, 1.0]])
-        report = run_audit(flat, mode, mode_family(mode, audit_intervals(flat, depth=4)))
+        report = run_audit(flat, mode, mode_family(mode, whole_family(flat, depth=4)))
         assert report.figure.size == 0 and report.supremum == 0.0
         with mock.patch.object(func1d, "BLOCK_ROWS", 3):
             assert func1d._audit_supremum(flat, mode, depth=4) == 0.0
@@ -751,8 +777,8 @@ class TestFamilyBlocks:
         with mock.patch.object(func1d, "BLOCK_ROWS", 2):
             for call in (
                 lambda: quasi_k_ratio(u, intervals).figure,
-                lambda: omega_report(u, balls_from_intervals(intervals)).figure,
-                lambda: almost_deficiency(u, 0.5, balls_from_intervals(intervals)).figure,
+                lambda: omega_report(u, balls_of(intervals)).figure,
+                lambda: almost_deficiency(u, 0.5, balls_of(intervals)).figure,
                 lambda: func1d._audit_supremum(u, "quasi_k", depth=3),
             ):
                 with mock.patch.object(PiecewiseAffineQ, "energy_prefix", autospec=True, side_effect=prefix) as spy:
@@ -762,7 +788,7 @@ class TestFamilyBlocks:
     def test_last_edge_stays_in_the_domain(self):
         # 0.1 * 3 / 3 rounds to 0.10000000000000002, past the end of [0, 0.1]
         u = make_diamond(0.0, 0.1)
-        family = audit_intervals(u, depth=1)
+        family = block_columns(audit_intervals(u, depth=1).blocks())
         assert family.max() == 0.1
         assert quasi_k_ratio(u, family).supremum == func1d._audit_supremum(u, "quasi_k", depth=1)
 
@@ -773,7 +799,7 @@ class TestFamilyBlocks:
     def test_family_ends_lie_in_the_domain(self, lo, width, depth):
         u = make_double_line(lo, lo + width)
         lo, hi = u.domain
-        a, b = audit_intervals(u, depth).T
+        a, b = block_columns(audit_intervals(u, depth).blocks()).T
         assert np.all((lo <= a) & (a < b) & (b <= hi))
 
     def test_level_8_supremum_holds_no_family(self):
@@ -914,12 +940,12 @@ class TestStandardFamily:
         # Ties and infinite figures fall in different blocks at the small sizes.
         for k, name in enumerate(["diamond", "losange"]):
             u = cantor_level(CantorConstruction(2, name))
-            built = audit_intervals(u, depth=3)
+            built = whole_family(u, depth=3)
             if mode == "quasi_k":
-                want, got = quasi_k_ratio(u, built), quasi_k_ratio(u, func1d._StandardFamily(u, 3))
+                want, got = quasi_k_ratio(u, built), quasi_k_ratio(u, audit_intervals(u, 3))
             else:
-                want = almost_deficiency(u, 0.5, balls_from_intervals(built))
-                got = almost_deficiency(u, 0.5, func1d._StandardFamily(u, 3))
+                want = almost_deficiency(u, 0.5, balls_of(built))
+                got = almost_deficiency(u, 0.5, audit_intervals(u, 3))
             want_bytes = written(want, fmt, tmp_path / f"built{k}.{fmt}")
             with mock.patch.object(func1d, "BLOCK_ROWS", rows):
                 assert written(got, fmt, tmp_path / f"streamed{k}.{fmt}") == want_bytes
@@ -928,18 +954,24 @@ class TestStandardFamily:
 
     def test_made_with_the_size_gate(self):
         u = make_diamond(0.0, 1.0, 0.0)
-        assert len(func1d._StandardFamily(u, 5)) == len(audit_intervals(u, 5))
+        assert len(audit_intervals(u, 5)) == len(whole_family(u, 5))
         with pytest.raises(FamilySizeError, match="would have 64701155 rows"):
-            func1d._StandardFamily(u, 16)
+            audit_intervals(u, 16)
         with pytest.raises(ValueError, match="depth must be an integer of at least 0, got -1"):
-            func1d._StandardFamily(u, -1)
+            audit_intervals(u, -1)
+        # The gate runs once per family: when it is made, not again as its blocks are.
+        with mock.patch.object(func1d, "_check_family_size", wraps=func1d._check_family_size) as spy:
+            family = audit_intervals(u, 5)
+            quasi_k_ratio(u, family).record_count
+            almost_deficiency(u, 0.5, family).record_count
+        assert spy.call_count == 1
 
     @pytest.mark.parametrize(
         "audit", [quasi_k_ratio, omega_report, lambda u, family: almost_deficiency(u, 0.5, family)],
         ids=["quasi", "omega", "almost"],
     )
     def test_a_family_of_another_function_is_refused(self, audit):
-        family = func1d._StandardFamily(make_losange(0.0, 1.0), 2)
+        family = audit_intervals(make_losange(0.0, 1.0), 2)
         with pytest.raises(DomainError, match="only with the function it was made for"):
             audit(double_line(), family)
 
@@ -959,18 +991,54 @@ class TestStandardFamily:
         u = make_diamond(1e5, 1e5 + 7.3, 0.0)
         lo, hi = u.domain
         shrunk = 0
-        balls, cells = func1d._StandardFamily(u, 12).blocks("omega"), func1d._family_blocks(u, 12)
-        for (c, r), (a, b) in zip(map(block_ends, balls), map(block_ends, cells)):
+        family = audit_intervals(u, 12)
+        for (c, r), (a, b) in zip(map(block_ends, family.blocks("omega")), map(block_ends, family.blocks())):
             assert np.all((c - r >= lo) & (c + r <= hi) & (r > 0))
             shrunk += np.count_nonzero(r != 0.5 * (b - a))
         assert shrunk == 8
         assert func1d._audit_supremum(u, "quasi_k", 12) == 2.000000000131061
         assert np.isfinite(func1d._audit_supremum(u, "omega", 12))
         assert np.isfinite(func1d._audit_supremum(u, "almost", 12, 0.5))
-        # The clamp is the stand-in's: the same balls, given as a family, are refused whole.
+        # The clamp is the standard family's: its balls unclamped, given as a family, are refused whole.
         with pytest.raises(DomainError, match="point outside domain"):
-            omega_report(u, balls_from_intervals(audit_intervals(u, 12)))
-        func1d._StandardFamily(make_diamond(1e9, 1e9 + 1.0, 0.0), 12)  # cells of 16 ulps are kept
+            omega_report(u, balls_of(block_columns(family.blocks())))
+        audit_intervals(make_diamond(1e9, 1e9 + 1.0, 0.0), 12)  # cells of 16 ulps are kept
+
+    @pytest.mark.parametrize(
+        "breakpoints, values, pair",
+        [([1.0, 1.0 + 2**-52, 2.0], [0.0, 0.0, 1.0], "1.0 and 1.0000000000000002"),
+         ([0.0, 5e-324, 1.0], [-1.0, -1.0, -1.0], "0.0 and 5e-324")],
+        ids=["one-ulp", "subnormal"],
+    )
+    def test_a_ball_that_could_round_to_radius_0_is_refused(self, breakpoints, values, pair):
+        # The ball of each function's first breakpoint pair had radius 0, so
+        # the omega and almost audits took Dir_min = 0 / 0 ("invalid value
+        # encountered in divide"); a built family of these balls was refused.
+        u = PiecewiseAffineQ(breakpoints, [values])
+        message = f"breakpoints {re.escape(pair)} are within 4 ulps"
+        with mock.patch.object(func1d, "_evaluate", wraps=func1d._evaluate) as spy:
+            for mode in ("omega", "almost"):
+                with pytest.raises(EmptyIntervalError, match=message):
+                    run_audit(u, mode, audit_intervals(u, 0))
+                with pytest.raises(EmptyIntervalError, match=message):
+                    func1d._audit_supremum(u, mode, 0, 0.5)
+        assert spy.call_count == 0
+        # A quasi audit reads the rows as intervals and keeps its result.
+        got, want = quasi_k_ratio(u, audit_intervals(u, 0)), quasi_k_ratio(u, whole_family(u, 0))
+        assert (got.record_count, got.supremum, got.witness) == (want.record_count, want.supremum, want.witness)
+
+    @settings(max_examples=200, deadline=None)
+    @given(u=crowded_functions(), depth=st.integers(0, 2), mode=st.sampled_from(["omega", "almost"]))
+    def test_ball_modes_refuse_or_keep_a_positive_radius(self, u, depth, mode):
+        # A RuntimeWarning (0 / 0 over a ball of radius 0) fails this through pyproject's filter.
+        try:
+            report = run_audit(u, mode, audit_intervals(u, depth))
+        except (DomainError, EmptyIntervalError):  # the finest cell, or two breakpoints, within 4 ulps
+            return
+        lo, hi = u.domain
+        centers, radii = report.centers, report.radii
+        assert np.all((radii > 0) & (centers - radii >= lo) & (centers + radii <= hi))
+        assert not math.isnan(report.supremum)
 
     @pytest.mark.parametrize("mode, fmt", [("quasi", "csv"), ("almost", "json")])
     def test_cli_audit_peak_does_not_grow_with_the_family(self, mode, fmt, tmp_path):
@@ -999,8 +1067,6 @@ class TestFamilySize:
         rows = m * (m - 1) // 2 + sum(2**d + 3**d for d in range(17))
         with pytest.raises(FamilySizeError, match=f"would have {rows} rows"):
             audit_intervals(u, depth=16)
-        with pytest.raises(FamilySizeError, match=f"would have {rows} rows"):
-            next(func1d._family_blocks(u, 16))
 
     def test_many_breakpoints_refused(self):
         # 8193 breakpoints make 33,558,528 pairs, just over 2^25; 8192 make 33,550,336.
@@ -1029,7 +1095,7 @@ class TestAuditScaling:
     def test_quasi_figures_invariant_under_rescaling(self, level, schedule, scale):
         # Dir(u) scales like 1/s and b - a like s, while G^2 is unchanged.
         u = cantor_level(CantorConstruction(level, "diamond", schedule))
-        family = audit_intervals(u, depth=4)
+        family = whole_family(u, depth=4)
         plain = quasi_k_ratio(u, family)
         scaled = quasi_k_ratio(rescale_domain(u, scale), family * scale)
         assert np.all(np.isfinite(plain.figure))
@@ -1049,7 +1115,7 @@ class TestAuditScaling:
         # its energy see the same rounded ends, so a figure moves far less
         # than the relative 1e-9 allowed (400 draws moved it by <= 5.2e-12).
         u = cantor_level(CantorConstruction(level, "diamond", schedule))
-        family = audit_intervals(u, depth=4)
+        family = whole_family(u, depth=4)
         plain = quasi_k_ratio(u, family)
         moved = quasi_k_ratio(PiecewiseAffineQ(u.breakpoints + shift, u.branches), family + shift)
         assert np.all(np.isfinite(plain.figure))

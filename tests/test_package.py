@@ -1,7 +1,9 @@
 """The package's layout: each public name is declared once, in its module's
 `__all__`, every file the package writes goes through `qvlab.writers`, only
-the CLI and the audit report use those writers, importing the package
-loads no scipy, `multiprocessing` or `concurrent` module, and no guard lets NaN through a bare comparison."""
+the CLI and the audit report use those writers, only `func1d.audit_intervals`
+makes the standard audit family, importing the package loads no scipy,
+`multiprocessing` or `concurrent` module, and no guard lets NaN through a
+bare comparison."""
 
 import ast
 import inspect
@@ -96,6 +98,35 @@ def test_only_the_cli_and_the_audit_report_use_the_writers():
     package = Path(qvlab.__file__).parent
     users = [path.name for path in sorted(package.glob("*.py")) if imports_writers(path)]
     assert users == ["cli.py", "func1d.py"]
+
+
+FAMILY_NAMES = {"_StandardFamily", "_family_blocks"}
+
+
+def family_names(source):
+    """(line, name) of each use of the standard family's class or of a blocks generator in `source`."""
+    return [
+        (node.lineno, name)
+        for node in ast.walk(ast.parse(source))
+        for name in [node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)]
+        if name in FAMILY_NAMES
+    ]
+
+
+def test_the_standard_family_has_one_constructor():
+    # `func1d.audit_intervals` makes the standard family; the CLI and the
+    # criteria read it through that function and the family's own `blocks`
+    package = Path(qvlab.__file__).parent
+    found = {path.name: family_names(path.read_text()) for path in sorted(package.glob("*.py"))}
+    assert {name: uses for name, uses in found.items() if uses and name != "func1d.py"} == {}
+    makers = [
+        function.name
+        for function in ast.walk(ast.parse(Path(func1d.__file__).read_text()))
+        if isinstance(function, ast.FunctionDef)
+        for node in ast.walk(function)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "_StandardFamily"
+    ]
+    assert makers == ["audit_intervals"]
 
 
 def test_import_loads_no_scipy():
