@@ -1,9 +1,11 @@
 """Branch-set detection and fractal measurements on a sample grid.
 
 The support count sigma(x) of a multi-branch function drops below Q exactly
-where branches collide.  A scan samples sigma on a grid, flags the points
-where sigma is not locally constant at grid resolution, and the flagged set
-feeds a box-counting dimension estimate and a coarse measure at scale.
+where branches collide.  A scan (`scan`, a `BranchScan`) samples sigma on a
+grid, where `sigma == 1` is the full-collision set, and flags the points
+where sigma is not locally constant at grid resolution.  The flagged set
+feeds a box-counting dimension estimate (`box_counts`, `box_dimension`,
+`dimension_report`) and a coarse measure at scale (`measure_at_scale`).
 """
 
 from __future__ import annotations
@@ -52,10 +54,6 @@ class BranchScan:
 
     def flagged_points(self) -> np.ndarray:
         return self.grid[self.flags]
-
-    def collapsed_mask(self) -> np.ndarray:
-        """Grid mask of the full-collision set {sigma == 1}."""
-        return self.sigma == 1
 
 
 def _sigma_of_columns(values: np.ndarray, tol: float) -> np.ndarray:

@@ -42,7 +42,7 @@ _FIXED = {
     "diamond": lambda samples: cons.make_diamond(0.0, 1.0, 0.0),
     "losange": lambda samples: cons.make_losange(0.0, 1.0),
     "pluri-losange-demo": lambda samples: cons.make_pluri_losange([(0.1, 0.3), (0.5, 0.9)]),
-    "sin": lambda samples: cons.sin_sampled(samples if samples else 4097),
+    "sin": lambda samples: cons.sin_sampled(_checks.integer("--samples", samples, 2, UsageError) if samples else 4097),
 }
 _LEVELED = {
     "cantor-diamond": ("diamond", "ternary"),
@@ -174,10 +174,15 @@ def _cmd_verify_all(_args) -> int:
 
 
 def _float_list(text: str) -> list[float]:
+    """The floats of a comma-separated value; a value with none is refused, so
+    only a flag left out takes its default."""
     try:
-        return [float(part) for part in text.split(",") if part.strip()]
+        values = [float(part) for part in text.split(",") if part.strip()]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected comma-separated floats, got {text!r}") from exc
+    if not values:
+        raise argparse.ArgumentTypeError(f"expected at least one comma-separated float, got {text!r}")
+    return values
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -239,7 +244,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _argv_from_config(path: str) -> list[str]:
     """The argv of a JSON config: its "command", its "name" as the positional,
-    and every other key as that flag, a list joined by commas.  The keys are
+    and every other key as one ``--key=value`` token, a list joined by commas,
+    so that a value starting with "-" is not read as a flag.  The keys are
     the command's flags, so its parser checks them as it checks flags and
     takes the same abbreviations."""
     try:
@@ -254,11 +260,8 @@ def _argv_from_config(path: str) -> list[str]:
     if positional is not None:
         argv.append(str(positional))
     for key, value in config.items():
-        flag = f"--{key}"
-        if isinstance(value, list):
-            argv.extend([flag, ",".join(repr(float(v)) for v in value)])
-        else:
-            argv.extend([flag, str(value)])
+        text = ",".join(repr(float(v)) for v in value) if isinstance(value, list) else str(value)
+        argv.append(f"--{key}={text}")
     return argv
 
 

@@ -1,14 +1,17 @@
 """Multi-branch piecewise-affine functions on an interval.
 
 A codimension-one Q-branch function is stored as Q sorted real branches over
-a shared breakpoint grid.  Because branches are piecewise affine, Dirichlet
-energies are closed-form sums, segment by segment, and the interval
-minimizer for given boundary tuples is the sorted linear interpolation whose
-energy equals the squared matching distance of the boundary tuples divided
-by the interval length.  On top of the exact energies this module provides
-an empirical energy-decay exponent and the three minimality audits, which
-are one comparison with three figures of merit.  Each audit reads its family
-once and checks it whole (finite ends, then a < b, then the domain), then
+a shared breakpoint grid; `branch_values` gives its sorted values at points.
+Because branches are piecewise affine, Dirichlet energies are closed-form
+sums, segment by segment: `energy_between` and `dirichlet_energy` take
+differences of one energy prefix.  The interval minimizer for given boundary
+tuples (`exact_minimizer`, `minimizer_energy`) is the sorted linear
+interpolation whose energy equals the squared matching distance of the
+boundary tuples divided by the interval length.  On top of the exact
+energies this module provides an empirical energy-decay exponent and the
+three minimality audits, which are one comparison with three figures of
+merit.  Each audit reads its family once and checks it whole (finite
+ends, then a < b, then the domain), then
 `_evaluate`, the one block evaluator, takes it `BLOCK_ROWS` rows at a time:
 one energy prefix per evaluation, the branch values and prefix at the
 block's ends, G^2 and Dir(u) from them, and the mode's figure and skip rule.
@@ -60,7 +63,6 @@ from .writers import Records, write_csv, write_json
 
 __all__ = [
     "PiecewiseAffineQ",
-    "StepWeight",
     "AuditRecord",
     "MinimalityReport",
     "DomainError",
@@ -68,20 +70,17 @@ __all__ = [
     "FamilySizeError",
     "UnsupportedCodimensionError",
     "UndefinedExponentError",
-    "evaluate",
     "branch_values",
     "dirichlet_energy",
     "energy_between",
     "exact_minimizer",
     "minimizer_energy",
-    "matching_distance_sq",
     "quasi_k_ratio",
     "omega_profile",
     "omega_report",
     "almost_deficiency",
     "energy_decay_exponent",
     "audit_intervals",
-    "rescale_domain",
 ]
 
 # Rows per block of an audit family.  Blocks of 1024 rows doubled the time
@@ -197,38 +196,6 @@ class PiecewiseAffineQ:
         return np.concatenate(([0.0], np.cumsum(density * seg)))
 
 
-@dataclass(frozen=True)
-class StepWeight:
-    """Piecewise-constant positive weight: values[i] on (knots[i], knots[i+1]).
-
-    It is defined on [knots[0], knots[-1]] only: a weighted energy over an
-    interval that the knots do not cover is refused."""
-
-    knots: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        knots = np.asarray(self.knots, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        if knots.ndim != 1 or values.ndim != 1 or knots.size != values.size + 1:
-            raise ValueError("need k+1 knots for k weight values")
-        _checks.finite("weight knots and values", knots, values)
-        if not np.all(np.diff(knots) > 0):
-            raise ValueError("weight knots must be strictly increasing")
-        if not np.all(values > 0):
-            raise ValueError("weight values must be positive")
-        knots = knots.copy()
-        values = values.copy()
-        knots.flags.writeable = False
-        values.flags.writeable = False
-        object.__setattr__(self, "knots", knots)
-        object.__setattr__(self, "values", values)
-
-    def value_at(self, x: np.ndarray) -> np.ndarray:
-        idx = np.clip(np.searchsorted(self.knots, x, side="right") - 1, 0, self.values.size - 1)
-        return self.values[idx]
-
-
 def _check_in_domain(u: PiecewiseAffineQ, x) -> None:
     """Refuse unless lo <= x <= hi holds for every value; NaN fails it."""
     lo, hi = u.domain
@@ -242,12 +209,6 @@ def branch_values(u: PiecewiseAffineQ, x) -> np.ndarray:
     """Sorted branch values at x (scalar or array); shape (Q,) + x.shape."""
     _check_in_domain(u, x)
     return np.stack([np.interp(x, u.breakpoints, row) for row in u.branches])
-
-
-def evaluate(u: PiecewiseAffineQ, x: float) -> QPoint:
-    """Value of the multi-branch function at x as an unordered tuple."""
-    vals = branch_values(u, float(x))
-    return QPoint(vals.reshape(u.q_count, 1))
 
 
 def energy_between(u: PiecewiseAffineQ, a, b) -> np.ndarray:
@@ -267,42 +228,16 @@ def energy_between(u: PiecewiseAffineQ, a, b) -> np.ndarray:
     return pb - pa
 
 
-def dirichlet_energy(
-    u: PiecewiseAffineQ,
-    a: float,
-    b: float,
-    weight: Optional[StepWeight] = None,
-) -> float:
-    """Exact Dirichlet energy of u over [a, b], optionally weighted.
+def dirichlet_energy(u: PiecewiseAffineQ, a: float, b: float) -> float:
+    """Exact Dirichlet energy of u over [a, b].
 
-    Computed in closed form segment by segment, never by quadrature; the
-    unweighted value is a difference of shared prefix sums, so it is
-    additive over adjacent intervals to rounding.
+    A difference of shared prefix sums, computed in closed form segment by
+    segment and never by quadrature, so it is additive over adjacent
+    intervals to rounding.
     """
     _checks.finite("interval ends", a, b, error=DomainError)
     _checks.interval(a, b, EmptyIntervalError)
-    if weight is None:
-        return float(energy_between(u, a, b))
-    _check_in_domain(u, [a, b])
-    if not weight.knots[0] <= a < b <= weight.knots[-1]:
-        raise DomainError(f"the weight's knots [{weight.knots[0]}, {weight.knots[-1]}] do not cover [{a}, {b}]")
-    cuts = np.concatenate((u.breakpoints, weight.knots, [a, b]))
-    cuts = np.unique(cuts)
-    cuts = cuts[(cuts >= a) & (cuts <= b)]
-    mids = 0.5 * (cuts[:-1] + cuts[1:])
-    seg_idx = np.clip(np.searchsorted(u.breakpoints, mids, side="right") - 1, 0, len(u.breakpoints) - 2)
-    density = (u.slopes() ** 2).sum(axis=0)[seg_idx]
-    return float(np.sum(weight.value_at(mids) * density * np.diff(cuts)))
-
-
-def matching_distance_sq(u: PiecewiseAffineQ, a, b) -> np.ndarray:
-    """Squared matching distance between u(a) and u(b), vectorized.
-
-    Branches are stored sorted, so the sorted pairing of the endpoint
-    values, which is optimal in one dimension, is a direct column
-    difference.
-    """
-    return _end_gaps(u, (a, b), 0, 1)[-1]
+    return float(energy_between(u, a, b))
 
 
 def _difference(f, points, ia, ib) -> np.ndarray:
@@ -761,9 +696,3 @@ def audit_intervals(u: PiecewiseAffineQ, depth: int = 12) -> _StandardFamily:
     is within 4 ulps of its ends (DomainError), is refused here.
     """
     return _StandardFamily(u, depth)
-
-
-def rescale_domain(u: PiecewiseAffineQ, scale: float) -> PiecewiseAffineQ:
-    """Stretch the domain by `scale` > 0, keeping branch values."""
-    _checks.real("scale", scale)
-    return PiecewiseAffineQ(u.breakpoints * scale, u.branches)

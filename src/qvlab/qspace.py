@@ -4,10 +4,13 @@ A configuration is a multiset of Q points in R^n.  The distance between two
 configurations is the minimum over pairings of the root-sum-square of the
 pairwise distances, solved exactly: by the sorted pairing in one dimension
 and otherwise by the module's own assignment solver, so the package needs
-nothing beyond numpy.  On top of the metric this module provides
-support/multiplicity queries, a scale-separated cluster selection, and a
-Lipschitz semi-retraction onto configurations with prescribed multiplicities
-around well-separated centers.
+nothing beyond numpy.  On top of the metric this module provides the
+support with multiplicities (`support_with_multiplicity`, whose length is
+the support count sigma), the separation constant C(Q) (`c_of_q`), a
+scale-separated cluster selection (`select_clusters`), and a Lipschitz
+semi-retraction (`semi_retraction`, with its stated bound `lipschitz_bound`)
+onto configurations with prescribed multiplicities around well-separated
+centers.
 """
 
 from __future__ import annotations
@@ -26,9 +29,7 @@ __all__ = [
     "DimensionMismatchError",
     "metric_g",
     "support_with_multiplicity",
-    "sigma",
     "c_of_q",
-    "c2_of_q",
     "select_clusters",
     "semi_retraction",
     "lipschitz_bound",
@@ -78,9 +79,6 @@ class QPoint:
         if self.ambient_dim != 1:
             raise ValueError("sorted_values requires ambient dimension 1")
         return np.sort(self.points[:, 0])
-
-    def translate(self, offset) -> "QPoint":
-        return QPoint(self.points + np.atleast_1d(np.asarray(offset, dtype=float)))
 
 
 def _check_compatible(a: QPoint, b: QPoint) -> None:
@@ -243,21 +241,11 @@ def support_with_multiplicity(a: QPoint, tol: float = 0.0) -> list[tuple[np.ndar
     return [(pts[leader].copy(), size) for leader, size in _single_linkage(pts, _spanning_tree(pts), tol)]
 
 
-def sigma(a: QPoint, tol: float = 0.0) -> int:
-    """Number of distinct support points at clustering scale `tol`."""
-    return len(support_with_multiplicity(a, tol))
-
-
 def c_of_q(q: int, k: float) -> float:
     """Geometric separation constant 1 + g + g^2 + ... + g^(Q-1), g = 2K(Q-1)^2."""
     q = _checks.integer("Q", q, 2)
     base = (2.0 * _checks.real("K", k, 1)) * (q - 1) ** 2
     return float(sum(base**t for t in range(q)))
-
-
-def c2_of_q(q: int, k: float) -> float:
-    """c_of_q scaled by (Q-1)^(-1/2); undefined for Q = 1, where c_of_q refuses Q."""
-    return c_of_q(q, k) / np.sqrt(q - 1.0)
 
 
 @dataclass(frozen=True)

@@ -55,7 +55,7 @@ class TestScan:
         sc = scan(u, 3**level + 1)
         cell = 3.0**-level
         kept = spec.kept_intervals()
-        collapsed = sc.collapsed_mask()
+        collapsed = sc.sigma == 1
         for x, hit in zip(sc.grid, collapsed):
             dist = min(max(a - x, 0.0, x - b) for a, b in kept)
             if hit:
@@ -74,7 +74,7 @@ class TestScan:
             assert dist <= cell + 1e-12
         # every interior kept grid point is flagged: removed material sits
         # within one cell.  The domain endpoints see none inside their window.
-        collapsed = sc.collapsed_mask()
+        collapsed = sc.sigma == 1
         assert np.all(sc.flags[1:-1][collapsed[1:-1]])
 
     def test_grid_refinement_moves_flags_by_at_most_one_cell(self):

@@ -20,7 +20,7 @@ from qvlab.constructions import (
 )
 from qvlab.disk2d import AliasingError, minimize_disk, sorted_trace
 from qvlab.func1d import DomainError, FamilySizeError, almost_deficiency, audit_intervals
-from qvlab.qspace import ClusterSelection, QPoint, RetractionParams, c2_of_q, c_of_q, select_clusters
+from qvlab.qspace import ClusterSelection, QPoint, RetractionParams, c_of_q, select_clusters
 
 NAN, INF = math.nan, math.inf
 UNIT = make_diamond(0.0, 1.0)
@@ -57,7 +57,6 @@ CASES = {
     "c_of_q-q-2.5": (lambda: c_of_q(2.5, 2.0), ValueError, "Q"),
     "c_of_q-q-nan": (lambda: c_of_q(NAN, 2.0), ValueError, "Q"),
     "c_of_q-q-inf": (lambda: c_of_q(INF, 2.0), ValueError, "Q"),
-    "c2_of_q-q-1": (lambda: c2_of_q(1, 2.0), ValueError, "Q"),
     "ClusterSelection-radius-nan": (
         lambda: ClusterSelection(1, (2,), np.array([[0.0]]), radius=NAN, s0=1.0, separation_k=2.0), ValueError, "radius"
     ),

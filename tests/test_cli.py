@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import ctypes
 import hashlib
 import io
 import json
@@ -270,17 +271,60 @@ def disk_argvs(draw):
     ]
 
 
-def run_drawn(argv, out):
-    """cli.main on `argv` writing to `out`: (exit code, stdout).  A
-    RuntimeWarning is raised as an error, so it escapes as a failure."""
+LIBC = ctypes.CDLL(None)
+LIBC.fflush.argtypes, LIBC.fflush.restype = [ctypes.c_void_p], ctypes.c_int
+LIBC.puts.argtypes, LIBC.puts.restype = [ctypes.c_char_p], ctypes.c_int
+
+
+@contextlib.contextmanager
+def c_output():
+    """Collect what is written to file descriptors 1 and 2 inside the block,
+    past `sys.stdout` and `sys.stderr`: LAPACK prints its " ** On entry to
+    DLASCL" lines with C stdio, which is flushed before the descriptors are
+    put back.  Yields a list that holds the text once the block ends."""
+    written = []
+    with tempfile.TemporaryFile() as sink:
+        LIBC.fflush(None)
+        saved = [os.dup(1), os.dup(2)]
+        for fd in (1, 2):
+            os.dup2(sink.fileno(), fd)
+        try:
+            yield written
+        finally:
+            LIBC.fflush(None)
+            for fd, copy in zip((1, 2), saved):
+                os.dup2(copy, fd)
+                os.close(copy)
+            sink.seek(0)
+            written.append(sink.read().decode(errors="replace"))
+
+
+def run_main(argv):
+    """cli.main on `argv`: (exit code, stdout).  A RuntimeWarning is raised
+    as an error, so it escapes as a failure, and nothing may reach the
+    process's own stdout or stderr, where a LAPACK line would go."""
     stdout = io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()), warnings.catch_warnings():
+    with c_output() as leaked, contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()), \
+            warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         try:
-            code = cli.main([*argv, f"--out={out}"])
+            code = cli.main(argv)
         except SystemExit as exc:
             code = exc.code
+    assert leaked == [""], leaked
     return code, stdout.getvalue()
+
+
+def run_drawn(argv, out):
+    """`run_main` on a drawn argv writing to `out`."""
+    return run_main([*argv, f"--out={out}"])
+
+
+def test_c_output_sees_a_line_that_c_stdio_buffers():
+    # a negative control: LAPACK's lines come through C stdio, which a redirect of sys.stdout does not see
+    with c_output() as leaked, contextlib.redirect_stdout(io.StringIO()):
+        LIBC.puts(b" ** On entry to DLASCL parameter number  4 had an illegal value")
+    assert leaked == [" ** On entry to DLASCL parameter number  4 had an illegal value\n"]
 
 
 def read_back(argv, out):
@@ -389,6 +433,51 @@ class TestExampleAndDiskBoundary:
                 assert written[0][0] == "angle" and written[1]
 
 
+def number_or_text(text):
+    """A drawn flag value as a config holds it: an int, a float, or else the text."""
+    for kind in (int, float):
+        with contextlib.suppress(ValueError):
+            return kind(text)
+    return text
+
+
+def config_of(argv):
+    """The JSON config of a drawn ``--flag=value`` argv: a list flag's value
+    is its list of floats, a repeated entry kept, and any other value a
+    number where it is one."""
+    config = {"command": argv[0], "name": argv[1]}
+    for item in argv[2:]:
+        key, text = item[2:].split("=", 1)
+        is_list = key in ("radii", "scales")
+        config[key] = [float(entry) for entry in text.split(",")] if is_list else number_or_text(text)
+    return config
+
+
+class TestConfigBoundary:
+    """A drawn `audit`, `decay` or `branch` call written as a --config file:
+    with an unknown key (one draw in four), exit 2 and no file; without one,
+    the flags' exit code and output, and a file only on exit 0."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(argv=st.one_of(audit_argvs(), decay_argvs(), branch_argvs()),
+           unknown=st.sampled_from([True, False, False, False]))
+    def test_config_exits_0_with_the_flags_file_or_2_without_one(self, argv, unknown):
+        with tempfile.TemporaryDirectory() as tmp:
+            out, path = Path(tmp, "config.out"), Path(tmp, "run.json")
+            path.write_text(json.dumps({**config_of(argv), "out": str(out), **({"bogus": 1} if unknown else {})}))
+            code, stdout = run_main(["--config", str(path)])
+            assert code in (0, 2)
+            if code == 2:
+                assert not out.exists()
+            if unknown:
+                assert code == 2
+                return
+            flags_out = Path(tmp, "flags.out")
+            assert (code, stdout) == run_drawn(argv, flags_out)
+            if code == 0:
+                assert out.read_bytes() == flags_out.read_bytes()
+
+
 class TestLevelBound:
     """Every command that takes --level refuses one past MAX_LEVEL before writing anything."""
 
@@ -447,6 +536,41 @@ class TestCountBeforeAllocating:
         assert code == 2
         assert f"--samples must be an integer of at least 1, got {samples}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["example"], ["audit", "--mode", "quasi"]], ids=["example", "audit"])
+    def test_sin_samples_below_two_name_the_flag(self, tmp_path, capsys, command):
+        # this said "n must be an integer of at least 2", the sine sampler's own parameter
+        out = tmp_path / "out.csv"
+        assert cli.main([command[0], "sin", *command[1:], "--samples", "1", "--out", str(out)]) == 2
+        assert "error: --samples must be an integer of at least 2, got 1" in capsys.readouterr().err
+        assert not out.exists()
+
+
+# Per command: a call without its list flag, and that flag.
+LIST_FLAG_CALLS = {
+    "audit": (["audit", "diamond", "--mode", "omega", "--centers", "3"], "radii"),
+    "branch": (["branch", "diamond", "--grid", "101"], "scales"),
+    "decay": (["decay", "diamond", "--center", "0.5", "--r0", "0.1"], "scales"),
+}
+
+
+@pytest.mark.parametrize("form", ["flag", "config"])
+@pytest.mark.parametrize("command", sorted(LIST_FLAG_CALLS))
+def test_an_empty_list_is_usage_error(tmp_path, capsys, command, form):
+    # `--radii ,` and `--scales ,`, and a config's empty list (`--scales ""`), took the default values and exited 0
+    argv, flag = LIST_FLAG_CALLS[command]
+    out = tmp_path / "out.csv"
+    if form == "flag":
+        code = cli.main([*argv, f"--{flag}", ",", "--out", str(out)])
+    else:
+        config = {"command": argv[0], "name": argv[1], flag: [], "out": str(out)}
+        config.update((key[2:], value) for key, value in zip(argv[2::2], argv[3::2]))
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        code = cli.main(["--config", str(path)])
+    assert code == 2
+    assert f"argument --{flag}: expected at least one comma-separated float" in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestBranchAndDecay:
@@ -662,10 +786,12 @@ class TestConfig:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
         assert cli.main(["--config", str(path)]) == 2
-        assert "unrecognized arguments: --bogus 1" in capsys.readouterr().err
+        assert "unrecognized arguments: --bogus=1" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
-    # Per command: a config holding every one of its keys, and the same call as flags.
+    # Per command: a config holding every one of its keys, and the same call as
+    # flags.  A value that starts with "-" was read as a flag with no value
+    # (`--center -1e-05`), so the last config exited 2 where its flags exit 0.
     ALL_KEYS = {
         "example": (
             {"name": "cantor-diamond", "level": 2, "samples": 33, "format": "json"},
@@ -693,6 +819,10 @@ class TestConfig:
             {"trace": "sqrt-type", "radius": 2.0, "samples": 64, "modes": 8, "format": "json"},
             ["disk", "--trace", "sqrt-type", "--radius", "2.0", "--samples", "64", "--modes", "8", "--format", "json"],
         ),
+        "decay-negative-center": (
+            {"name": "sin", "center": -1e-05, "r0": 0.01},
+            ["decay", "sin", "--center=-1e-05", "--r0", "0.01"],
+        ),
     }
 
     @pytest.mark.parametrize("command", sorted(ALL_KEYS))
@@ -701,7 +831,7 @@ class TestConfig:
         assert cli.main([*argv, "--out", str(tmp_path / "flags.out")]) == 0
         from_flags = capsys.readouterr()
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"command": command, **keys, "out": str(tmp_path / "config.out")}))
+        path.write_text(json.dumps({"command": argv[0], **keys, "out": str(tmp_path / "config.out")}))
         assert cli.main(["--config", str(path)]) == 0
         assert capsys.readouterr() == from_flags
         assert (tmp_path / "config.out").read_bytes() == (tmp_path / "flags.out").read_bytes()

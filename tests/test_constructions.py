@@ -32,7 +32,6 @@ from qvlab.func1d import (
     audit_intervals,
     branch_values,
     dirichlet_energy,
-    evaluate,
     minimizer_energy,
     omega_profile,
     quasi_k_ratio,
@@ -50,17 +49,17 @@ def sup_metric_distance(u, v, samples=20001):
 class TestDiamond:
     def test_vertices(self):
         u = make_diamond(0.0, 1.0, 0.0)
-        assert np.allclose(evaluate(u, 0.0).points.ravel(), [0.0, 0.0])
-        assert np.allclose(evaluate(u, 1.0).points.ravel(), [0.5, 0.5])
-        assert sorted(evaluate(u, 0.5).points.ravel()) == [0.0, 0.5]
+        assert np.allclose(branch_values(u, 0.0), [0.0, 0.0])
+        assert np.allclose(branch_values(u, 1.0), [0.5, 0.5])
+        assert sorted(branch_values(u, 0.5)) == [0.0, 0.5]
 
     def test_energy_is_length(self):
         assert dirichlet_energy(make_diamond(0.0, 1.0, 0.0), 0.0, 1.0) == pytest.approx(1.0, rel=1e-14)
 
     def test_height_offset(self):
         u = make_diamond(0.2, 0.6, 1.5)
-        assert np.allclose(evaluate(u, 0.2).points.ravel(), [1.5, 1.5])
-        assert np.allclose(evaluate(u, 0.6).points.ravel(), [1.7, 1.7])
+        assert np.allclose(branch_values(u, 0.2), [1.5, 1.5])
+        assert np.allclose(branch_values(u, 0.6), [1.7, 1.7])
 
     def test_lipschitz_constant(self):
         u = make_diamond(0.0, 1.0, 0.0)
@@ -70,7 +69,7 @@ class TestDiamond:
         for x, y in zip(xs, ys):
             if x == y:
                 continue
-            d = metric_g(evaluate(u, x), evaluate(u, y))
+            d = metric_g(QPoint(branch_values(u, x)), QPoint(branch_values(u, y)))
             assert d <= np.sqrt(2.0) * abs(x - y) * (1 + 1e-12)
 
     def test_degenerate_interval(self):
@@ -81,9 +80,9 @@ class TestDiamond:
 class TestLosange:
     def test_vertices(self):
         u = make_losange(0.0, 1.0)
-        assert sorted(evaluate(u, 0.5).points.ravel()) == [-0.5, 0.5]
-        assert np.allclose(evaluate(u, 0.0).points.ravel(), [0.0, 0.0])
-        assert np.allclose(evaluate(u, 1.0).points.ravel(), [0.0, 0.0])
+        assert sorted(branch_values(u, 0.5)) == [-0.5, 0.5]
+        assert np.allclose(branch_values(u, 0.0), [0.0, 0.0])
+        assert np.allclose(branch_values(u, 1.0), [0.0, 0.0])
 
     def test_energy(self):
         assert dirichlet_energy(make_losange(0.0, 1.0), 0.0, 1.0) == pytest.approx(2.0, rel=1e-14)
@@ -182,19 +181,19 @@ class TestCantorLevelBound:
 class TestCantorDiamond:
     def test_level_one_shape(self):
         u = cantor_level(CantorConstruction(1, "diamond"))
-        assert np.allclose(evaluate(u, 1.0 / 3.0).points.ravel(), [0.0, 0.0])
-        assert np.allclose(evaluate(u, 0.0).points.ravel(), [-1 / 3, -1 / 3], atol=1e-15)
-        assert np.allclose(evaluate(u, 1.0).points.ravel(), [0.5, 0.5], atol=1e-15)
-        assert sorted(evaluate(u, 0.5).points.ravel()) == pytest.approx([0.0, 1.0 / 6.0])
+        assert np.allclose(branch_values(u, 1.0 / 3.0), [0.0, 0.0])
+        assert np.allclose(branch_values(u, 0.0), [-1 / 3, -1 / 3], atol=1e-15)
+        assert np.allclose(branch_values(u, 1.0), [0.5, 0.5], atol=1e-15)
+        assert sorted(branch_values(u, 0.5)) == pytest.approx([0.0, 1.0 / 6.0])
 
     def test_level_two_diamond_placement(self):
         u = cantor_level(CantorConstruction(2, "diamond"))
         # separation is positive exactly above the removed intervals
         for mid in (1.0 / 6.0, 0.5, 5.0 / 6.0):
-            v = np.sort(evaluate(u, mid).points.ravel())
+            v = np.sort(branch_values(u, mid))
             assert v[1] - v[0] > 0.05
         for x in (0.05, 0.25, 0.7, 0.95):
-            v = np.sort(evaluate(u, x).points.ravel())
+            v = np.sort(branch_values(u, x))
             assert v[1] - v[0] <= 1e-12
 
     @pytest.mark.parametrize("level", [1, 2, 3, 5])
@@ -216,7 +215,7 @@ class TestCantorDiamond:
                 assert not in_kept
         # midpoints of removed intervals separate by half the removed length
         for iv, eta in zip(spec.removed_intervals(), spec.gap_profile()):
-            v = np.sort(evaluate(u, 0.5 * (iv.a + iv.b)).points.ravel())
+            v = np.sort(branch_values(u, 0.5 * (iv.a + iv.b)))
             assert v[1] - v[0] == pytest.approx(eta, rel=1e-12)
 
     def test_gap_persists_at_later_levels(self):
@@ -227,8 +226,8 @@ class TestCantorDiamond:
         u5 = cantor_level(CantorConstruction(5, "diamond"))
         for iv in early.removed_intervals():
             mid = 0.5 * (iv.a + iv.b)
-            g2 = np.diff(np.sort(evaluate(u2, mid).points.ravel()))[0]
-            g5 = np.diff(np.sort(evaluate(u5, mid).points.ravel()))[0]
+            g2 = np.diff(np.sort(branch_values(u2, mid)))[0]
+            g5 = np.diff(np.sort(branch_values(u5, mid)))[0]
             assert g5 == pytest.approx(g2, rel=1e-12)
 
     def test_refinement_drifts_values_beyond_touched_intervals(self):
@@ -237,7 +236,7 @@ class TestCantorDiamond:
         for level in (1, 2, 3, 4, 5):
             u = cantor_level(CantorConstruction(level, "diamond"))
             v = cantor_level(CantorConstruction(level + 1, "diamond"))
-            drift = abs(evaluate(u, 1.0).points[0, 0] - evaluate(v, 1.0).points[0, 0])
+            drift = abs(branch_values(u, 1.0)[0] - branch_values(v, 1.0)[0])
             assert drift == pytest.approx(2.0 ** (level - 2) * 3.0 ** -(level + 1), rel=1e-12)
         # consequence: for level >= 4 consecutive levels are farther apart
         # than 3^-level in the uniform metric
@@ -255,8 +254,8 @@ class TestCantorLosange:
     def test_level_two_placement(self):
         u = cantor_level(CantorConstruction(2, "losange"))
         for x in (0.05, 0.27, 0.95):
-            assert np.allclose(evaluate(u, x).points.ravel(), [0.0, 0.0], atol=1e-15)
-        v = np.sort(evaluate(u, 0.5).points.ravel())
+            assert np.allclose(branch_values(u, x), [0.0, 0.0], atol=1e-15)
+        v = np.sort(branch_values(u, 0.5))
         assert v == pytest.approx([-1.0 / 6.0, 1.0 / 6.0])
 
     def test_refinement_is_local(self):
@@ -296,7 +295,7 @@ class TestCantorLimit:
         approx, _ = cantor_limit("diamond", 6)
         spec = CantorConstruction(6, "diamond")
         for a, b in spec.kept_intervals()[:16]:
-            v = np.sort(evaluate(approx, 0.5 * (a + b)).points.ravel())
+            v = np.sort(branch_values(approx, 0.5 * (a + b)))
             assert v[1] - v[0] <= 1e-12
 
 
@@ -373,17 +372,16 @@ class TestSinSampled:
 
     def test_origin_double_point(self):
         u = sin_sampled(4097)
-        v = evaluate(u, 0.0)
-        assert np.allclose(v.points.ravel(), [0.0, 0.0], atol=1e-15)
+        assert np.allclose(branch_values(u, 0.0), [0.0, 0.0], atol=1e-15)
 
     def test_branch_identification(self):
         u = sin_sampled(4097)
         x = 0.5
-        v = np.sort(evaluate(u, x).points.ravel())
+        v = np.sort(branch_values(u, x))
         assert v[0] == pytest.approx(np.sin(x), abs=1e-7)
         assert v[1] == pytest.approx(x, abs=1e-12)
         x = -0.5
-        v = np.sort(evaluate(u, x).points.ravel())
+        v = np.sort(branch_values(u, x))
         assert v[0] == pytest.approx(x, abs=1e-12)
         assert v[1] == pytest.approx(np.sin(x), abs=1e-7)
 

@@ -20,7 +20,6 @@ from qvlab.func1d import (
     EmptyIntervalError,
     FamilySizeError,
     PiecewiseAffineQ,
-    StepWeight,
     UndefinedExponentError,
     UnsupportedCodimensionError,
     almost_deficiency,
@@ -29,14 +28,11 @@ from qvlab.func1d import (
     dirichlet_energy,
     energy_between,
     energy_decay_exponent,
-    evaluate,
     exact_minimizer,
-    matching_distance_sq,
     minimizer_energy,
     omega_profile,
     omega_report,
     quasi_k_ratio,
-    rescale_domain,
 )
 from qvlab.qspace import QPoint, metric_g
 from qvlab.writers import Records, write_csv, write_json
@@ -49,13 +45,11 @@ def double_line():
 class TestEvaluation:
     def test_affine_interpolation(self):
         u = PiecewiseAffineQ([0.0, 1.0], [[0.0, 1.0], [0.0, 1.0]])
-        v = evaluate(u, 0.5)
-        assert np.allclose(v.points, [[0.5], [0.5]])
+        assert np.allclose(branch_values(u, 0.5), [0.5, 0.5])
 
     def test_diamond_midpoint(self):
         u = make_diamond(0.0, 1.0, 0.0)
-        v = evaluate(u, 0.5)
-        assert sorted(v.points[:, 0]) == [0.0, 0.5]
+        assert branch_values(u, 0.5).tolist() == [0.0, 0.5]
 
     def test_breakpoint_values_exact(self):
         u = make_diamond(0.25, 0.75, 0.5)
@@ -66,7 +60,7 @@ class TestEvaluation:
 
     def test_outside_domain(self):
         with pytest.raises(DomainError):
-            evaluate(double_line(), 1.5)
+            branch_values(double_line(), 1.5)
 
     def test_unsorted_branches_rejected(self):
         with pytest.raises(ValueError):
@@ -100,28 +94,25 @@ class TestEvaluation:
 
     def test_rescale_to_an_overflowing_energy_refused(self):
         # the subnormal domain used to get energy inf
+        u = make_diamond(0.0, 1.0)
         with pytest.raises(ValueError, match="the Dirichlet energy of the function overflows"):
-            rescale_domain(make_diamond(0.0, 1.0), 1e-320)
+            PiecewiseAffineQ(u.breakpoints * 1e-320, u.branches)
 
     @pytest.mark.parametrize(
         "call, message",
         [
             (lambda u: branch_values(u, np.nan), None),
-            (lambda u: matching_distance_sq(u, [np.nan], [0.5]), None),
             # dirichlet_energy checks that its ends are finite before a < b, as exact_minimizer does
             (lambda u: dirichlet_energy(u, np.nan, 1.0), "interval ends must be finite, got nan"),
-            (lambda u: dirichlet_energy(u, np.nan, 1.0, StepWeight([0.0, 0.5, 1.0], [1.0, 2.0])),
-             "interval ends must be finite, got nan"),
             # these gave nan, and 0.5 clamped by np.interp
             (lambda u: energy_between(u, np.nan, 0.5), None),
             (lambda u: energy_between(u, -5.0, 0.5), None),
             (lambda u: energy_between(u, [0.1, 0.2], np.array([0.5, np.nan])), None),
         ],
-        ids=["branch_values", "matching_distance_sq", "dirichlet_energy", "dirichlet_energy-weighted",
-             "energy_between", "energy_between-outside", "energy_between-array"],
+        ids=["branch_values", "dirichlet_energy", "energy_between", "energy_between-outside", "energy_between-array"],
     )
     def test_nan_point_is_outside_the_domain(self, call, message):
-        # NaN fails lo <= x <= hi; it used to pass as inside and give nan (or 0.0 weighted)
+        # NaN fails lo <= x <= hi; it used to pass as inside and give nan
         with pytest.raises(DomainError, match=message or r"point outside domain \[0.0, 1.0\]"):
             call(make_diamond(0.0, 1.0))
 
@@ -165,53 +156,11 @@ class TestDirichletEnergy:
     def test_scaling_covariance(self):
         u = cantor_level(CantorConstruction(3, "diamond"))
         lam = 2.5
-        v = rescale_domain(u, lam)
+        v = PiecewiseAffineQ(u.breakpoints * lam, u.branches)
         assert dirichlet_energy(v, 0.0, lam) == pytest.approx(dirichlet_energy(u, 0.0, 1.0) / lam, rel=1e-12)
         ru = quasi_k_ratio(u, [(0.2, 0.8)]).supremum
         rv = quasi_k_ratio(v, [(0.2 * lam, 0.8 * lam)]).supremum
         assert rv == pytest.approx(ru, rel=1e-12)
-
-    @pytest.mark.parametrize("scale", [0.0, np.nan, np.inf])
-    def test_rescale_needs_positive_finite_scale(self, scale):
-        with pytest.raises(ValueError, match=r"scale must lie in \(0, inf\)"):
-            rescale_domain(double_line(), scale)
-
-
-class TestWeightedEnergy:
-    def test_matches_manual_sum(self):
-        u = make_diamond(0.0, 1.0, 0.0)
-        w = StepWeight([0.0, 0.25, 1.0], [3.0, 0.5])
-        # |slopes|^2 is identically 1 on the diamond
-        assert dirichlet_energy(u, 0.0, 1.0, weight=w) == pytest.approx(3.0 * 0.25 + 0.5 * 0.75, rel=1e-14)
-
-    def test_bounded_weight_bounds_the_ratio(self):
-        # weighted energy against the unweighted minimizer inflates the
-        # quasiminimality factor by at most max(a)/min(a)
-        u = cantor_level(CantorConstruction(2, "diamond"))
-        w = StepWeight([0.0, 0.4, 1.0], [2.0, 0.5])
-        hi, lo = 2.0, 0.5
-        for a, b in [(0.1, 0.9), (1 / 3, 2 / 3), (0.05, 0.6)]:
-            ju = dirichlet_energy(u, a, b, weight=w)
-            base = quasi_k_ratio(u, [(a, b)]).supremum
-            jmin = lo * matching_distance_sq(u, a, b) / (b - a)
-            assert ju <= (hi / lo) * base * jmin * (1 + 1e-12)
-
-    def test_weight_validation(self):
-        with pytest.raises(ValueError):
-            StepWeight([0.0, 1.0], [0.0])
-
-    @pytest.mark.parametrize("knots, values", [([0.0, 1.0], [np.inf]), ([0.0, np.inf], [1.0]), ([0.0, 1.0], [np.nan])])
-    def test_weight_must_be_finite(self, knots, values):
-        # an infinite value gave Dir = inf, or NaN on a flat function
-        with pytest.raises(ValueError, match="weight knots and values must be finite"):
-            StepWeight(knots, values)
-
-    def test_weight_must_cover_the_interval(self):
-        # the weight used to be stretched past its knots: 2.0 over [0.1, 0.9] gave 1.6
-        u = make_diamond(0.0, 1.0)
-        with pytest.raises(DomainError, match=r"the weight's knots \[0.4, 0.6\] do not cover \[0.1, 0.9\]"):
-            dirichlet_energy(u, 0.1, 0.9, StepWeight([0.4, 0.6], [2.0]))
-        assert dirichlet_energy(u, 0.4, 0.6, StepWeight([0.4, 0.6], [2.0])) == pytest.approx(0.4, rel=1e-14)
 
 
 class TestExactMinimizer:
@@ -1097,7 +1046,7 @@ class TestAuditScaling:
         u = cantor_level(CantorConstruction(level, "diamond", schedule))
         family = whole_family(u, depth=4)
         plain = quasi_k_ratio(u, family)
-        scaled = quasi_k_ratio(rescale_domain(u, scale), family * scale)
+        scaled = quasi_k_ratio(PiecewiseAffineQ(u.breakpoints * scale, u.branches), family * scale)
         assert np.all(np.isfinite(plain.figure))
         np.testing.assert_allclose(scaled.figure, plain.figure, rtol=1e-9, atol=0.0)
         np.testing.assert_allclose(scaled.dir_u * scale, plain.dir_u, rtol=1e-9, atol=0.0)

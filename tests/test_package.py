@@ -3,12 +3,14 @@
 the CLI and the audit report use those writers, only `func1d.audit_intervals`
 makes the standard audit family, importing the package loads no scipy,
 `multiprocessing` or `concurrent` module, and no guard lets NaN through a
-bare comparison."""
+bare comparison.  Every public function has a caller in the package or
+the demos."""
 
 import ast
 import inspect
 import os
 import subprocess
+import symtable
 import sys
 import types
 from pathlib import Path
@@ -45,6 +47,49 @@ def test_every_public_definition_is_exported():
             and value.__module__ == module.__name__
         }
         assert defined - set(module.__all__) == set(), module.__name__
+
+
+def reads(source, filename):
+    """The names a file's code reads as globals, at module level or in a
+    function or class body where no local binds them (so a parameter that
+    shares a public name is no read of it), and the attributes it reads off
+    a name it imports from qvlab (`cons.cantor_level`)."""
+    tree = ast.parse(source)
+    imported = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("qvlab"))
+        for alias in node.names
+    }
+    names = {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in imported
+    }
+    tables = [symtable.symtable(source, filename, "exec")]
+    while tables:
+        table = tables.pop()
+        top = table.get_type() == "module"
+        names.update(s.get_name() for s in table.get_symbols() if s.is_referenced() and (top or s.is_global()))
+        tables.extend(table.get_children())
+    return names
+
+
+def test_every_public_function_has_a_caller():
+    # each function in a library module's `__all__` is read somewhere in the
+    # package or the demos, not in the tests alone; classes and exceptions
+    # are return types and error classes, and exempt
+    package = Path(qvlab.__file__).parent
+    files = [*sorted(package.glob("*.py")), *sorted((package.parents[1] / "demos").glob("*.py"))]
+    called = set().union(*(reads(path.read_text(), str(path)) for path in files))
+    uncalled = [
+        f"{module.__name__}.{name}"
+        for module in MODULES
+        for name in module.__all__
+        if inspect.isfunction(getattr(module, name)) and name not in called
+    ]
+    assert any(path.parent.name == "demos" for path in files)
+    assert uncalled == []
 
 
 def test_constants_are_exported():
