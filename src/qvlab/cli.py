@@ -39,7 +39,7 @@ class UsageError(ValueError):
 # at --level.
 _FIXED = {
     "double-line": lambda samples: cons.make_double_line(0.0, 1.0),
-    "diamond": lambda samples: cons.make_diamond(0.0, 1.0, 0.0),
+    "diamond": lambda samples: cons.make_diamond(0.0, 1.0),
     "losange": lambda samples: cons.make_losange(0.0, 1.0),
     "pluri-losange-demo": lambda samples: cons.make_pluri_losange([(0.1, 0.3), (0.5, 0.9)]),
     "sin": lambda samples: cons.sin_sampled(_checks.integer("--samples", samples, 2, UsageError) if samples else 4097),

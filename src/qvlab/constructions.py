@@ -3,9 +3,13 @@
 Two-branch building blocks (diamonds and losanges over an interval), their
 continuous concatenations driven by middle-interval removal schedules of
 Cantor type, and the sine pair with its closed-form energies.  Every
-constructor returns a valid sorted-branch piecewise-affine function.  The
-refinement level is checked in one place, `_check_level`, against
-1 <= L <= MAX_LEVEL, before any removed interval exists.
+constructor returns a valid sorted-branch piecewise-affine function.  A
+diamond starts at the double value zero and a double line is 2[[x]]; the
+pluri-losange and every Cantor refinement live on [0, 1].  A construction's
+removed intervals are its one record: the kept intervals lie between them,
+and the branch gap above one peaks at (b - a)/2 for a diamond and b - a for
+a losange.  The refinement level is checked in one place, `_check_level`,
+against 1 <= L <= MAX_LEVEL, before any removed interval exists.
 """
 
 from __future__ import annotations
@@ -49,20 +53,19 @@ SIN_HALF_WIDTH = math.pi / 4.0
 MAX_LEVEL = 17
 
 
-def make_diamond(a: float, b: float, h: float = 0.0) -> PiecewiseAffineQ:
+def make_diamond(a: float, b: float) -> PiecewiseAffineQ:
     """Two-branch function whose graph is the parallelogram with vertices
-    (a, h), ((a+b)/2, h), ((a+b)/2, h + (b-a)/2), (b, h + (b-a)/2).
+    (a, 0), ((a+b)/2, 0), ((a+b)/2, (b-a)/2), (b, (b-a)/2).
 
     The lower branch is flat then rises with slope one, the upper branch
     rises first then flattens; both endpoints are double points.
     """
     _checks.interval(a, b, DomainError)
-    _checks.finite("h", h)
     mid = 0.5 * (a + b)
-    top = h + 0.5 * (b - a)
+    top = 0.5 * (b - a)
     bps = np.array([a, mid, b])
-    lower = np.array([h, h, top])
-    upper = np.array([h, top, top])
+    lower = np.array([0.0, 0.0, top])
+    upper = np.array([0.0, top, top])
     return PiecewiseAffineQ(bps, np.vstack((lower, upper)))
 
 
@@ -80,26 +83,24 @@ def make_losange(a: float, b: float) -> PiecewiseAffineQ:
     return PiecewiseAffineQ(bps, np.vstack((np.array([0.0, -half, 0.0]), np.array([0.0, half, 0.0]))))
 
 
-def make_double_line(a: float, b: float, offset: float = 0.0) -> PiecewiseAffineQ:
-    """The double line x -> 2[[x + offset]] on [a, b]."""
+def make_double_line(a: float, b: float) -> PiecewiseAffineQ:
+    """The double line x -> 2[[x]] on [a, b]."""
     _checks.interval(a, b, DomainError)
-    _checks.finite("offset", offset)
     bps = np.array([a, b])
-    row = bps + offset
-    return PiecewiseAffineQ(bps, np.vstack((row, row)))
+    return PiecewiseAffineQ(bps, np.vstack((bps, bps)))
 
 
-def make_pluri_losange(intervals, lo: float = 0.0, hi: float = 1.0) -> PiecewiseAffineQ:
-    """Losanges above the given disjoint subintervals of [lo, hi], the double
+def make_pluri_losange(intervals) -> PiecewiseAffineQ:
+    """Losanges above the given disjoint subintervals of [0, 1], the double
     value zero elsewhere.  Intervals may touch at an end but not overlap."""
     ivs = sorted((float(a), float(b)) for a, b in intervals)
     for a, b in ivs:
-        if not (lo <= a < b <= hi):
-            raise DomainError(f"losange interval [{a}, {b}] leaves [{lo}, {hi}]")
+        if not (0.0 <= a < b <= 1.0):
+            raise DomainError(f"losange interval [{a}, {b}] leaves [0.0, 1.0]")
     for (a0, b0), (a1, b1) in zip(ivs, ivs[1:]):
         if not b0 <= a1:
             raise DomainError(f"losange intervals [{a0}, {b0}] and [{a1}, {b1}] overlap")
-    bps = [lo]
+    bps = [0.0]
     lower = [0.0]
     upper = [0.0]
     for a, b in ivs:
@@ -109,8 +110,8 @@ def make_pluri_losange(intervals, lo: float = 0.0, hi: float = 1.0) -> Piecewise
                 bps.append(x)
                 lower.append(lo_v)
                 upper.append(up_v)
-    if hi > bps[-1]:
-        bps.append(hi)
+    if 1.0 > bps[-1]:
+        bps.append(1.0)
         lower.append(0.0)
         upper.append(0.0)
     return PiecewiseAffineQ(np.array(bps), np.vstack((lower, upper)))
@@ -206,30 +207,6 @@ class CantorConstruction:
 
     def removed_intervals(self) -> list[RemovedInterval]:
         return _SCHEDULES[self.schedule](self.level)
-
-    def gap_profile(self) -> list[float]:
-        """Maximal branch separation above each removed interval.
-
-        The separation vanishes at removed-interval endpoints for both
-        flavors and peaks at the midpoint: (b-a)/2 for diamonds, b-a for
-        losanges.  These values are recorded from the construction; later
-        refinement levels never touch them.
-        """
-        factor = 0.5 if self.flavor == "diamond" else 1.0
-        return [factor * (iv.b - iv.a) for iv in self.removed_intervals()]
-
-    def kept_intervals(self) -> list[tuple[float, float]]:
-        """Closed intervals remaining after `level` removal steps."""
-        removed = self.removed_intervals()
-        kept = []
-        x = 0.0
-        for iv in removed:
-            if iv.a > x:
-                kept.append((x, iv.a))
-            x = max(x, iv.b)
-        if x < 1.0:
-            kept.append((x, 1.0))
-        return kept
 
 
 def _diamond_level(spec: CantorConstruction) -> PiecewiseAffineQ:

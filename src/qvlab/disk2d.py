@@ -5,7 +5,9 @@ trace is obtained by sorting the boundary values pointwise and harmonically
 extending each sorted branch.  With per-branch Fourier coefficients both the
 interior and the boundary Dirichlet energies are spectral sums, which makes
 the two-dimensional comparison Dir <= Q r dir a per-mode inequality
-(k <= Q k^2) that can be checked with an explicit margin.
+(k <= Q k^2) that can be checked with an explicit margin.  The energy over
+the concentric subdisk of radius s r weights mode k by s^(2k);
+`decay_profile_2d` gives it for each scale s in (0, 1], which it checks.
 """
 
 from __future__ import annotations
@@ -53,10 +55,6 @@ class CircleTraceQ:
     @property
     def q_count(self) -> int:
         return self.samples.shape[0]
-
-    @property
-    def mode_cap(self) -> int:
-        return self.cos_coeffs.shape[1] - 1
 
 
 def _call_trace(trace, angles: np.ndarray) -> np.ndarray:
@@ -131,14 +129,6 @@ class DiskMinimizer:
     def q_count(self) -> int:
         return self.trace.q_count
 
-    def subdisk_energy(self, scale: float) -> float:
-        """Energy over the concentric subdisk of radius scale * r."""
-        _checks.real("scale", scale, 0, 1, "(]")
-        a, b = self.trace.cos_coeffs, self.trace.sin_coeffs
-        k = np.arange(a.shape[1])
-        power = (a**2 + b**2) * scale ** (2 * k)
-        return float(np.pi * np.sum(k * power))
-
 
 def minimize_disk(trace: CircleTraceQ) -> DiskMinimizer:
     """Energies of the branchwise harmonic extension of a sorted trace.
@@ -176,7 +166,11 @@ def check_squeeze_2d(minimizer: DiskMinimizer) -> tuple[bool, float]:
 def decay_profile_2d(minimizer: DiskMinimizer, scales) -> list[tuple[float, float]]:
     """Subdisk energies [(s, Dir over radius s r)]; nondecreasing in s.
 
-    Mode k contributes with factor s^(2k), so the log-log slope sits at
-    twice the lowest active mode.
+    Each scale s must lie in (0, 1].  Mode k contributes with factor s^(2k),
+    so the log-log slope sits at twice the lowest active mode.
     """
-    return [(float(s), minimizer.subdisk_energy(float(s))) for s in scales]
+    a, b = minimizer.trace.cos_coeffs, minimizer.trace.sin_coeffs
+    k = np.arange(a.shape[1])
+    power = a**2 + b**2
+    scales = [_checks.real("scale", float(s), 0, 1, "(]") for s in scales]
+    return [(s, float(np.pi * np.sum(k * (power * s ** (2 * k))))) for s in scales]

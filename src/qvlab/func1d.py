@@ -32,16 +32,17 @@ alone.  An audit returns a report,
 to evaluate its checked family: the writers take the blocks as they come,
 and the record count, supremum and witness are reduced on the way (before
 any write, in one pass that writes nothing), so a report's columns are never
-held whole.  A library caller that reads a column evaluates the family again
-and gets its blocks concatenated.  The standard family has one constructor,
-`audit_intervals`, which counts it and runs its size gate once; no array of
-it is built.  Its `blocks` are made of `BLOCK_ROWS` rows as they are read,
-with ends that never leave the domain, as (a, b) intervals in quasi_k mode
-and as (center, radius) balls clamped to the domain in the ball modes.  An
-audit of it skips the whole-family check, since its rows are valid by
-construction, and makes the blocks as its report evaluates them; the CLI's
-quasi and almost audits and the criteria that reduce over it (3, 4 and 7)
-read it so, and none of them holds the family or a record column whole.
+held whole.  A library caller that reads `figure`, the one column a report
+gives, evaluates the family again and gets its blocks' figures concatenated.
+The standard family has one constructor, `audit_intervals`, which counts it
+and runs its size gate once; no array of it is built.  Its `blocks` are
+made of `BLOCK_ROWS` rows as they are read, with ends that never leave the
+domain, as (a, b) intervals in quasi_k mode and as (center, radius) balls
+clamped to the domain in the ball modes.  An audit of it skips the
+whole-family check, since its rows are valid by construction, and makes the
+blocks as its report evaluates them; the CLI's quasi and almost audits and
+the criteria that reduce over it (3, 4 and 7) read it so, and none of them
+holds the family or a record column whole.
 `_check_rows` is the one size gate: the standard family, counted from the
 function's breakpoints and the depth, the CLI's omega family, counted from
 its radii and centers, and every sample grid (a circle trace's included)
@@ -323,19 +324,19 @@ class _Block(NamedTuple):
 class MinimalityReport:
     """Per-ball audit records plus the supremum and its witness.
 
-    mode is one of {"quasi_k", "omega", "almost"}; `figure` holds the
-    ratio (quasi_k, omega) or deficiency (almost) per record.  Records are
-    columnar because audit families run to millions of intervals.
+    mode is one of {"quasi_k", "omega", "almost"}; a record is (center,
+    radius, dir_u, dir_min, figure), where the figure is the ratio (quasi_k,
+    omega) or deficiency (almost).  Records are columnar because audit
+    families run to millions of intervals.
 
     A report is a stream: `evaluate()` returns a fresh iterator of
-    `_evaluate`'s blocks, whose records are (centers, radii, dir_u,
-    dir_min, figure), and the report holds no column.  A write takes the
+    `_evaluate`'s blocks, and the report holds no column.  A write takes the
     blocks as they come and keeps only their record count, supremum and
     witness; before any write, reading one of these three evaluates the
-    family once to reduce it.  Every read of a column (`figure`,
-    `centers`, ...) evaluates the family again and concatenates its blocks;
-    the column names stay until the traced counters that read them move
-    into the package (ROADMAP item 3).
+    family once to reduce it.  `figure` is the one column a report reads
+    whole: it evaluates the family again and concatenates the blocks'
+    figures, and it stays until the traced counters that read it move into
+    the package (ROADMAP item 3).
     """
 
     def __init__(self, mode: str, alpha: Optional[float], evaluate: Callable[[], Iterator[tuple]]):
@@ -349,14 +350,7 @@ class MinimalityReport:
                 pass
         return self._reduced
 
-    def _column(self, index: int) -> np.ndarray:
-        return np.concatenate([block.records()[index] for block in self._evaluate()])
-
-    centers = property(lambda self: self._column(0))
-    radii = property(lambda self: self._column(1))
-    dir_u = property(lambda self: self._column(2))
-    dir_min = property(lambda self: self._column(3))
-    figure = property(lambda self: self._column(4))
+    figure = property(lambda self: np.concatenate([block.figure for block in self._evaluate()]))
     supremum = property(lambda self: self._summary()[0])
     witness = property(lambda self: self._summary()[1])
     record_count = property(lambda self: self._summary()[2], doc="The number of records.")

@@ -26,6 +26,12 @@ from qvlab.constructions import (
 from qvlab.func1d import FamilySizeError, PiecewiseAffineQ
 
 
+def kept_intervals(spec):
+    """The closed intervals between a construction's removed intervals."""
+    removed = spec.removed_intervals()
+    return list(zip([0.0, *(iv.b for iv in removed)], [*(iv.a for iv in removed), 1.0]))
+
+
 class TestScan:
     def test_double_line_has_no_flags(self):
         sc = scan(make_double_line(0.0, 1.0), 101)
@@ -54,7 +60,7 @@ class TestScan:
         u = cantor_level(spec)
         sc = scan(u, 3**level + 1)
         cell = 3.0**-level
-        kept = spec.kept_intervals()
+        kept = kept_intervals(spec)
         collapsed = sc.sigma == 1
         for x, hit in zip(sc.grid, collapsed):
             dist = min(max(a - x, 0.0, x - b) for a, b in kept)
@@ -68,7 +74,7 @@ class TestScan:
         spec = CantorConstruction(7, "diamond")
         sc = scan(approx, 3**7 + 1)
         cell = 3.0**-7
-        kept = spec.kept_intervals()
+        kept = kept_intervals(spec)
         for x in sc.flagged_points():
             dist = min(max(a - x, 0.0, x - b) for a, b in kept)
             assert dist <= cell + 1e-12

@@ -14,11 +14,10 @@ from qvlab.constructions import (
     CantorConstruction,
     cantor_level,
     make_diamond,
-    make_double_line,
     make_losange,
     sin_sampled,
 )
-from qvlab.disk2d import AliasingError, minimize_disk, sorted_trace
+from qvlab.disk2d import AliasingError, decay_profile_2d, minimize_disk, sorted_trace
 from qvlab.func1d import DomainError, FamilySizeError, almost_deficiency, audit_intervals
 from qvlab.qspace import ClusterSelection, QPoint, RetractionParams, c_of_q, select_clusters
 
@@ -72,11 +71,6 @@ CASES = {
     "make_diamond-a-nan": (lambda: make_diamond(NAN, 1.0), DomainError, "a < b"),
     "make_diamond-b-inf": (lambda: make_diamond(0.0, INF), DomainError, "a < b"),
     "make_losange-a--inf": (lambda: make_losange(-INF, 1.0), DomainError, "a < b"),
-    # "breakpoints and branch values must be finite" named neither parameter
-    "make_diamond-h-nan": (lambda: make_diamond(0.0, 1.0, NAN), ValueError, "h must be finite, got nan"),
-    "make_diamond-h-inf": (lambda: make_diamond(0.0, 1.0, -INF), ValueError, "h must be finite, got -inf"),
-    "make_double_line-offset-nan": (lambda: make_double_line(0.0, 1.0, NAN), ValueError, "offset must be finite"),
-    "make_double_line-offset-inf": (lambda: make_double_line(0.0, 1.0, INF), ValueError, "offset must be finite"),
     # numpy's "zero-size array to reduction operation maximum" from the overflow totals
     "PiecewiseAffineQ-no-branches": (
         lambda: func1d.PiecewiseAffineQ([0.0, 1.0], np.empty((0, 2))), ValueError, "the number of branches"
@@ -87,7 +81,7 @@ CASES = {
     "almost_deficiency-alpha-nan": (lambda: almost_deficiency(UNIT, NAN, [(0.5, 0.1)]), ValueError, "alpha"),
     "almost_deficiency-alpha-inf": (lambda: almost_deficiency(UNIT, INF, [(0.5, 0.1)]), ValueError, "alpha"),
     "subdisk_energy-scale-nan": (
-        lambda: minimize_disk(sorted_trace(np.cos, 64, 8)).subdisk_energy(NAN), ValueError, "scale"
+        lambda: decay_profile_2d(minimize_disk(sorted_trace(np.cos, 64, 8)), [NAN]), ValueError, "scale"
     ),
     "QPoint-nan": (lambda: QPoint.of(0.0, NAN), ValueError, "coordinates"),
 }

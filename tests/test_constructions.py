@@ -39,6 +39,12 @@ from qvlab.func1d import (
 from qvlab.qspace import QPoint, metric_g
 
 
+def kept_intervals(spec):
+    """The closed intervals between a construction's removed intervals."""
+    removed = spec.removed_intervals()
+    return list(zip([0.0, *(iv.b for iv in removed)], [*(iv.a for iv in removed), 1.0]))
+
+
 def sup_metric_distance(u, v, samples=20001):
     xs = np.linspace(0.0, 1.0, samples)
     du = branch_values(u, xs)
@@ -48,21 +54,16 @@ def sup_metric_distance(u, v, samples=20001):
 
 class TestDiamond:
     def test_vertices(self):
-        u = make_diamond(0.0, 1.0, 0.0)
+        u = make_diamond(0.0, 1.0)
         assert np.allclose(branch_values(u, 0.0), [0.0, 0.0])
         assert np.allclose(branch_values(u, 1.0), [0.5, 0.5])
         assert sorted(branch_values(u, 0.5)) == [0.0, 0.5]
 
     def test_energy_is_length(self):
-        assert dirichlet_energy(make_diamond(0.0, 1.0, 0.0), 0.0, 1.0) == pytest.approx(1.0, rel=1e-14)
-
-    def test_height_offset(self):
-        u = make_diamond(0.2, 0.6, 1.5)
-        assert np.allclose(branch_values(u, 0.2), [1.5, 1.5])
-        assert np.allclose(branch_values(u, 0.6), [1.7, 1.7])
+        assert dirichlet_energy(make_diamond(0.0, 1.0), 0.0, 1.0) == pytest.approx(1.0, rel=1e-14)
 
     def test_lipschitz_constant(self):
-        u = make_diamond(0.0, 1.0, 0.0)
+        u = make_diamond(0.0, 1.0)
         rng = np.random.default_rng(4)
         xs = rng.uniform(0, 1, 200)
         ys = rng.uniform(0, 1, 200)
@@ -74,7 +75,7 @@ class TestDiamond:
 
     def test_degenerate_interval(self):
         with pytest.raises(DomainError):
-            make_diamond(1.0, 1.0, 0.0)
+            make_diamond(1.0, 1.0)
 
 
 class TestLosange:
@@ -115,7 +116,7 @@ class TestRemovalSchedules:
 
     def test_kept_intervals_partition(self):
         spec = CantorConstruction(3, "diamond")
-        kept = spec.kept_intervals()
+        kept = kept_intervals(spec)
         removed = spec.removed_intervals()
         total = sum(b - a for a, b in kept) + sum(iv.b - iv.a for iv in removed)
         assert total == pytest.approx(1.0, rel=1e-12)
@@ -208,15 +209,15 @@ class TestCantorDiamond:
         spec = CantorConstruction(3, "diamond")
         u = cantor_level(spec)
         gaps = np.diff(u.branches, axis=0).ravel()
-        kept = spec.kept_intervals()
+        kept = kept_intervals(spec)
         for x, gap in zip(u.breakpoints, gaps):
             in_kept = any(a - 1e-12 <= x <= b + 1e-12 for a, b in kept)
             if gap > 1e-12:
                 assert not in_kept
         # midpoints of removed intervals separate by half the removed length
-        for iv, eta in zip(spec.removed_intervals(), spec.gap_profile()):
+        for iv in spec.removed_intervals():
             v = np.sort(branch_values(u, 0.5 * (iv.a + iv.b)))
-            assert v[1] - v[0] == pytest.approx(eta, rel=1e-12)
+            assert v[1] - v[0] == pytest.approx(0.5 * (iv.b - iv.a), rel=1e-12)
 
     def test_gap_persists_at_later_levels(self):
         # refinement shifts both branches equally, so separations above
@@ -294,7 +295,7 @@ class TestCantorLimit:
     def test_collapsed_on_kept_set(self):
         approx, _ = cantor_limit("diamond", 6)
         spec = CantorConstruction(6, "diamond")
-        for a, b in spec.kept_intervals()[:16]:
+        for a, b in kept_intervals(spec)[:16]:
             v = np.sort(branch_values(approx, 0.5 * (a + b)))
             assert v[1] - v[0] <= 1e-12
 

@@ -20,7 +20,7 @@ from qvlab.func1d import FamilySizeError
 
 def harmonic_value(trace, rho, theta):
     """Branchwise harmonic extension evaluated at polar points."""
-    k = np.arange(trace.mode_cap + 1)
+    k = np.arange(trace.cos_coeffs.shape[1])
     radial = (rho / trace.radius) ** k
     cos_kt = np.cos(np.outer(k, theta)) * radial[:, None]
     sin_kt = np.sin(np.outer(k, theta)) * radial[:, None]
@@ -36,7 +36,7 @@ def quadrature_energy(trace, perturbation_coeffs, n_rho=400, n_theta=512):
     """
     rho = np.linspace(1e-9, 1.0, n_rho)
     theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
-    k = np.arange(trace.mode_cap + 1)
+    k = np.arange(trace.cos_coeffs.shape[1])
 
     radial = rho[None, :] ** np.maximum(k[:, None] - 1, 0)
     dr_coeff = k[:, None] * radial  # d/drho rho^k
@@ -338,7 +338,7 @@ class TestDecayProfile:
     def test_scale_guard(self):
         m = minimize_disk(sorted_trace(lambda t: [np.cos(t)], 64, 4))
         with pytest.raises(ValueError):
-            m.subdisk_energy(1.5)
+            decay_profile_2d(m, [1.5])
 
 
 def test_json_export(tmp_path):

@@ -1,9 +1,11 @@
 """Tests for exact energies, interval minimizers, and the minimality audits."""
 
+import bisect
 import json
 import math
 import re
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -42,17 +44,23 @@ def double_line():
     return make_double_line(0.0, 1.0)
 
 
+def record_columns(report):
+    """A report's (centers, radii, dir_u, dir_min, figure) columns, from one evaluation of its family."""
+    return tuple(np.concatenate(column) for column in zip(*(block.records() for block in report._evaluate())))
+
+
 class TestEvaluation:
     def test_affine_interpolation(self):
         u = PiecewiseAffineQ([0.0, 1.0], [[0.0, 1.0], [0.0, 1.0]])
         assert np.allclose(branch_values(u, 0.5), [0.5, 0.5])
 
     def test_diamond_midpoint(self):
-        u = make_diamond(0.0, 1.0, 0.0)
+        u = make_diamond(0.0, 1.0)
         assert branch_values(u, 0.5).tolist() == [0.0, 0.5]
 
     def test_breakpoint_values_exact(self):
-        u = make_diamond(0.25, 0.75, 0.5)
+        # a diamond over [0.25, 0.75] raised by 0.5
+        u = PiecewiseAffineQ([0.25, 0.5, 0.75], [[0.5, 0.5, 0.75], [0.5, 0.75, 0.75]])
         for x in u.breakpoints:
             cols = branch_values(u, float(x))
             j = int(np.searchsorted(u.breakpoints, x))
@@ -122,7 +130,7 @@ class TestDirichletEnergy:
         assert dirichlet_energy(double_line(), 0.2, 0.9) == pytest.approx(2 * 0.7, rel=1e-14)
 
     def test_diamond_on_middle_third(self):
-        u = make_diamond(1.0 / 3.0, 2.0 / 3.0, 0.0)
+        u = make_diamond(1.0 / 3.0, 2.0 / 3.0)
         assert dirichlet_energy(u, 1.0 / 3.0, 2.0 / 3.0) == pytest.approx(1.0 / 3.0, rel=1e-12)
 
     def test_losange_full(self):
@@ -581,7 +589,7 @@ class TestSharedEnds:
             columns = block_columns(family.blocks(mode))
             want, want_sup, want_witness = whole_family_audit(u, mode, columns)
             report = run_audit(u, mode, family if streamed else columns)
-            got = (report.centers, report.radii, report.dir_u, report.dir_min, report.figure)
+            got = record_columns(report)
             for got_column, want_column in zip(got, want):
                 assert np.array_equal(bits(got_column), bits(want_column))
             assert report.record_count == want[-1].size
@@ -605,6 +613,67 @@ class TestSharedEnds:
         received = sum(np.size(call.args[1]) for call in spy.call_args_list)
         pairs, cells = m * (m - 1) // 2, [base**d for base in (2, 3) for d in range(depth + 1)]
         assert received == -(-pairs // rows) * m + sum(n + -(-n // rows) for n in cells)
+
+
+def exact_figures(u, mode, rows):
+    """Each row's figure in exact arithmetic on the stored floats: the
+    breakpoints, the branch values and the row's ends (a, b in quasi_k mode;
+    c - r and c + r as the audit rounds them, and r, in omega mode), each read
+    as a Fraction.  None marks a row skipped as zero over zero; a row whose
+    G^2, and so its Dir_min, is 0 with energy gets inf."""
+    xs = [Fraction(x) for x in u.breakpoints.tolist()]
+    values = [[Fraction(v) for v in row] for row in u.branches.tolist()]
+    slopes = [[(v1 - v0) / (x1 - x0) for v0, v1, x0, x1 in zip(row, row[1:], xs, xs[1:])] for row in values]
+    density = [sum(column) for column in zip(*([s * s for s in row] for row in slopes))]
+    prefix = [Fraction(0)]
+    for d, x0, x1 in zip(density, xs, xs[1:]):
+        prefix.append(prefix[-1] + d * (x1 - x0))
+
+    def at(x):
+        """The branch values and the energy prefix at x."""
+        j = min(bisect.bisect_right(xs, x) - 1, len(xs) - 2)
+        dx = x - xs[j]
+        return [row[j] + s[j] * dx for row, s in zip(values, slopes)], prefix[j] + density[j] * dx
+
+    figures = []
+    for first, second in rows.tolist():
+        a, b = (first, second) if mode == "quasi_k" else (first - second, first + second)
+        (va, pa), (vb, pb) = at(Fraction(a)), at(Fraction(b))
+        dir_u, gsq = pb - pa, sum((q - p) ** 2 for p, q in zip(va, vb))
+        if gsq == 0:
+            figures.append(None if dir_u == 0 else math.inf)
+        elif mode == "quasi_k":
+            figures.append((Fraction(b) - Fraction(a)) * dir_u / gsq)
+        else:
+            figures.append(dir_u / (gsq / (2 * Fraction(second))) - 1)
+    return figures
+
+
+class TestExactDiamondFigures:
+    """The diamond refinements' audit figures against exact arithmetic on the
+    same floats: rounding in the evaluation moves no figure by more than
+    1e-12 (relative in quasi_k mode, absolute in omega mode, whose figures
+    sit near 0), skips no other row and makes no other figure inf."""
+
+    @pytest.mark.parametrize("level", [1, 2, 3])
+    @pytest.mark.parametrize("mode", ["quasi_k", "omega"])
+    def test_figures_match_exact_arithmetic(self, mode, level):
+        u = cantor_level(CantorConstruction(level, "diamond"))
+        family = audit_intervals(u, 5)
+        rows = block_columns(family.blocks(mode))
+        exact = exact_figures(u, mode, rows)
+        kept = np.array([figure is not None for figure in exact])
+        blocks = list(func1d._evaluate(u, mode, family.blocks(mode)))
+        got = np.concatenate([block.figure for block in blocks])
+        assert np.array_equal(np.concatenate([block.first for block in blocks]), rows[kept, 0])
+        assert np.array_equal(np.concatenate([block.second for block in blocks]), rows[kept, 1])
+        want = [figure for figure in exact if figure is not None]
+        assert np.array_equal(np.isinf(got), [figure == math.inf for figure in want])
+        bound = Fraction(1e-12)
+        for figure, exact_figure in zip(got.tolist(), want):
+            if exact_figure != math.inf:
+                error = abs(Fraction(figure) - exact_figure)
+                assert error <= bound * (abs(exact_figure) if mode == "quasi_k" else 1)
 
 
 def nan_block(figure, quasi=False):
@@ -664,7 +733,7 @@ class TestFamilyBlocks:
             # A report evaluates its family when it is read, so it is read inside the patch.
             with mock.patch.object(func1d, "BLOCK_ROWS", rows):
                 report = run_audit(u, mode, family)
-                got_columns = (report.centers, report.radii, report.dir_u, report.dir_min, report.figure)
+                got_columns = record_columns(report)
                 got_sup, got_witness = report.supremum, report.witness
             for got, want in zip(got_columns, want_columns):
                 assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
@@ -818,13 +887,13 @@ class TestStreamedReport:
             assert spy.call_count == 1
             report.supremum, report.witness, report.record_count
             assert spy.call_count == 1
-            report.figure, report.centers
+            report.figure, record_columns(report)
             assert spy.call_count == 3
             spy.reset_mock()
             report = quasi_k_ratio(u, intervals)
             report.supremum, report.witness, report.record_count
             assert spy.call_count == 1
-            report.radii
+            report.figure
             assert spy.call_count == 2
             written(report, fmt, path)
             report.supremum, report.witness, report.record_count
@@ -902,7 +971,7 @@ class TestStandardFamily:
                                                                      want.record_count)
 
     def test_made_with_the_size_gate(self):
-        u = make_diamond(0.0, 1.0, 0.0)
+        u = make_diamond(0.0, 1.0)
         assert len(audit_intervals(u, 5)) == len(whole_family(u, 5))
         with pytest.raises(FamilySizeError, match="would have 64701155 rows"):
             audit_intervals(u, 16)
@@ -930,14 +999,14 @@ class TestStandardFamily:
         # and the built family holds 753,764 rows with a >= b.  Made as it was
         # read, quasi_k skipped them silently (supremum 2.0000000284) and the
         # ball modes failed from inside the evaluation.
-        u = make_diamond(1e9, 1e9 + 1e-3, 0.0)
+        u = make_diamond(1e9, 1e9 + 1e-3)
         with pytest.raises(DomainError, match=r"depth-12 family.*\[1000000000\.0, 1000000000\.001\]$"):
             func1d._audit_supremum(u, mode, 12, alpha)
 
     def test_ball_rows_are_clamped_to_a_domain_far_from_zero(self):
         # On [1e5, 1e5 + 7.3] eight balls of the depth-12 family had c + r = 100007.30000000002,
         # past hi, and the omega and almost audits failed from inside the evaluation.
-        u = make_diamond(1e5, 1e5 + 7.3, 0.0)
+        u = make_diamond(1e5, 1e5 + 7.3)
         lo, hi = u.domain
         shrunk = 0
         family = audit_intervals(u, 12)
@@ -951,7 +1020,7 @@ class TestStandardFamily:
         # The clamp is the standard family's: its balls unclamped, given as a family, are refused whole.
         with pytest.raises(DomainError, match="point outside domain"):
             omega_report(u, balls_of(block_columns(family.blocks())))
-        audit_intervals(make_diamond(1e9, 1e9 + 1.0, 0.0), 12)  # cells of 16 ulps are kept
+        audit_intervals(make_diamond(1e9, 1e9 + 1.0), 12)  # cells of 16 ulps are kept
 
     @pytest.mark.parametrize(
         "breakpoints, values, pair",
@@ -985,7 +1054,7 @@ class TestStandardFamily:
         except (DomainError, EmptyIntervalError):  # the finest cell, or two breakpoints, within 4 ulps
             return
         lo, hi = u.domain
-        centers, radii = report.centers, report.radii
+        centers, radii = record_columns(report)[:2]
         assert np.all((radii > 0) & (centers - radii >= lo) & (centers + radii <= hi))
         assert not math.isnan(report.supremum)
 
@@ -1011,7 +1080,7 @@ class TestFamilySize:
             func1d._check_family_size(3 * 2**12 - 1, 12)
 
     def test_deep_family_refused(self):
-        u = make_diamond(0.0, 1.0, 0.0)
+        u = make_diamond(0.0, 1.0)
         m = u.breakpoints.size
         rows = m * (m - 1) // 2 + sum(2**d + 3**d for d in range(17))
         with pytest.raises(FamilySizeError, match=f"would have {rows} rows"):
@@ -1049,7 +1118,7 @@ class TestAuditScaling:
         scaled = quasi_k_ratio(PiecewiseAffineQ(u.breakpoints * scale, u.branches), family * scale)
         assert np.all(np.isfinite(plain.figure))
         np.testing.assert_allclose(scaled.figure, plain.figure, rtol=1e-9, atol=0.0)
-        np.testing.assert_allclose(scaled.dir_u * scale, plain.dir_u, rtol=1e-9, atol=0.0)
+        np.testing.assert_allclose(record_columns(scaled)[2] * scale, record_columns(plain)[2], rtol=1e-9, atol=0.0)
         assert scaled.supremum == pytest.approx(plain.supremum, rel=1e-9)
 
     @settings(max_examples=40, deadline=None)
@@ -1069,7 +1138,8 @@ class TestAuditScaling:
         moved = quasi_k_ratio(PiecewiseAffineQ(u.breakpoints + shift, u.branches), family + shift)
         assert np.all(np.isfinite(plain.figure))
         np.testing.assert_allclose(moved.figure, plain.figure, rtol=1e-9, atol=0.0)
-        np.testing.assert_allclose(moved.centers - shift, plain.centers, rtol=0.0, atol=1e-12 * max(1.0, abs(shift)))
+        np.testing.assert_allclose(record_columns(moved)[0] - shift, record_columns(plain)[0], rtol=0.0,
+                                   atol=1e-12 * max(1.0, abs(shift)))
         assert moved.supremum == pytest.approx(plain.supremum, rel=1e-9)
 
 
@@ -1132,7 +1202,7 @@ class TestReports:
         assert rows[0] == "center,radius,dir_u,dir_min,figure_of_merit"
         assert len(rows) == report.figure.size + 1
         first = [float(v) for v in rows[1].split(",")]
-        columns = (report.centers, report.radii, report.dir_u, report.dir_min, report.figure)
+        columns = record_columns(report)
         assert first == pytest.approx([c[0] for c in columns])
 
     def test_json_schema_and_infinity(self, tmp_path):

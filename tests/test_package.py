@@ -4,7 +4,8 @@ the CLI and the audit report use those writers, only `func1d.audit_intervals`
 makes the standard audit family, importing the package loads no scipy,
 `multiprocessing` or `concurrent` module, and no guard lets NaN through a
 bare comparison.  Every public function has a caller in the package or
-the demos."""
+the demos, every public method and property a reader there, and every
+defaulted parameter of a public function a call there that sets it."""
 
 import ast
 import inspect
@@ -75,12 +76,17 @@ def reads(source, filename):
     return names
 
 
+def caller_files():
+    """The package's source files and the demos: the code whose reads count as callers."""
+    package = Path(qvlab.__file__).resolve().parent
+    return [*sorted(package.glob("*.py")), *sorted((package.parents[1] / "demos").glob("*.py"))]
+
+
 def test_every_public_function_has_a_caller():
     # each function in a library module's `__all__` is read somewhere in the
     # package or the demos, not in the tests alone; classes and exceptions
     # are return types and error classes, and exempt
-    package = Path(qvlab.__file__).parent
-    files = [*sorted(package.glob("*.py")), *sorted((package.parents[1] / "demos").glob("*.py"))]
+    files = caller_files()
     called = set().union(*(reads(path.read_text(), str(path)) for path in files))
     uncalled = [
         f"{module.__name__}.{name}"
@@ -90,6 +96,70 @@ def test_every_public_function_has_a_caller():
     ]
     assert any(path.parent.name == "demos" for path in files)
     assert uncalled == []
+
+
+def public_members():
+    """(qualified name, member name, source file, definition lines) of each
+    method and property that a public class of a library module defines."""
+    for module in MODULES:
+        for class_name in module.__all__:
+            cls = getattr(module, class_name)
+            if not inspect.isclass(cls):
+                continue
+            for name, value in vars(cls).items():
+                function = value.fget if isinstance(value, property) else getattr(value, "__func__", value)
+                if name.startswith("_") or not inspect.isfunction(function):
+                    continue
+                lines, start = inspect.getsourcelines(function)
+                yield f"{cls.__qualname__}.{name}", name, Path(inspect.getsourcefile(function)).resolve(), range(
+                    start, start + len(lines))
+
+
+def test_every_public_member_has_a_reader():
+    # each method or property of a public class is read as an attribute in
+    # the package, outside its own definition, or in the demos
+    attributes = [
+        (path, node.lineno, node.attr)
+        for path in caller_files()
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    ]
+    members = list(public_members())
+    unread = [
+        qualified
+        for qualified, name, source, own in members
+        if not any(attr == name and not (path == source and line in own) for path, line, attr in attributes)
+    ]
+    assert "PiecewiseAffineQ.energy_prefix" in {qualified for qualified, *_ in members}
+    assert unread == []
+
+
+def passes(call, index, parameter):
+    """Whether a call gives `parameter`, the index-th of its callee's, by position or by keyword."""
+    if any(keyword.arg in (parameter.name, None) for keyword in call.keywords):
+        return True
+    positional = parameter.kind in (inspect.Parameter.POSITIONAL_ONLY, inspect.Parameter.POSITIONAL_OR_KEYWORD)
+    return positional and (len(call.args) > index or any(isinstance(arg, ast.Starred) for arg in call.args))
+
+
+def test_every_defaulted_parameter_is_passed():
+    # each parameter with a default of a public function is set by some call
+    # in the package or the demos; one that every caller leaves at its
+    # default is a constant
+    calls = [
+        node for path in caller_files() for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Call)
+    ]
+    callees = [getattr(call.func, "id", getattr(call.func, "attr", None)) for call in calls]
+    unpassed = [
+        f"{module.__name__}.{name}({parameter.name})"
+        for module in MODULES
+        for name in module.__all__
+        if inspect.isfunction(getattr(module, name))
+        for index, parameter in enumerate(inspect.signature(getattr(module, name)).parameters.values())
+        if parameter.default is not inspect.Parameter.empty
+        and not any(passes(call, index, parameter) for call, callee in zip(calls, callees) if callee == name)
+    ]
+    assert unpassed == []
 
 
 def test_constants_are_exported():
