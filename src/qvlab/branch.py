@@ -155,10 +155,15 @@ class DimensionReport:
 
 
 def dimension_report(scan_result: BranchScan, scales) -> DimensionReport:
-    """Box counts at each scale, the fitted slope and its r^2."""
+    """Box counts at each scale, the fitted slope and its r^2.  At least two
+    distinct box sizes must be at least the grid spacing: a smaller box
+    holds at most one grid point, so its count is only the number of flagged
+    points."""
     scales = np.asarray(list(scales), dtype=float)
     _checks.distinct("scales", scales)
     counts = box_counts(scan_result, scales)
+    spacing = float(scan_result.grid[1] - scan_result.grid[0])
+    _checks.distinct(f"box sizes of at least the grid spacing {spacing!r}", scales[scales >= spacing])
     logx = np.log(1.0 / scales)
     logy = np.log(counts)
     slope, intercept = _checks.line_fit("scales", logx, logy)

@@ -23,17 +23,18 @@ on the losange refinements (levels 1-8, depth 12) c - r differs from the
 cell's a in 26-36% of rows and c + r from its b in 22-26%.  An evaluated
 block holds its figures and the inputs they came from; the record columns
 (centers, radii, Dir_min) are made only where rows are written or a witness
-is taken.  `_supremum`, the one reduction, keeps the largest figure and its
-witness record across blocks (a NaN figure is the supremum, and its first
-row the witness), for a report and for the acceptance criteria that reduce
-over the standard family (`_audit_supremum`), which reduce from the figures
-alone.  An audit returns a report,
+is taken.  An audit returns a report,
 `MinimalityReport(mode, alpha, evaluate)`, that holds no column, only a way
-to evaluate its checked family: the writers take the blocks as they come,
-and the record count, supremum and witness are reduced on the way (before
-any write, in one pass that writes nothing), so a report's columns are never
-held whole.  A library caller that reads `figure`, the one column a report
-gives, evaluates the family again and gets its blocks' figures concatenated.
+to evaluate its checked family.  The report is the one reduction: it folds
+each block into the running supremum and witness as the block passes
+(`_fold`; a NaN figure is the supremum, and its first row the witness), so
+the writers take the blocks as they come and the record count, supremum and
+witness are reduced on the way.  Read before any write, they come from one
+pass that writes nothing and makes no record column but a witness's; the
+acceptance criteria that reduce over the standard family read them so.  A
+report's columns are never held whole.  A library caller that reads
+`figure`, the one column a report gives, evaluates the family again and gets
+its blocks' figures concatenated.
 The standard family has one constructor, `audit_intervals`, which counts it
 and runs its size gate once; no array of it is built.  Its `blocks` are
 made of `BLOCK_ROWS` rows as they are read, with ends that never leave the
@@ -330,10 +331,13 @@ class MinimalityReport:
     families run to millions of intervals.
 
     A report is a stream: `evaluate()` returns a fresh iterator of
-    `_evaluate`'s blocks, and the report holds no column.  A write takes the
-    blocks as they come and keeps only their record count, supremum and
-    witness; before any write, reading one of these three evaluates the
-    family once to reduce it.  `figure` is the one column a report reads
+    `_evaluate`'s blocks, and the report holds no column.  It is the one
+    audit reduction: each block is folded into the supremum and witness as
+    it passes (`_fold`), and a write takes the record columns of the blocks
+    as they come and keeps only their record count, supremum and witness.
+    Before any write, reading one of these three evaluates the family once
+    to reduce it, and makes no record column but the witness rows'.
+    `figure` is the one column a report reads
     whole: it evaluates the family again and concatenates the blocks'
     figures, and it stays until the traced counters that read it move into
     the package (ROADMAP item 3).
@@ -355,25 +359,22 @@ class MinimalityReport:
     witness = property(lambda self: self._summary()[1])
     record_count = property(lambda self: self._summary()[2], doc="The number of records.")
 
-    def _blocks(self) -> Iterator[tuple]:
-        """The records of `evaluate()`'s blocks as they come; once the last
-        one is taken, their record count, supremum and witness are kept.  The
-        supremum is `_supremum` of the blocks' own (supremum, witness)
-        records."""
-        count, witnesses = 0, []
+    def _blocks(self) -> Iterator[_Block]:
+        """`evaluate()`'s blocks as they come, each folded into the supremum
+        and witness; once the last one is taken, their record count,
+        supremum and witness are kept."""
+        count, key, witness = 0, (-np.inf,), None
         for block in self._evaluate():
             count += block.figure.size
-            witness = _supremum([block])[1]
-            if witness is not None:
-                witnesses.append(witness)
-            yield block.records()
-        self._reduced = (*_supremum([_Block(*np.array(witnesses).reshape(-1, len(AuditRecord._fields)).T)]), count)
+            key, witness = _fold((key, witness), block)
+            yield block
+        self._reduced = (0.0 if witness is None else float(key[0]), witness, count)
 
     def to_csv(self, path) -> None:
-        write_csv(path, AuditRecord._fields, self._blocks())
+        write_csv(path, AuditRecord._fields, (block.records() for block in self._blocks()))
 
     def to_json(self, path) -> None:
-        records = Records(AuditRecord._fields, self._blocks())
+        records = Records(AuditRecord._fields, (block.records() for block in self._blocks()))
         write_json(path, {"mode": self.mode, "alpha": self.alpha, "records": records, "supremum": lambda: self.supremum,
                           "witness": lambda: self.witness and self.witness._asdict()})
 
@@ -456,31 +457,27 @@ def _kept(keep: np.ndarray, *columns: np.ndarray) -> tuple:
     return columns if keep.all() else tuple(column[keep] for column in columns)
 
 
-def _supremum(blocks: Iterable[_Block]) -> tuple[float, Optional[AuditRecord]]:
-    """The one audit reduction: the supremum of the figures of `_evaluate`'s
-    blocks and the record that attains it.  Ties go to the smallest (a, b),
-    a = center - radius and b = center + radius, across blocks too; no
-    record gives (0.0, None).  A NaN figure is the supremum, and its first
-    row the witness.  Only a block whose largest figure can win makes
-    records, and only for the rows that attain it."""
-    best, witness = None, None
-    for block in blocks:
-        figure = block.figure
-        if figure.size == 0:
-            continue
-        top = figure.max()
-        if np.isnan(top):
-            return np.nan, AuditRecord(*(float(column[0]) for column in block.records(np.isnan(figure))))
-        if best is not None and top < best[0]:
-            continue
-        records = block.records(figure == top)
-        a, b = records[0] - records[1], records[0] + records[1]
-        k = np.lexsort((b, a))[0]
-        # The larger figure wins, then the smaller a, then the smaller b.
-        key = (top, -a[k], -b[k])
-        if best is None or key > best:
-            best, witness = key, AuditRecord(*(float(column[k]) for column in records))
-    return (0.0, None) if best is None else (float(best[0]), witness)
+def _fold(best: tuple, block: _Block) -> tuple:
+    """One step of the one audit reduction: the (key, witness) of the records
+    so far, ((-inf,), None) before any, with a block of `_evaluate`'s folded in.
+    The key is (figure, -a, -b), a = center - radius and b = center + radius:
+    the larger figure wins, then the smaller a, then the smaller b, across
+    blocks too.  A NaN figure wins and stays, with its first row the witness.
+    Only a block whose largest figure can win makes records, and only for the
+    rows that attain it."""
+    figure = block.figure
+    if figure.size == 0 or np.isnan(best[0][0]):
+        return best
+    top = figure.max()
+    if np.isnan(top):
+        return (top,), AuditRecord(*(float(column[0]) for column in block.records(np.isnan(figure))))
+    if top < best[0][0]:
+        return best
+    records = block.records(figure == top)
+    a, b = records[0] - records[1], records[0] + records[1]
+    k = np.lexsort((b, a))[0]
+    key = (top, -a[k], -b[k])
+    return (key, AuditRecord(*(float(column[k]) for column in records))) if key > best[0] else best
 
 
 def _audit(u: PiecewiseAffineQ, mode: str, family, alpha: Optional[float] = None) -> MinimalityReport:
@@ -500,13 +497,6 @@ def _audit(u: PiecewiseAffineQ, mode: str, family, alpha: Optional[float] = None
     _check_in_domain(u, a)
     _check_in_domain(u, b)
     return MinimalityReport(mode, alpha, lambda: _evaluate(u, mode, _slices(first, second), alpha))
-
-
-def _audit_supremum(u: PiecewiseAffineQ, mode: str, depth: int = 12, alpha: Optional[float] = None) -> float:
-    """The supremum of an audit over the standard family of depth `depth`,
-    reduced block by block from the figures alone: neither the family nor a
-    record column is held."""
-    return _supremum(_audit(u, mode, audit_intervals(u, depth), alpha)._evaluate())[0]
 
 
 def quasi_k_ratio(u: PiecewiseAffineQ, intervals: Iterable[tuple[float, float]]) -> MinimalityReport:

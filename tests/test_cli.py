@@ -581,8 +581,11 @@ class TestBranchAndDecay:
             ("0.1,inf", "box sizes must lie in (0, inf), got inf"),
             # box indices past int64 used to give a cast warning and dimension=0.0
             ("1e-300,1e-200", "box size 1e-300 is too small for this scan"),
+            # boxes below the grid spacing count the flagged grid points alone, and gave dimension=1.19e-16
+            ("1e-5,1e-4", "need at least two distinct box sizes of at least the grid spacing 0.01"),
+            ("0.05,1e-4", "need at least two distinct box sizes of at least the grid spacing 0.01"),
         ],
-        ids=["repeated", "infinite", "overflowing"],
+        ids=["repeated", "infinite", "overflowing", "below-the-grid-spacing", "one-above-the-grid-spacing"],
     )
     def test_branch_degenerate_scales_are_usage_error(self, tmp_path, capsys, scales, message):
         out = tmp_path / "branch.csv"

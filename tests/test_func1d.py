@@ -49,6 +49,12 @@ def record_columns(report):
     return tuple(np.concatenate(column) for column in zip(*(block.records() for block in report._evaluate())))
 
 
+def reduced(blocks):
+    """The (supremum, witness) of a report of the evaluated `blocks`; its mode does not enter the reduction."""
+    report = func1d.MinimalityReport("almost", 0.5, lambda: iter(blocks))
+    return report.supremum, report.witness
+
+
 class TestEvaluation:
     def test_affine_interpolation(self):
         u = PiecewiseAffineQ([0.0, 1.0], [[0.0, 1.0], [0.0, 1.0]])
@@ -597,8 +603,8 @@ class TestSharedEnds:
             assert (report.witness is None) == (want_witness is None)
             if want_witness is not None:
                 assert np.array_equal(bits(tuple(report.witness)), bits(want_witness))
-            oracle = func1d._supremum([func1d._Block(*want)])[0]
-            assert bits(func1d._audit_supremum(u, mode, depth, 0.5)) == bits(oracle)
+            oracle = reduced([func1d._Block(*want)])[0]
+            assert bits(run_audit(u, mode, audit_intervals(u, depth)).supremum) == bits(oracle)
 
     @pytest.mark.parametrize("rows", [7, 64, 4096])
     def test_each_distinct_end_is_evaluated_once(self, rows):
@@ -618,9 +624,11 @@ class TestSharedEnds:
 def exact_figures(u, mode, rows):
     """Each row's figure in exact arithmetic on the stored floats: the
     breakpoints, the branch values and the row's ends (a, b in quasi_k mode;
-    c - r and c + r as the audit rounds them, and r, in omega mode), each read
-    as a Fraction.  None marks a row skipped as zero over zero; a row whose
-    G^2, and so its Dir_min, is 0 with energy gets inf."""
+    c - r and c + r as the audit rounds them, and r, in the ball modes), each
+    read as a Fraction.  None marks a row skipped as zero over zero; a row
+    whose G^2, and so its Dir_min, is 0 with energy gets inf.  In almost mode
+    no row is skipped, and the exact max(0, Dir(u) - Dir_min) is multiplied
+    by the float r ** (1 - alpha) at `run_audit`'s alpha = 0.5."""
     xs = [Fraction(x) for x in u.breakpoints.tolist()]
     values = [[Fraction(v) for v in row] for row in u.branches.tolist()]
     slopes = [[(v1 - v0) / (x1 - x0) for v0, v1, x0, x1 in zip(row, row[1:], xs, xs[1:])] for row in values]
@@ -640,7 +648,9 @@ def exact_figures(u, mode, rows):
         a, b = (first, second) if mode == "quasi_k" else (first - second, first + second)
         (va, pa), (vb, pb) = at(Fraction(a)), at(Fraction(b))
         dir_u, gsq = pb - pa, sum((q - p) ** 2 for p, q in zip(va, vb))
-        if gsq == 0:
+        if mode == "almost":
+            figures.append(max(0, dir_u - gsq / (2 * Fraction(second))) * Fraction(second ** 0.5))
+        elif gsq == 0:
             figures.append(None if dir_u == 0 else math.inf)
         elif mode == "quasi_k":
             figures.append((Fraction(b) - Fraction(a)) * dir_u / gsq)
@@ -676,6 +686,26 @@ class TestExactDiamondFigures:
                 assert error <= bound * (abs(exact_figure) if mode == "quasi_k" else 1)
 
 
+class TestExactAlmostFigures:
+    """The almost figures of the diamond and losange refinements against
+    exact arithmetic on the same floats: rounding moves no figure by more
+    than 1e-12.  This mode subtracts Dir_min where the others divide by G^2,
+    so the losange's near-zero G^2 on its cells symmetric about 1/2 does not
+    blow its figures up."""
+
+    @pytest.mark.parametrize("level", [1, 2, 3])
+    @pytest.mark.parametrize("flavor", ["diamond", "losange"])
+    def test_figures_match_exact_arithmetic(self, flavor, level):
+        u = cantor_level(CantorConstruction(level, flavor))
+        family = audit_intervals(u, 5)
+        rows = block_columns(family.blocks("almost"))
+        got = np.concatenate([block.figure for block in func1d._evaluate(u, "almost", family.blocks("almost"), 0.5)])
+        exact = exact_figures(u, "almost", rows)
+        assert got.size == len(exact)
+        for figure, exact_figure in zip(got.tolist(), exact):
+            assert abs(Fraction(figure) - exact_figure) <= Fraction(1e-12)
+
+
 def nan_block(figure, quasi=False):
     """A block of len(figure) rows, (0.5 k, 0.5 k + 1) in quasi_k form, or balls (k + 0.5, 0.5)."""
     k = np.arange(len(figure), dtype=float)
@@ -689,15 +719,15 @@ class TestNanSupremum:
 
     def test_a_nan_figure_is_the_supremum(self):
         # figure.max() was NaN, `figure == top` selected no row, and the reduction raised IndexError.
-        supremum, witness = func1d._supremum([nan_block([1.0, np.nan])])
+        supremum, witness = reduced([nan_block([1.0, np.nan])])
         assert math.isnan(supremum)
         assert witness[:4] == (1.5, 0.5, 1.0, 2.0) and math.isnan(witness.figure_of_merit)
 
     def test_the_first_nan_row_wins_across_blocks(self):
         blocks = [nan_block([np.inf, 3.0]), nan_block([2.0, np.nan, np.nan]), nan_block([np.nan, np.inf])]
-        supremum, witness = func1d._supremum(blocks)
+        supremum, witness = reduced(blocks)
         assert math.isnan(supremum) and witness[:2] == (1.5, 0.5)
-        supremum, witness = func1d._supremum([nan_block([np.inf, np.nan, 4.0], quasi=True)])
+        supremum, witness = reduced([nan_block([np.inf, np.nan, 4.0], quasi=True)])
         assert math.isnan(supremum) and witness[:4] == (1.0, 0.5, 1.0, 1.0)
 
     def test_a_report_with_a_nan_figure(self, tmp_path):
@@ -750,10 +780,10 @@ class TestFamilyBlocks:
             with mock.patch.object(func1d, "BLOCK_ROWS", rows):
                 blocks = list(func1d._evaluate(u, mode, func1d._slices(*family.T), alpha=0.5))
             assert len(blocks) == -(-len(family) // rows)
-            supremum, witness = func1d._supremum(blocks)
+            supremum, witness = reduced(blocks)
             assert supremum == want_sup
             assert (witness and tuple(witness)) == want_witness
-        assert func1d._supremum([]) == (0.0, None)
+        assert reduced([]) == (0.0, None)
 
     @pytest.mark.parametrize("rows", [1, 2, func1d.BLOCK_ROWS, 8192])
     @pytest.mark.parametrize(
@@ -776,8 +806,8 @@ class TestFamilyBlocks:
         quasi = quasi_k_ratio(diamond, whole_family(diamond, depth=5)).supremum
         almost = almost_deficiency(losange, 0.5, balls_of(whole_family(losange, depth=5))).supremum
         with mock.patch.object(func1d, "BLOCK_ROWS", rows):
-            assert func1d._audit_supremum(diamond, "quasi_k", depth=5) == quasi
-            assert func1d._audit_supremum(losange, "almost", depth=5, alpha=0.5) == almost
+            assert quasi_k_ratio(diamond, audit_intervals(diamond, 5)).supremum == quasi
+            assert almost_deficiency(losange, 0.5, audit_intervals(losange, 5)).supremum == almost
 
     @pytest.mark.parametrize("mode", ["quasi_k", "omega"])
     def test_supremum_of_a_family_with_no_kept_record_is_zero(self, mode):
@@ -786,7 +816,7 @@ class TestFamilyBlocks:
         report = run_audit(flat, mode, mode_family(mode, whole_family(flat, depth=4)))
         assert report.figure.size == 0 and report.supremum == 0.0
         with mock.patch.object(func1d, "BLOCK_ROWS", 3):
-            assert func1d._audit_supremum(flat, mode, depth=4) == 0.0
+            assert run_audit(flat, mode, audit_intervals(flat, 4)).supremum == 0.0
 
     def test_energy_prefix_built_once_per_audit(self):
         # A report evaluates its family when it is read, so each call reads one.
@@ -797,7 +827,7 @@ class TestFamilyBlocks:
                 lambda: quasi_k_ratio(u, intervals).figure,
                 lambda: omega_report(u, balls_of(intervals)).figure,
                 lambda: almost_deficiency(u, 0.5, balls_of(intervals)).figure,
-                lambda: func1d._audit_supremum(u, "quasi_k", depth=3),
+                lambda: quasi_k_ratio(u, audit_intervals(u, 3)).supremum,
             ):
                 with mock.patch.object(PiecewiseAffineQ, "energy_prefix", autospec=True, side_effect=prefix) as spy:
                     call()
@@ -808,7 +838,7 @@ class TestFamilyBlocks:
         u = make_diamond(0.0, 0.1)
         family = block_columns(audit_intervals(u, depth=1).blocks())
         assert family.max() == 0.1
-        assert quasi_k_ratio(u, family).supremum == func1d._audit_supremum(u, "quasi_k", depth=1)
+        assert quasi_k_ratio(u, family).supremum == quasi_k_ratio(u, audit_intervals(u, 1)).supremum
 
     @settings(max_examples=200, deadline=None)
     @given(lo=st.floats(-1e3, 1e3), width=st.floats(1e-3, 1e3), depth=st.integers(0, 8))
@@ -826,7 +856,7 @@ class TestFamilyBlocks:
         u = cantor_level(CantorConstruction(8, "diamond"))
         tracemalloc.start()
         try:
-            supremum = func1d._audit_supremum(u, "quasi_k")
+            supremum = quasi_k_ratio(u, audit_intervals(u)).supremum
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -898,6 +928,20 @@ class TestStreamedReport:
             written(report, fmt, path)
             report.supremum, report.witness, report.record_count
             assert spy.call_count == 3
+
+    @pytest.mark.parametrize("mode", ["quasi_k", "almost"])
+    def test_a_summary_read_before_any_write_makes_no_record_column(self, mode):
+        # The report folds its blocks as they pass: only the rows that attain
+        # a block's largest figure make records.  When the summary pass took
+        # each block's records as a write does, 15 of the 31 calls here took
+        # whole blocks.
+        u = cantor_level(CantorConstruction(3, "diamond"))
+        report = run_audit(u, mode, audit_intervals(u, 6))
+        with mock.patch.object(func1d._Block, "records", autospec=True, side_effect=func1d._Block.records) as spy:
+            assert report.supremum > 0.0
+        assert spy.call_count > 0
+        for call in spy.call_args_list:
+            assert len(call.args) == 2 and call.args[1].dtype == bool
 
     @pytest.mark.parametrize(
         "audit, family",
@@ -1001,7 +1045,7 @@ class TestStandardFamily:
         # ball modes failed from inside the evaluation.
         u = make_diamond(1e9, 1e9 + 1e-3)
         with pytest.raises(DomainError, match=r"depth-12 family.*\[1000000000\.0, 1000000000\.001\]$"):
-            func1d._audit_supremum(u, mode, 12, alpha)
+            func1d._audit(u, mode, audit_intervals(u, 12), alpha).supremum
 
     def test_ball_rows_are_clamped_to_a_domain_far_from_zero(self):
         # On [1e5, 1e5 + 7.3] eight balls of the depth-12 family had c + r = 100007.30000000002,
@@ -1014,9 +1058,9 @@ class TestStandardFamily:
             assert np.all((c - r >= lo) & (c + r <= hi) & (r > 0))
             shrunk += np.count_nonzero(r != 0.5 * (b - a))
         assert shrunk == 8
-        assert func1d._audit_supremum(u, "quasi_k", 12) == 2.000000000131061
-        assert np.isfinite(func1d._audit_supremum(u, "omega", 12))
-        assert np.isfinite(func1d._audit_supremum(u, "almost", 12, 0.5))
+        assert quasi_k_ratio(u, audit_intervals(u, 12)).supremum == 2.000000000131061
+        assert np.isfinite(omega_report(u, audit_intervals(u, 12)).supremum)
+        assert np.isfinite(almost_deficiency(u, 0.5, audit_intervals(u, 12)).supremum)
         # The clamp is the standard family's: its balls unclamped, given as a family, are refused whole.
         with pytest.raises(DomainError, match="point outside domain"):
             omega_report(u, balls_of(block_columns(family.blocks())))
@@ -1039,7 +1083,7 @@ class TestStandardFamily:
                 with pytest.raises(EmptyIntervalError, match=message):
                     run_audit(u, mode, audit_intervals(u, 0))
                 with pytest.raises(EmptyIntervalError, match=message):
-                    func1d._audit_supremum(u, mode, 0, 0.5)
+                    func1d._audit(u, mode, audit_intervals(u, 0), 0.5).supremum
         assert spy.call_count == 0
         # A quasi audit reads the rows as intervals and keeps its result.
         got, want = quasi_k_ratio(u, audit_intervals(u, 0)), quasi_k_ratio(u, whole_family(u, 0))
