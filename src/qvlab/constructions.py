@@ -9,7 +9,12 @@ pluri-losange and every Cantor refinement live on [0, 1].  A construction's
 removed intervals are its one record: the kept intervals lie between them,
 and the branch gap above one peaks at (b - a)/2 for a diamond and b - a for
 a losange.  The refinement level is checked in one place, `_check_level`,
-against 1 <= L <= MAX_LEVEL, before any removed interval exists.
+against 1 <= L <= MAX_LEVEL, before any removed interval exists.  The
+pluri-losange and the diamond refinements share one breakpoint layout,
+`_level_breakpoints`: 0, then each interval's a, midpoint and b, then 1.
+The pluri-losange drops a point equal to the one before it (touching ends,
+or a midpoint that rounds to an end), and a losange refinement is the
+pluri-losange of its removed intervals.
 """
 
 from __future__ import annotations
@@ -100,21 +105,22 @@ def make_pluri_losange(intervals) -> PiecewiseAffineQ:
     for (a0, b0), (a1, b1) in zip(ivs, ivs[1:]):
         if not b0 <= a1:
             raise DomainError(f"losange intervals [{a0}, {b0}] and [{a1}, {b1}] overlap")
-    bps = [0.0]
-    lower = [0.0]
-    upper = [0.0]
-    for a, b in ivs:
-        half = 0.5 * (b - a)
-        for x, lo_v, up_v in ((a, 0.0, 0.0), (0.5 * (a + b), -half, half), (b, 0.0, 0.0)):
-            if x > bps[-1]:
-                bps.append(x)
-                lower.append(lo_v)
-                upper.append(up_v)
-    if 1.0 > bps[-1]:
-        bps.append(1.0)
-        lower.append(0.0)
-        upper.append(0.0)
-    return PiecewiseAffineQ(np.array(bps), np.vstack((lower, upper)))
+    a, b = np.array(ivs).reshape(-1, 2).T
+    bps, _ = _level_breakpoints(a, b)
+    branches = np.zeros((2, bps.size))
+    branches[:, 2::3] = -0.5 * (b - a), 0.5 * (b - a)
+    # A point equal to the one before it (a touching end, a midpoint rounded
+    # to an end) is dropped, and the first of the two keeps its values.
+    keep = np.concatenate(([True], bps[1:] > bps[:-1]))
+    return PiecewiseAffineQ(bps[keep], branches[:, keep])
+
+
+def _level_breakpoints(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The breakpoint layout above sorted disjoint intervals (a_i, b_i) of
+    [0, 1]: 0, then each interval's a, midpoint and b, then 1; and the
+    midpoints."""
+    mid = 0.5 * (a + b)
+    return np.concatenate(([0.0], np.column_stack((a, mid, b)).ravel(), [1.0])), mid
 
 
 def _check_level(level: int) -> None:
@@ -213,11 +219,10 @@ def _diamond_level(spec: CantorConstruction) -> PiecewiseAffineQ:
     removed = spec.removed_intervals()
     anchor = min(iv.a for iv in removed if iv.step == 1)
     a, b = np.array([iv[:2] for iv in removed]).T
-    mid = 0.5 * (a + b)
     # The removed intervals are disjoint and sorted, so their ends and
     # midpoints are already in order, and the one interval that can hold a
     # segment midpoint is the last to start below it.
-    bps = np.concatenate(([0.0], np.column_stack((a, mid, b)).ravel(), [1.0]))
+    bps, mid = _level_breakpoints(a, b)
     mids = 0.5 * (bps[:-1] + bps[1:])
     j = np.searchsorted(a, mids) - 1
     inside = (j >= 0) & (mids < b[j])
@@ -235,15 +240,11 @@ def _diamond_level(spec: CantorConstruction) -> PiecewiseAffineQ:
     return PiecewiseAffineQ(bps, branches)
 
 
-def _losange_level(spec: CantorConstruction) -> PiecewiseAffineQ:
-    return make_pluri_losange([(iv.a, iv.b) for iv in spec.removed_intervals()])
-
-
 def cantor_level(spec: CantorConstruction) -> PiecewiseAffineQ:
     """Level-`spec.level` stage of the chosen refinement flavor."""
     if spec.flavor == "diamond":
         return _diamond_level(spec)
-    return _losange_level(spec)
+    return make_pluri_losange([(iv.a, iv.b) for iv in spec.removed_intervals()])
 
 
 class CantorLimit(NamedTuple):

@@ -10,17 +10,23 @@ interpolation whose energy equals the squared matching distance of the
 boundary tuples divided by the interval length.  On top of the exact
 energies this module provides an empirical energy-decay exponent and the
 three minimality audits, which are one comparison with three figures of
-merit.  Each audit reads its family once and checks it whole (finite
-ends, then a < b, then the domain), then
-`_evaluate`, the one block evaluator, takes it `BLOCK_ROWS` rows at a time:
-one energy prefix per evaluation, the branch values and prefix at the
-block's ends, G^2 and Dir(u) from them, and the mode's figure and skip rule.
-Each distinct end is interpolated once: a standard-family block carries the
-points its rows' ends come from (the breakpoints for a block of breakpoint
-pairs, the rows + 1 edges for a block of cells), and each row takes its
-values by index.  The ball modes keep each row's own ends c - r and c + r:
-on the losange refinements (levels 1-8, depth 12) c - r differs from the
-cell's a in 26-36% of rows and c + r from its b in 22-26%.  An evaluated
+merit.  Every audit family has one protocol, `check(u, mode)` and
+`blocks(mode)`, and `_audit` is one path: it coerces the family, checks it
+whole, and returns its report.  `_evaluate`, the one block evaluator, then
+takes the family `BLOCK_ROWS` rows at a time: one energy prefix per
+evaluation, the branch values and prefix at the block's points, G^2 and
+Dir(u) from them, and the mode's figure and skip rule.  Every block is
+(points, ia, ib) over one 1-D array, the rows' ends are points[ia] and
+points[ib], and the points are interpolated in one call per branch and one
+for the prefix, so each row takes its values by index.  A standard-family
+block carries the points its rows' ends come from (the breakpoints for a
+block of breakpoint pairs, the rows + 1 edges for a block of cells), so each
+distinct end is interpolated once; per-row pairs (a listed family's rows, a
+ball-mode block's balls, and the ends c - r and c + r of each ball) are the
+points a then b, read back with two slices (`_paired`).  The ball modes keep
+each row's own ends c - r and c + r: on the losange refinements (levels 1-8,
+depth 12) c - r differs from the cell's a in 26-36% of rows and c + r from
+its b in 22-26%.  An evaluated
 block holds its figures and the inputs they came from; the record columns
 (centers, radii, Dir_min) are made only where rows are written or a witness
 is taken.  An audit returns a report,
@@ -39,11 +45,16 @@ The standard family has one constructor, `audit_intervals`, which counts it
 and runs its size gate once; no array of it is built.  Its `blocks` are
 made of `BLOCK_ROWS` rows as they are read, with ends that never leave the
 domain, as (a, b) intervals in quasi_k mode and as (center, radius) balls
-clamped to the domain in the ball modes.  An audit of it skips the
-whole-family check, since its rows are valid by construction, and makes the
-blocks as its report evaluates them; the CLI's quasi and almost audits and
-the criteria that reduce over it (3, 4 and 7) read it so, and none of them
-holds the family or a record column whole.
+clamped to the domain in the ball modes.  Its check only matches it to the
+function and the mode, since its rows are valid by construction, and its
+blocks are made as its report evaluates them; the CLI's quasi and almost
+audits and the criteria that reduce over it (3, 4 and 7) read it so, and
+none of them holds the family or a record column whole.
+Any other family is a caller's, and `_audit` lists it once as a
+`_ListedFamily`: a (rows, 2) array of (a, b) intervals or (center, radius)
+balls, where only a family with no rows is empty.  Its check takes the whole
+family, finite ends first, then a < b, then the domain, so that the same
+error wins at any block size; its blocks are per-row pairs.
 `_check_rows` is the one size gate: the standard family, counted from the
 function's breakpoints and the depth, the CLI's omega family, counted from
 its radii and centers, and every sample grid (a circle trace's included)
@@ -93,9 +104,9 @@ __all__ = [
 # after each block and faulted back in by the next.  Each block allocates
 # afresh, so count minor faults whenever this or a block's tables change.
 # With a cell block's (Q, rows + 1) branch values and rows + 1 prefix values,
-# a second in-process run of acceptance criteria 3, 4 and 7 took 0 minor
-# faults each at 4096 rows, and 18,695-31,929, 6,818 and 68,027 at 8192
-# (with per-row ends: 0 each, and 56,042-56,084, 75,129 and 59,230).
+# and a ball block's 2 x rows ends and (Q, 2 x rows) values, a second
+# in-process run of acceptance criteria 3, 4 and 7 took 0 minor faults each
+# at 4096 rows, and 3,973, 2,523 and 75,659 at 8192.
 BLOCK_ROWS = 4096
 
 # The largest standard family an audit builds: level 11 of a Cantor
@@ -243,21 +254,23 @@ def dirichlet_energy(u: PiecewiseAffineQ, a: float, b: float) -> float:
 
 
 def _difference(f, points, ia, ib) -> np.ndarray:
-    """f(b) - f(a) over a block's rows, with f taken once per distinct end:
-    a = points[ia] and b = points[ib], where `points` is the array of ends
-    that the rows share (a cell block's edges, the breakpoints), or a pair
-    (a, b) of per-row ends with ia, ib = 0, 1."""
-    if isinstance(points, tuple):
-        at_a = f(points[ia])
-        return f(points[ib]) - at_a
+    """f(b) - f(a) over a block's rows, a = points[ia] and b = points[ib],
+    from one call of f on the block's points, so f is taken once per
+    point: once per distinct end where the rows share their ends."""
     values = f(points)
     return values[..., ib] - values[..., ia]
 
 
 def _end_gaps(u: PiecewiseAffineQ, points, ia, ib) -> tuple:
     """(a, b, G^2(u(a), u(b))) of a block's rows, a = points[ia] and
-    b = points[ib], from one `branch_values` call per distinct end."""
+    b = points[ib], from one `branch_values` call on the block's points."""
     return points[ia], points[ib], (_difference(lambda x: branch_values(u, x), points, ia, ib) ** 2).sum(axis=0)
+
+
+def _paired(a: np.ndarray, b: np.ndarray) -> tuple:
+    """Per-row pairs (a_i, b_i) as one block (points, ia, ib): the points are
+    a then b, and ia, ib the two slices that read them back."""
+    return np.concatenate((a, b)), slice(None, a.size), slice(a.size, None)
 
 
 def _sorted_boundary(boundary_a: QPoint, boundary_b: QPoint, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
@@ -384,16 +397,6 @@ def _listed(values) -> np.ndarray:
     return np.asarray(values if isinstance(values, np.ndarray) else list(values), dtype=float)
 
 
-def _pairs(family) -> tuple[np.ndarray, np.ndarray]:
-    """The two columns of a family of pairs; an empty family gives empty columns."""
-    arr = _listed(family)
-    if arr.size == 0:
-        arr = arr.reshape(0, 2)
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise ValueError("an audit family must be an iterable of pairs")
-    return arr[:, 0], arr[:, 1]
-
-
 def _balls(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Centers and radii of the intervals (a_i, b_i)."""
     return 0.5 * (a + b), 0.5 * (b - a)
@@ -404,34 +407,28 @@ def _interval_ends(mode: str, first: np.ndarray, second: np.ndarray) -> tuple[np
     return (first, second) if mode == "quasi_k" else (first - second, first + second)
 
 
-def _slices(first: np.ndarray, second: np.ndarray):
-    """The columns of a family as `_evaluate`'s blocks of per-row pairs,
-    BLOCK_ROWS rows at a time; an empty family is one empty block."""
-    for start in range(0, max(first.size, 1), BLOCK_ROWS):
-        yield (first[start : start + BLOCK_ROWS], second[start : start + BLOCK_ROWS]), 0, 1
-
-
 def _evaluate(u: PiecewiseAffineQ, mode: str, blocks, alpha: Optional[float] = None) -> Iterator[_Block]:
     """The one audit evaluator: per block of a checked family, the `_Block`
     of its kept rows.
 
-    A block is (points, ia, ib): the family's two columns are points[ia] and
-    points[ib], so the rows of a standard-family block share their ends
-    (`audit_intervals`), and `_slices` gives per-row pairs.  In quasi_k mode
-    the columns are the ends a and b, and the branch values and energy
-    prefix of each distinct end are taken once; in the ball modes the ends
-    are each row's own c - r and c + r.  Dir(u) is a difference of one
-    energy prefix, built once per call, and G^2(u(a), u(b)) comes from
-    `_end_gaps`.  quasi_k skips the intervals with zero energy between
-    identical boundary tuples and omega the balls with Dir(u) = Dir_min = 0:
-    they carry no information.  A ratio past the float range, over a
-    subnormal G^2 or Dir_min, is +inf.
+    A block is (points, ia, ib) over one 1-D array: the family's two columns
+    are points[ia] and points[ib].  The rows of a standard-family block share
+    their ends (`audit_intervals`); per-row pairs are the points a then b
+    (`_paired`).  In quasi_k mode the columns are the ends a and b; in the
+    ball modes they are the centers and radii, and the ends c - r and c + r
+    of each row are paired into the block that is evaluated.  Either way the
+    branch values and the energy prefix are interpolated once per point.
+    Dir(u) is a difference of one energy prefix, built once per call, and
+    G^2(u(a), u(b)) comes from `_end_gaps`.  quasi_k skips the intervals with
+    zero energy between identical boundary tuples and omega the balls with
+    Dir(u) = Dir_min = 0: they carry no information.  A ratio past the float
+    range, over a subnormal G^2 or Dir_min, is +inf.
     """
     bps, prefix = u.breakpoints, u.energy_prefix()
     for points, ia, ib in blocks:
         if mode != "quasi_k":
             centers, radii = points[ia], points[ib]
-            points, ia, ib = _interval_ends(mode, centers, radii), 0, 1
+            points, ia, ib = _paired(*_interval_ends(mode, centers, radii))
         a, b, gsq = _end_gaps(u, points, ia, ib)
         dir_u = _difference(lambda x: np.interp(x, bps, prefix), points, ia, ib)
         if mode == "quasi_k":
@@ -481,22 +478,14 @@ def _fold(best: tuple, block: _Block) -> tuple:
 
 
 def _audit(u: PiecewiseAffineQ, mode: str, family, alpha: Optional[float] = None) -> MinimalityReport:
-    """Read a family once and check it whole, finite ends first, then a < b,
-    then the domain, so that the same error wins at any block size; the
-    report evaluates it a block at a time when it is written or read.  The
-    standard family is valid as it is made, so it is only matched to `u` and
-    the mode, and the report makes its blocks as it evaluates them."""
-    if isinstance(family, _StandardFamily):
-        family.check(u, mode)
-        return MinimalityReport(mode, alpha, lambda: _evaluate(u, mode, family.blocks(mode), alpha))
-    first, second = _pairs(family)
-    a, b = _interval_ends(mode, first, second)
-    _checks.finite("interval ends", a, b, error=DomainError)
-    if np.any(a >= b):
-        raise EmptyIntervalError("intervals must satisfy a < b")
-    _check_in_domain(u, a)
-    _check_in_domain(u, b)
-    return MinimalityReport(mode, alpha, lambda: _evaluate(u, mode, _slices(first, second), alpha))
+    """Check a family whole before any of it is evaluated, so that the same
+    error wins at any block size; the report evaluates it a block at a time
+    when it is written or read.  The standard family is audited as it is; any
+    other is listed once as a `_ListedFamily`."""
+    if not isinstance(family, _StandardFamily):
+        family = _ListedFamily(family)
+    family.check(u, mode)
+    return MinimalityReport(mode, alpha, lambda: _evaluate(u, mode, family.blocks(mode), alpha))
 
 
 def quasi_k_ratio(u: PiecewiseAffineQ, intervals: Iterable[tuple[float, float]]) -> MinimalityReport:
@@ -519,7 +508,10 @@ def omega_report(u: PiecewiseAffineQ, balls) -> MinimalityReport:
 
 
 def omega_profile(u: PiecewiseAffineQ, radii, centers) -> dict[float, float]:
-    """Empirical excess profile: r -> sup over centers of Dir/Dir_min - 1."""
+    """Empirical excess profile: r -> sup over centers of Dir/Dir_min - 1.
+
+    A radius whose every ball is skipped (Dir(u) = Dir_min = 0, as on
+    constant branches) has no record and no key."""
     xs = _listed(centers)
     out: dict[float, float] = {}
     for r in radii:
@@ -599,8 +591,9 @@ _MIN_CELL_ULPS = 4
 class _StandardFamily:
     """The standard family of `u` at `depth`, counted but not built (see
     `audit_intervals`, its one constructor).  Its rows are finite, satisfy
-    a < b and lie in the domain by construction, so an audit skips the
-    whole-family check and reads `blocks` as they are made."""
+    a < b and lie in the domain by construction, so its `check` only matches
+    it to the function and the mode, and an audit reads `blocks` as they are
+    made."""
 
     def __init__(self, u: PiecewiseAffineQ, depth: int):
         self.u, self.depth = u, depth
@@ -635,9 +628,10 @@ class _StandardFamily:
         (i, j), i < j, in row-major order, whose points are the breakpoints,
         then each dyadic and triadic level, a block of whose cells shares its
         rows + 1 edges.  A quasi_k block is (points, ia, ib), the intervals
-        (points[ia], points[ib]); a ball-mode block is its clamped balls."""
+        (points[ia], points[ib]); a ball-mode block is its clamped balls,
+        the centers then the radii (`_paired`)."""
         def as_mode(points, ia, ib):
-            return (points, ia, ib) if mode == "quasi_k" else (self._balls_inside(points[ia], points[ib]), 0, 1)
+            return (points, ia, ib) if mode == "quasi_k" else _paired(*self._balls_inside(points[ia], points[ib]))
 
         bps = self.u.breakpoints
         # Row i of the pairs starts at flat position starts[i]; starts[-1] is the pair count.
@@ -662,6 +656,35 @@ class _StandardFamily:
         lo, hi = self.u.domain
         out = (c - r < lo) | (c + r > hi)  # the ends `_interval_ends` gives a ball
         return c, np.where(out, np.nextafter(np.minimum(hi - c, c - lo), 0.0), r) if out.any() else r
+
+
+class _ListedFamily:
+    """A family a caller passes, listed once: an iterable of (a, b) intervals
+    in quasi_k mode or (center, radius) balls in the ball modes.  A family
+    with no rows is empty; any other shape than (rows, 2) is refused."""
+
+    def __init__(self, family):
+        pairs = _listed(family)
+        if pairs.shape == (0,):
+            pairs = pairs.reshape(0, 2)
+        if pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise ValueError("an audit family must be an iterable of pairs")
+        self.first, self.second = pairs.T
+
+    def check(self, u: PiecewiseAffineQ, mode: str) -> None:
+        """Check the whole family, finite ends first, then a < b, then the domain."""
+        a, b = _interval_ends(mode, self.first, self.second)
+        _checks.finite("interval ends", a, b, error=DomainError)
+        if np.any(a >= b):
+            raise EmptyIntervalError("intervals must satisfy a < b")
+        _check_in_domain(u, a)
+        _check_in_domain(u, b)
+
+    def blocks(self, mode: str) -> Iterator[tuple]:
+        """`_evaluate`'s blocks of at most BLOCK_ROWS per-row pairs, in the
+        family's order and in any mode; an empty family is one empty block."""
+        for start in range(0, max(self.first.size, 1), BLOCK_ROWS):
+            yield _paired(self.first[start : start + BLOCK_ROWS], self.second[start : start + BLOCK_ROWS])
 
 
 def audit_intervals(u: PiecewiseAffineQ, depth: int = 12) -> _StandardFamily:

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
 from qvlab import constructions
@@ -98,6 +99,89 @@ class TestLosange:
         u = make_pluri_losange([(0.2, 0.5), (0.5, 0.8)])
         assert u.breakpoints.tolist() == [0.0, 0.2, 0.35, 0.5, 0.65, 0.8, 1.0]
         assert dirichlet_energy(u, 0.0, 1.0) == pytest.approx(2 * 2.0 * 0.3, rel=1e-14)
+
+
+def reference_pluri_losange(intervals):
+    """The pluri-losange builder that walks the intervals one point at a
+    time, keeping a point only past the last one kept."""
+    ivs = sorted((float(a), float(b)) for a, b in intervals)
+    for a, b in ivs:
+        if not (0.0 <= a < b <= 1.0):
+            raise DomainError(f"losange interval [{a}, {b}] leaves [0.0, 1.0]")
+    for (a0, b0), (a1, b1) in zip(ivs, ivs[1:]):
+        if not b0 <= a1:
+            raise DomainError(f"losange intervals [{a0}, {b0}] and [{a1}, {b1}] overlap")
+    bps = [0.0]
+    lower = [0.0]
+    upper = [0.0]
+    for a, b in ivs:
+        half = 0.5 * (b - a)
+        for x, lo_v, up_v in ((a, 0.0, 0.0), (0.5 * (a + b), -half, half), (b, 0.0, 0.0)):
+            if x > bps[-1]:
+                bps.append(x)
+                lower.append(lo_v)
+                upper.append(up_v)
+    if 1.0 > bps[-1]:
+        bps.append(1.0)
+        lower.append(0.0)
+        upper.append(0.0)
+    return PiecewiseAffineQ(np.array(bps), np.vstack((lower, upper)))
+
+
+def built(build, intervals):
+    """The bytes of the breakpoints and branches `build` makes, or the class and message of what it raises."""
+    try:
+        u = build(intervals)
+    except ValueError as error:
+        return type(error), str(error)
+    return u.breakpoints.tobytes(), u.branches.tobytes()
+
+
+@st.composite
+def losange_intervals(draw):
+    """Disjoint intervals of [0, 1] in any order, between sorted cut points
+    that include 0, 1 or 1/2 at times: an interval spans two neighbouring
+    cuts (touching the next one, or 0 or 1) or is one ulp wide at either
+    cut, so that its midpoint rounds to one of its ends."""
+    cut = st.floats(0.0, 1.0) | st.sampled_from([0.0, 0.5, 1.0, 5e-324, 1.0 - 2**-53])
+    cuts = sorted(set(draw(st.lists(cut, max_size=12))))
+    ivs = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        kind = draw(st.sampled_from(["none", "span", "ulp at lo", "ulp at hi"]))
+        if kind == "span":
+            ivs.append((lo, hi))
+        elif kind == "ulp at lo":
+            ivs.append((lo, float(np.nextafter(lo, 1.0))))
+        elif kind == "ulp at hi":
+            ivs.append((float(np.nextafter(hi, 0.0)), hi))
+    return draw(st.permutations(ivs))
+
+
+class TestPluriLosangeReference:
+    """The vectorized pluri-losange builder makes the reference loop's bytes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(intervals=losange_intervals())
+    @example(intervals=[(0.0, 5e-324), (0.25, 0.5), (0.5, 0.75), (1.0 - 2**-53, 1.0)])
+    @example(intervals=[])
+    def test_random_intervals_match_the_reference(self, intervals):
+        assert built(make_pluri_losange, intervals) == built(reference_pluri_losange, intervals)
+
+    @pytest.mark.parametrize("schedule", ["ternary", "fat"])
+    def test_every_level_matches_the_reference(self, schedule):
+        for level in range(1, MAX_LEVEL + 1):
+            intervals = [(iv.a, iv.b) for iv in CantorConstruction(level, "losange", schedule).removed_intervals()]
+            got = cantor_level(CantorConstruction(level, "losange", schedule))
+            assert (got.breakpoints.tobytes(), got.branches.tobytes()) == built(reference_pluri_losange, intervals)
+
+    @pytest.mark.parametrize(
+        "intervals",
+        [[(0.5, 1.5)], [(-0.1, 0.2)], [(0.3, 0.3)], [(0.4, 0.2)], [(0.1, np.nan)], [(0.1, 0.5), (0.3, 0.9)],
+         [(0.1, 0.9), (0.3, 0.5)], [(0.2, 0.4), (0.4, 0.6), (0.5, 0.7)]],
+    )
+    def test_errors_match_the_reference(self, intervals):
+        got = built(make_pluri_losange, intervals)
+        assert got == built(reference_pluri_losange, intervals) and got[0] is DomainError
 
 
 class TestRemovalSchedules:
